@@ -4,9 +4,10 @@ The central construction lifts an equivalence on states to behaviours:
 two weight terms are related under a partition exactly when quotienting
 their leaves by the partition's canonical map yields equal canonical
 terms.  A partition is a bisimulation when related states have related
-transition terms at every component and label, and the largest one is
-computed by plain iterated signature splitting, which is deterministic
-and, at desk scale, fast enough.
+transition terms at every component and label.  Both the check and the
+largest bisimulation run on the system compiled once to integer ids
+(``Futs.graph``), in which, as in the flattened WTS, every intermediate
+weight term is a node of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .system import CarrierMap, Futs, is_homomorphism
-from .weightfn import Term, leaves, quotient_term, term_equal, term_key
+from .weightfn import Term, leaves, quotient_term, term_equal
 
 
 @dataclass(frozen=True)
@@ -117,46 +118,74 @@ def ext_related(p: Partition, t: Term, t2: Term) -> bool:
     return term_equal(quotient_term(t, p.kappa), quotient_term(t2, p.kappa))
 
 
-def _state_signature(s: Futs, p: Partition, x: str) -> tuple[str, ...]:
-    sig = []
-    for i, comp in enumerate(s.sig.components):
-        for a in comp.labels:
-            sig.append(term_key(quotient_term(s.transition(i, x, a), p.kappa)))
-    return tuple(sig)
-
-
 def is_bisimulation(s: Futs, p: Partition) -> bool:
     """True iff states in a block have extension-related behaviours.
 
-    The check decomposes over (component, label) pairs: all members of a
-    block must share the quotiented transition term at each of them.
+    Works bottom-up on the compiled graph: a term node's class is its
+    signature over its children's classes, the leaves taking their block
+    in ``p``.  Classes are computed on demand, so the check stops at the
+    first block whose members disagree on a (component, label) slot.
     """
     if set(p.carrier) != set(s.states):
         raise ValueError("partition carrier does not match the system's states")
-    for block in p.blocks:
-        if len(block) == 1:
-            continue
-        first = _state_signature(s, p, block[0])
-        for x in block[1:]:
-            if _state_signature(s, p, x) != first:
-                return False
-    return True
+    g = s.graph
+    ids = {x: v for v, x in enumerate(s.states)}
+    block = [p.kappa[x] for x in s.states] + [None] * (len(g.out) - g.n)
+    classes: dict = {}
+
+    def signature(v: int):
+        for c in g.out[v] if v < g.n else (c for c, _ in g.out[v]):
+            if block[c] is None:
+                block[c] = classes.setdefault((g.kind[c], signature(c)), len(classes))
+        return g.signature(block, v)
+
+    return all(len({signature(ids[x]) for x in members}) == 1
+               for members in p.blocks if len(members) > 1)
 
 
 def largest_bisimulation(s: Futs) -> Partition:
-    """Coarsest bisimulation, by iterated whole-partition splitting.
+    """Coarsest bisimulation, by predecessor-driven refinement.
 
-    Starts from the one-block partition and repeatedly splits every block
-    by the canonical serialisation of its members' quotiented transition
-    terms until stable.  The result is independent of split order and
-    equals the union of all bisimulations.
+    Starts from all states in one block and the term nodes grouped by
+    monoid stack.  A block's members share a stored signature, and a node
+    is re-signatured only when a child moves to a new block.  When a block
+    splits, its largest piece keeps the block's id, so only predecessors
+    of the other pieces are revisited.  No step subtracts weights, so one
+    path serves every monoid.  The result is the union of all bisimulations.
     """
-    p = Partition.single(s.states)
-    while True:
-        refined = p.refine_by(lambda x: _state_signature(s, p, x))
-        if refined == p:
-            return p
-        p = refined
+    g = s.graph
+    block = list(g.kind)
+    members: dict = {}
+    for v, b in enumerate(block):
+        members.setdefault(b, set()).add(v)
+    sig: list = [None] * len(block)
+    touched = range(len(block))
+    while touched:
+        changed: dict = {}
+        for v in touched:
+            new = g.signature(block, v)
+            if new != sig[v]:
+                sig[v] = new
+                changed.setdefault(block[v], {}).setdefault(new, []).append(v)
+        touched = set()
+        for b, groups in changed.items():
+            pieces = list(groups.values())
+            rest = len(members[b]) - sum(map(len, pieces))
+            if rest == 0 and len(pieces) == 1:
+                continue
+            keep = max(pieces, key=len)
+            if len(keep) > rest:  # the unchanged rest moves out instead
+                pieces.remove(keep)
+                pieces.append(members[b].difference(keep, *pieces))
+            for piece in filter(None, pieces):
+                nb = len(members)
+                members[nb] = set(piece)
+                members[b].difference_update(piece)
+                for v in piece:
+                    block[v] = nb
+                    touched.update(g.preds[v])
+    return Partition.of_blocks(
+        s.states, ([s.states[v] for v in members[b]] for b in set(block[:g.n])))
 
 
 def quotient_system(s: Futs, p: Partition) -> Futs:

@@ -89,14 +89,6 @@ def check_formula(phi: Formula, sig: Signature) -> Formula:
     raise FormulaError(f"not a formula: {phi!r}")
 
 
-def modal_depth(phi: Formula) -> int:
-    if isinstance(phi, Top):
-        return 0
-    if isinstance(phi, And):
-        return max(modal_depth(phi.left), modal_depth(phi.right))
-    return 1 + modal_depth(phi.body)
-
-
 def conj(parts) -> Formula:
     parts = list(parts)
     if not parts:

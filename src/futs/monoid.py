@@ -287,15 +287,6 @@ def power_dirac(label: str, w: Weight, labels, base: Monoid) -> Weight:
     return ((label, w),)
 
 
-def power_section(label: str, labels, base: Monoid) -> Hom:
-    """The injective homomorphism base -> base^labels behind power_dirac."""
-    power = Power(tuple(labels), base)
-    if label not in power.labels:
-        raise ValueError(f"label {label!r} not in {power.labels}")
-    return Hom(base, power, lambda w: power_dirac(label, w, power.labels, base),
-               injective=True, name=f"dirac[{label}]")
-
-
 # --- text forms ------------------------------------------------------------
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")

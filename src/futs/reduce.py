@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .bisim import Partition, all_partitions, is_bisimulation
+from .bisim import Partition, all_partitions, is_bisimulation, largest_bisimulation
 from .monoid import NAT_PLUS, Hom, Power, Product, monoid_section, power_dirac
 from .system import (
     CarrierMap,
@@ -350,7 +350,6 @@ def _sampled_partitions(source: Futs, samples: int, seed: int):
     rng = random.Random(seed)
     items = sorted(source.states)
     seen = set()
-    from .bisim import largest_bisimulation
     for p in (Partition.identity(items), largest_bisimulation(source)):
         if p not in seen:
             seen.add(p)

@@ -10,6 +10,7 @@ construction and all operations here are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 from . import monoid as mo
@@ -90,6 +91,60 @@ class Futs:
     def nonzero_items(self):
         return sorted(self.trans.items(), key=lambda kv: kv[0])
 
+    @cached_property
+    def graph(self) -> "Graph":
+        """The system compiled to integer ids, built on first use."""
+        return Graph(self)
+
+
+class Graph:
+    """A system compiled to integer ids.
+
+    States are nodes ``0..n-1`` in ``s.states`` order; every distinct
+    ``Node`` subterm of a transition term, each component's zero term
+    included, is one further node, numbered after its children.  ``out``
+    holds a state's term node per (component, label) slot, or a term's
+    (child, weight) entries, and ``preds`` the reverse edges.  ``kind`` is
+    0 for states and numbers a term's monoid stack from 1.
+    """
+
+    def __init__(self, s: Futs):
+        self.n = len(s.states)
+        leaf = {x: v for v, x in enumerate(s.states)}
+        self.out, self.kind, self.outer = [None] * self.n, [0] * self.n, [None] * self.n
+        kinds, nodes = {}, {}
+
+        def intern(t: Term) -> int:
+            if isinstance(t, Leaf):
+                return leaf[t.state]
+            key = (kinds.setdefault(t.stack, len(kinds) + 1),
+                   tuple((intern(c), w) for c, w in t.entries))
+            if key not in nodes:
+                nodes[key] = len(self.out)
+                self.kind.append(key[0])
+                self.out.append(key[1])
+                self.outer.append(t.stack[0])
+            return nodes[key]
+
+        for v, x in enumerate(s.states):
+            self.out[v] = [intern(s.transition(i, x, a))
+                           for i, comp in enumerate(s.sig.components) for a in comp.labels]
+        self.preds: list = [[] for _ in self.out]
+        for v, edges in enumerate(self.out):
+            for c in edges if v < self.n else (c for c, _ in edges):
+                self.preds[c].append(v)
+
+    def signature(self, block: list, v: int):
+        """A state's slot blocks, or a term's weights summed per child block."""
+        if v < self.n:
+            return tuple(block[t] for t in self.out[v])
+        m = self.outer[v]
+        sums: dict = {}
+        for c, w in self.out[v]:
+            b = block[c]
+            sums[b] = mo.add(m, sums[b], w) if b in sums else w
+        return frozenset(sums.items())
+
 
 def systems_equal(s1: Futs, s2: Futs) -> bool:
     return s1.sig == s2.sig and s1.states == s2.states and s1.trans == s2.trans
@@ -147,10 +202,6 @@ class CarrierMap:
     def injective(self) -> bool:
         img = [self.mapping[x] for x in self.source.states]
         return len(set(img)) == len(img)
-
-    @property
-    def surjective(self) -> bool:
-        return {self.mapping[x] for x in self.source.states} == set(self.target.states)
 
 
 def compose_maps(first: CarrierMap, second: CarrierMap) -> CarrierMap:

@@ -124,9 +124,6 @@ class _Cursor:
         tok = self.peek()
         return tok is not None and tok.value == value and tok.kind != "ident"
 
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def expect_done(self):
         tok = self.peek()
         if tok is not None:

@@ -11,8 +11,9 @@ extensional equality of the represented functions.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Union
 
 from .monoid import (
     Monoid,

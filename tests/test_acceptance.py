@@ -241,7 +241,8 @@ def test_criterion6_extension_composition():
 
 
 def test_criterion6_extension_product():
-    from futs.bisim import _state_signature, ext_related
+    from futs.bisim import ext_related
+    from bisim_oracle import _state_signature
     from conftest import TWO_COMP
     rng = random.Random(62)
     failures = checked = 0
