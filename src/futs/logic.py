@@ -17,7 +17,7 @@ monoids coincides with bisimilarity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 from . import reduce as rd
@@ -49,6 +49,18 @@ class Top:
 class And:
     left: "Formula"
     right: "Formula"
+    # set once from the children's cached hashes: shared subformulas make
+    # the expanded tree exponential, so hashing must not walk it
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # pickle by fields, so the loading process rehashes its strs
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 @dataclass(frozen=True)
@@ -57,6 +69,12 @@ class Diamond:
     label: str
     bounds: tuple[Weight, ...]
     body: "Formula"
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.component, self.label, self.bounds, self.body)))
+
+    __hash__, __reduce__ = And.__hash__, And.__reduce__
 
 
 Formula = Union[Top, And, Diamond]

@@ -267,6 +267,7 @@ def parse_system(text: str) -> Futs:
     labels: dict[int, tuple[str, ...]] = {}
     monoids: dict[int, tuple[Monoid, ...]] = {}
     states: list[str] | None = None
+    state_set: set[str] = set()
     trans: dict[tuple[int, str, str], Node] = {}
     trans_lines: dict[tuple[int, str, str], int] = {}
 
@@ -324,7 +325,7 @@ def parse_system(text: str) -> Futs:
             cur.expect_done()
             if not found:
                 _fail(open_tok.line, open_tok.column, "empty carrier")
-            states = found
+            states, state_set = found, set(found)
         elif head.value == "trans":
             if states is None:
                 _fail(head.line, head.column, "trans line before states line")
@@ -333,13 +334,13 @@ def parse_system(text: str) -> Futs:
             if i not in labels:
                 _fail(itok.line, itok.column, f"unknown component {i}")
             xtok = cur.next("ident", what="source state")
-            if xtok.value not in states:
+            if xtok.value not in state_set:
                 _fail(xtok.line, xtok.column, f"unknown state {xtok.value!r}")
             atok = cur.next("ident", what="label")
             if atok.value not in labels[i]:
                 _fail(atok.line, atok.column, f"unknown label {atok.value!r}")
             cur.next("arrow", what="->")
-            term = _parse_term(cur, monoids[i], set(states))
+            term = _parse_term(cur, monoids[i], state_set)
             cur.expect_done()
             key = (i, xtok.value, atok.value)
             if key in trans_lines:

@@ -32,6 +32,39 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
 
+# README's deliberately red tests, as "<file>::<test>"
+DELIBERATE_FAILURES = frozenset({
+    "test_acceptance.py::test_criterion6_mop_intersection",
+    "test_acceptance.py::test_criterion6_mop_sum_split",
+    "test_logic.py::test_diamond_conjunction_distribution_as_displayed",
+})
+
+
+def pytest_terminal_summary(terminalreporter):
+    """One line comparing the run's failures with the deliberate ones;
+    verdicts and the exit status are left as they are."""
+    def ids(outcome):
+        return {Path(path).name + sep + test for path, sep, test in
+                (r.nodeid.partition("::") for r in terminalreporter.stats.get(outcome, ()))}
+
+    unexpected = sorted((ids("failed") - DELIBERATE_FAILURES) | ids("error"))
+    passed = sorted(ids("passed") & DELIBERATE_FAILURES)
+    if not unexpected and not passed:
+        terminalreporter.write_line("deliberate failures: as documented")
+        return
+    terminalreporter.write_line(
+        "deliberate failures: NOT as documented; unexpected failures: "
+        f"{', '.join(unexpected) or 'none'}; deliberate tests that passed: "
+        f"{', '.join(passed) or 'none'}")
+
+
+def nat_chain_text(n: int) -> str:
+    """A nat-plus chain c0 -> c1 -> ... -> c<n-1>, weight 1 per step."""
+    return ("futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\n"
+            "states { " + ", ".join(f"c{k}" for k in range(n)) + " }\n"
+            + "".join(f"trans 0 c{k} a -> {{ c{k + 1}: 1 }}\n" for k in range(n - 1)))
+
+
 def load(name: str) -> Futs:
     return parse_system((DATA / name).read_text())
 

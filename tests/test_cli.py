@@ -3,7 +3,7 @@ from pathlib import Path
 from futs.cli import main
 from futs.textio import parse_system
 
-from conftest import DATA
+from conftest import DATA, nat_chain_text
 
 FIG1 = str(DATA / "fig1.futs")
 W3 = str(DATA / "w3.futs")
@@ -98,6 +98,14 @@ def test_check_formula_file_multiple(capsys, tmp_path):
                        "--state", "s0")
     assert code == 1  # first formula is false at s0
     assert out.count("formula:") == 2
+
+
+def test_check_deep_formula(capsys, tmp_path):
+    chain = tmp_path / "chain.futs"
+    chain.write_text(nat_chain_text(620))
+    code, out, _ = run(capsys, "check", str(chain), "--formula", "<1> " * 600 + "T",
+                       "--state", "c0")
+    assert code == 0 and out == "c0: true\n"
 
 
 def test_check_malformed_formula(capsys):

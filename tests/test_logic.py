@@ -1,13 +1,22 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import futs
 from futs.bisim import Partition, largest_bisimulation
 from futs.logic import (
     TOP,
     And,
     Diamond,
+    Evaluator,
     FormulaError,
     bounded_logical_equiv,
     check_formula,
@@ -25,10 +34,15 @@ from futs.system import Component, Signature
 from futs.textio import parse_system
 
 from conftest import (
+    NESTED2_CANC,
     NESTED3,
     TWO_COMP,
+    TWO_COMP_CANC,
     ULTRAS_RAT,
     WLTS_NAT,
+    WLTS_PROD,
+    WLTS_RAT,
+    nat_chain_text,
     random_formula,
     random_futs,
 )
@@ -230,3 +244,78 @@ def test_diamond_conjunction_distribution_as_displayed():
         "distribution of <m> over conjunction is refuted: state x reaches "
         "[[phi]]={y} and [[psi]]={z} each with mass 1, but [[phi & psi]] is "
         f"empty, so lhs={sorted(lhs)} while rhs={sorted(rhs)}")
+
+
+# --- cached formula hashes ----------------------------------------------------
+
+CORPUS_SIGS = [WLTS_NAT, WLTS_RAT, WLTS_PROD, ULTRAS_RAT, NESTED3, TWO_COMP,
+               TWO_COMP_CANC, NESTED2_CANC]
+
+
+def rebuild(phi):
+    """A node-by-node copy sharing no formula object with ``phi``."""
+    if isinstance(phi, And):
+        return And(rebuild(phi.left), rebuild(phi.right))
+    if isinstance(phi, Diamond):
+        return Diamond(phi.component, phi.label, phi.bounds, rebuild(phi.body))
+    return type(phi)()
+
+
+class Hashed:
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def structural_hash(phi):
+    """The hash a frozen dataclass derives from its compared fields,
+    computed by walking the whole tree."""
+    if isinstance(phi, And):
+        return hash((Hashed(structural_hash(phi.left)), Hashed(structural_hash(phi.right))))
+    if isinstance(phi, Diamond):
+        return hash((phi.component, phi.label, phi.bounds, Hashed(structural_hash(phi.body))))
+    return hash(phi)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(CORPUS_SIGS), st.randoms(use_true_random=False))
+def test_rebuilt_formula_same_hash_and_cache_entry(sig, rng):
+    phi = random_formula(rng, sig, 5)
+    copy = rebuild(phi)
+    assert copy == phi and hash(copy) == hash(phi) == structural_hash(phi)
+    assert pickle.loads(pickle.dumps(phi)) == phi
+    ev = Evaluator(random_futs(rng, sig, 3))
+    first = ev.sat(phi)
+    entries = len(ev._cache)
+    assert ev.sat(copy) is first and len(ev._cache) == entries
+
+
+def test_formula_repr_and_immutability():
+    phi = And(Diamond(0, "a", (1,), TOP), TOP)
+    assert repr(phi) == "And(left=Diamond(component=0, label='a', bounds=(1,), body=Top()), right=Top())"
+    for target, name in ((phi, "left"), (phi, "_hash"), (phi.left, "body"), (phi.left, "_hash")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(target, name, TOP)
+
+
+def test_unpickled_formula_rehashed():
+    """Pickled in a process with another str hash seed, a formula still
+    hashes like one built here."""
+    code = ("import pickle, sys\nfrom futs.logic import TOP, And, Diamond\n"
+            "sys.stdout.buffer.write(pickle.dumps(And(Diamond(0, 'a', (1,), TOP), TOP)))")
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=str(Path(futs.__file__).parents[1]))
+    data = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True).stdout
+    loaded, fresh = pickle.loads(data), And(Diamond(0, "a", (1,), TOP), TOP)
+    assert loaded == fresh and hash(loaded) == hash(fresh)
+
+
+def test_deep_formula_sat_set():
+    s = parse_system(nat_chain_text(620))
+    phi = TOP
+    for _ in range(600):
+        phi = Diamond(0, "a", (1,), phi)
+    assert sat_set(s, phi) == frozenset(f"c{k}" for k in range(20))
