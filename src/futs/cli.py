@@ -2,8 +2,9 @@
 
 Exit codes are uniform across subcommands: 0 success / property holds /
 states equivalent, 1 property fails / states distinguished / violations
-found, 2 usage or parse errors.  All output is deterministic for fixed
-inputs; sampled modes take an explicit ``--seed``.
+found, 2 usage or parse errors, 3 internal error (one stderr line, no
+traceback).  All output is deterministic for fixed inputs; sampled modes
+take an explicit ``--seed``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .monoid import cancellative, positive
 from .system import Futs
 from .textio import ParseError
 
-OK, FAIL, USAGE = 0, 1, 2
+OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 STAGE_BY_NAME = {
     "unlabelled": "unlabel",
@@ -252,6 +253,10 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
+    except Exception as e:  # a bug, never a verdict: exit 1 means "property fails"
+        message = str(e).replace("\n", " ")
+        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

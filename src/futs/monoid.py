@@ -20,6 +20,9 @@ RatPlus         fractions.Fraction >= 0 (ints accepted, normalised)
 Product         tuple of payloads, one per factor
 Power           tuple of (label, payload) pairs, sorted, zeros elided
 ==============  =======================================================
+
+Descriptors are frozen and hold their zero, which ``zero`` returns
+without building it again.
 """
 
 from __future__ import annotations
@@ -36,38 +39,47 @@ class WeightError(ValueError):
 
 @dataclass(frozen=True)
 class BoolOr:
-    pass
+    _zero = False
+    _payload = bool
 
 
 @dataclass(frozen=True)
 class NatPlus:
-    pass
+    _zero = 0
+    _payload = int
 
 
 @dataclass(frozen=True)
 class NatMax:
-    pass
+    _zero = 0
+    _payload = int
 
 
 @dataclass(frozen=True)
 class RatPlus:
-    pass
+    _zero = Fraction(0)
+    _payload = Fraction
 
 
 @dataclass(frozen=True)
 class Product:
     factors: tuple["Monoid", ...]
+    _zero: tuple = field(init=False, compare=False, repr=False)
+    _payload = tuple
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ValueError("product monoid needs at least one factor")
+        object.__setattr__(self, "_zero", tuple(f._zero for f in self.factors))
 
 
 @dataclass(frozen=True)
 class Power:
     labels: tuple[str, ...]
     base: "Monoid"
+    _zero = ()
+    _payload = tuple
 
     def __post_init__(self):
         labels = tuple(sorted(set(self.labels)))
@@ -86,30 +98,50 @@ RAT_PLUS = RatPlus()
 
 
 def zero(m: Monoid) -> Weight:
-    """The unit of the monoid."""
-    if isinstance(m, BoolOr):
-        return False
-    if isinstance(m, (NatPlus, NatMax)):
-        return 0
-    if isinstance(m, RatPlus):
-        return Fraction(0)
-    if isinstance(m, Product):
-        return tuple(zero(f) for f in m.factors)
-    if isinstance(m, Power):
-        return ()
-    raise TypeError(f"unknown monoid {m!r}")
+    """The unit of the monoid (computed once per descriptor)."""
+    try:
+        return m._zero
+    except AttributeError:
+        raise TypeError(f"unknown monoid {m!r}") from None
 
 
 def is_zero(m: Monoid, w: Weight) -> bool:
-    return w == zero(m) if not isinstance(m, Power) else w == ()
+    return w == zero(m)
+
+
+def _canonical(m: Monoid, w: Weight) -> bool:
+    """True when ``w`` already is the canonical payload ``check_weight`` returns."""
+    kind = type(w)
+    if kind is not getattr(m, "_payload", None):
+        return False
+    if kind is Fraction:
+        return w.numerator >= 0  # a Fraction comparison costs far more
+    if kind is not tuple:
+        return w >= 0
+    if isinstance(m, Product):
+        return len(w) == len(m.factors) and all(map(_canonical, m.factors, w))
+    prev = ""
+    for pair in w:
+        if type(pair) is not tuple or len(pair) != 2:
+            return False
+        lab, val = pair
+        if not (type(lab) is str and prev < lab and lab in m.labels
+                and _canonical(m.base, val) and val != m.base._zero):
+            return False
+        prev = lab
+    return True
 
 
 def check_weight(m: Monoid, w: Weight) -> Weight:
     """Validate and canonicalise a payload against ``m``.
 
     Returns the canonical form (rationals as Fraction, power maps sorted
-    with zero entries dropped); raises WeightError on shape mismatch.
+    with zero entries dropped); raises WeightError on shape mismatch.  A
+    payload that is canonical already is returned as it is, after a check
+    of its exact types that builds nothing.
     """
+    if _canonical(m, w):
+        return w
     if isinstance(m, BoolOr):
         if not isinstance(w, bool):
             raise WeightError(f"bool-or weight expected, got {w!r}")

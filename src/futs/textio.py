@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import monoid as mo
 from .logic import And, Diamond, Formula, FormulaError, Top, check_formula
 from .monoid import Monoid, quote_id
-from .system import Component, Futs, Signature, validate
+from .system import Component, Futs, Signature
 from .weightfn import Leaf, Node, Term, format_term, node
 
 
@@ -54,7 +54,7 @@ def _fail(line: int, column: int, message: str):
     raise ParseError([Diagnostic(line, column, message)])
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str
     value: str
@@ -62,16 +62,21 @@ class Token:
     column: int
 
 
+# one match per token: leading blanks are part of the match, and a
+# character no token can start with falls through to ``bad``
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t]+)
-    | (?P<comment>\#[^\n]*)
+    [ \t]*
+    (?:
+      (?P<comment>\#[^\n]*)
     | (?P<btick>`[^`\n]*`)
     | (?P<arrow>->)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-(?!>)[A-Za-z0-9_]+)*)
     | (?P<star>\*)
     | (?P<nat>[0-9]+)
     | (?P<punct>[{}\[\](),:|<>&/=])
+    | (?P<bad>[^ \t])
+    )
     """,
     re.VERBOSE,
 )
@@ -80,20 +85,18 @@ _TOKEN_RE = re.compile(
 def tokenize(text: str, first_line: int = 1) -> list[Token]:
     out: list[Token] = []
     for lineno, raw in enumerate(text.split("\n"), start=first_line):
-        pos = 0
-        while pos < len(raw):
-            m = _TOKEN_RE.match(raw, pos)
-            if m is None:
-                _fail(lineno, pos + 1, f"unexpected character {raw[pos]!r}")
+        for m in _TOKEN_RE.finditer(raw):
             kind = m.lastgroup
-            value = m.group()
+            value = m[kind]
+            column = m.start(kind) + 1
             if kind == "btick":
-                out.append(Token("ident", value[1:-1], lineno, pos + 1))
+                out.append(Token("ident", value[1:-1], lineno, column))
             elif kind == "star":
-                out.append(Token("ident", value, lineno, pos + 1))
-            elif kind not in ("ws", "comment"):
-                out.append(Token(kind, value, lineno, pos + 1))
-            pos = m.end()
+                out.append(Token("ident", value, lineno, column))
+            elif kind == "bad":
+                _fail(lineno, column, f"unexpected character {value!r}")
+            elif kind != "comment":
+                out.append(Token(kind, value, lineno, column))
     return out
 
 
@@ -226,19 +229,48 @@ def _parse_weight(cur: _Cursor, m: Monoid):
     _fail(tok.line, tok.column, f"cannot parse weight for {mo.format_monoid(m)}")
 
 
-def _parse_term(cur: _Cursor, stack: tuple[Monoid, ...], states: set[str]) -> Term:
+# weights written as one token: (token kind, its value -> weight or None)
+_ONE_TOKEN_WEIGHTS = {
+    mo.NatPlus: ("nat", int),
+    mo.NatMax: ("nat", int),
+    mo.RatPlus: ("nat", lambda v: Fraction(int(v))),
+    mo.BoolOr: ("ident", {"tt": True, "ff": False}.get),
+}
+
+
+def _parse_term(cur: _Cursor, stack: tuple[Monoid, ...], leaves: dict[str, Leaf]) -> Term:
+    """A weight term over ``stack``; ``leaves`` holds the one leaf of each state.
+
+    An entry of the usual shape, a state, ``:``, a one-token weight and
+    ``,`` or ``}``, is read straight from the token list; anything else
+    goes through the cursor, whose checks give every diagnostic.
+    """
     if not stack:
         tok = cur.next("ident", what="state id")
-        if tok.value not in states:
+        if tok.value not in leaves:
             _fail(tok.line, tok.column, f"unknown state {tok.value!r}")
-        return Leaf(tok.value)
+        return leaves[tok.value]
     cur.next(value="{")
-    entries = []
+    outer, rest = stack[0], stack[1:]
+    quick = None if rest else _ONE_TOKEN_WEIGHTS.get(type(outer))
+    toks, entries = cur.tokens, []
     if not cur.at("}"):
         while True:
-            key = _parse_term(cur, stack[1:], states)
+            pos = cur.pos
+            if quick and pos + 3 < len(toks):
+                key, colon, w, sep = toks[pos:pos + 4]
+                weight = (quick[1](w.value) if key.kind == "ident" and key.value in leaves
+                          and colon.value == ":" and w.kind == quick[0]
+                          and sep.kind == "punct" and sep.value in ",}" else None)
+                if weight is not None:
+                    entries.append((leaves[key.value], weight))
+                    cur.pos = pos + 4
+                    if sep.value == "}":
+                        return node(stack, entries)
+                    continue
+            key = _parse_term(cur, rest, leaves)
             cur.next(value=":")
-            entries.append((key, _parse_weight(cur, stack[0])))
+            entries.append((key, _parse_weight(cur, outer)))
             if not cur.at(","):
                 break
             cur.next()
@@ -267,7 +299,7 @@ def parse_system(text: str) -> Futs:
     labels: dict[int, tuple[str, ...]] = {}
     monoids: dict[int, tuple[Monoid, ...]] = {}
     states: list[str] | None = None
-    state_set: set[str] = set()
+    leaves: dict[str, Leaf] = {}   # one leaf per state, also the known-state check
     trans: dict[tuple[int, str, str], Node] = {}
     trans_lines: dict[tuple[int, str, str], int] = {}
 
@@ -325,7 +357,7 @@ def parse_system(text: str) -> Futs:
             cur.expect_done()
             if not found:
                 _fail(open_tok.line, open_tok.column, "empty carrier")
-            states, state_set = found, set(found)
+            states, leaves = found, {x: Leaf(x) for x in found}
         elif head.value == "trans":
             if states is None:
                 _fail(head.line, head.column, "trans line before states line")
@@ -333,14 +365,16 @@ def parse_system(text: str) -> Futs:
             i = int(itok.value)
             if i not in labels:
                 _fail(itok.line, itok.column, f"unknown component {i}")
+            if i not in monoids:
+                _fail(itok.line, itok.column, f"missing monoids line for component {i}")
             xtok = cur.next("ident", what="source state")
-            if xtok.value not in state_set:
+            if xtok.value not in leaves:
                 _fail(xtok.line, xtok.column, f"unknown state {xtok.value!r}")
             atok = cur.next("ident", what="label")
             if atok.value not in labels[i]:
                 _fail(atok.line, atok.column, f"unknown label {atok.value!r}")
             cur.next("arrow", what="->")
-            term = _parse_term(cur, monoids[i], state_set)
+            term = _parse_term(cur, monoids[i], leaves)
             cur.expect_done()
             key = (i, xtok.value, atok.value)
             if key in trans_lines:
@@ -367,11 +401,8 @@ def parse_system(text: str) -> Futs:
     if not comps:
         _fail(1, 1, "at least one component (labels/monoids pair) is required")
 
-    s = Futs(Signature(tuple(comps)), states, trans)
-    problems = validate(s)
-    if problems:
-        raise ParseError([Diagnostic(1, 1, msg) for msg in problems])
-    return s
+    # every check of system.validate was made above, line by line
+    return Futs(Signature(tuple(comps)), states, trans)
 
 
 def write_system(s: Futs) -> str:

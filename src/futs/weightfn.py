@@ -6,14 +6,15 @@ depth-d terms to non-zero weights of the outermost stack monoid.  Nodes
 are canonical by construction: zero entries are dropped, colliding keys
 are merged by monoid addition, and entries are sorted by the canonical
 serialisation of their key, so structural equality coincides with
-extensional equality of the represented functions.
+extensional equality of the represented functions.  A node computes its
+hash and that serialisation (``term_key``) on first use and keeps them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional, Union
 
 from .monoid import (
     Monoid,
@@ -22,7 +23,6 @@ from .monoid import (
     add_all,
     check_weight,
     format_weight,
-    is_zero,
     quote_id,
     weight_key,
     zero,
@@ -38,6 +38,21 @@ class Leaf:
 class Node:
     stack: tuple[Monoid, ...]
     entries: tuple[tuple["Term", Weight], ...]
+    # the dataclass's hash and the canonical term_key, each computed on
+    # first use and kept: both would otherwise walk the whole subtree on
+    # every dict lookup and every sort, and most terms are never hashed
+    _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
+    _key: Optional[str] = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.stack, self.entries))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):  # pickle by fields, so the loading process rehashes its strs
+        return Node, (self.stack, self.entries)
 
 
 Term = Union[Leaf, Node]
@@ -49,6 +64,8 @@ def node(stack, entries) -> Node:
     ``entries`` is an iterable (or mapping) of (term, weight) pairs whose
     keys must all be terms over ``stack[1:]`` (leaves when the stack has a
     single monoid).  Duplicate keys are merged by addition in ``stack[0]``.
+    Every weight goes through ``check_weight``, which returns a canonical
+    one as it is.
     """
     stack = tuple(stack)
     if not stack:
@@ -66,7 +83,8 @@ def node(stack, entries) -> Node:
                 raise ValueError(f"expected a state leaf at depth 1, got {key!r}")
         w = check_weight(outer, w)
         merged[key] = add(outer, merged[key], w) if key in merged else w
-    kept = [(k, w) for k, w in merged.items() if not is_zero(outer, w)]
+    z = zero(outer)
+    kept = [(k, w) for k, w in merged.items() if w != z]
     kept.sort(key=lambda kw: term_key(kw[0]))
     return Node(stack, tuple(kept))
 
@@ -108,11 +126,17 @@ def leaves(t: Term) -> set[str]:
 
 
 def term_key(t: Term) -> str:
-    """Compact canonical serialisation; drives ordering and state ids."""
+    """Compact canonical serialisation; drives ordering and state ids.
+
+    A node's key is computed on first use and kept on the node."""
     if isinstance(t, Leaf):
         return t.state
-    outer = t.stack[0]
-    return "{" + ",".join(f"{term_key(k)}:{weight_key(outer, w)}" for k, w in t.entries) + "}"
+    key = t._key
+    if key is None:
+        outer = t.stack[0]
+        key = "{" + ",".join(f"{term_key(k)}:{weight_key(outer, w)}" for k, w in t.entries) + "}"
+        object.__setattr__(t, "_key", key)
+    return key
 
 
 def format_term(t: Term) -> str:

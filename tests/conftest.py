@@ -3,11 +3,17 @@ seeded random system/formula generators."""
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+import futs
 
 from futs.logic import TOP, And, Diamond, Formula
 from futs.monoid import (
@@ -56,6 +62,27 @@ def pytest_terminal_summary(terminalreporter):
         "deliberate failures: NOT as documented; unexpected failures: "
         f"{', '.join(unexpected) or 'none'}; deliberate tests that passed: "
         f"{', '.join(passed) or 'none'}")
+
+
+class Hashed:
+    """An object whose hash is the given value: rebuilds a dataclass's
+    hash from child hashes computed by walking the whole structure."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def load_from_other_process(expr: str, imports: str):
+    """Build ``expr`` in a process with another str hash seed, pickle it
+    there and load it here."""
+    code = f"import pickle, sys\n{imports}\nsys.stdout.buffer.write(pickle.dumps({expr}))"
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=str(Path(futs.__file__).parents[1]))
+    data = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True).stdout
+    return pickle.loads(data)
 
 
 def nat_chain_text(n: int) -> str:

@@ -1,5 +1,8 @@
 from pathlib import Path
 
+import pytest
+
+from futs import cli
 from futs.cli import main
 from futs.textio import parse_system
 
@@ -183,3 +186,21 @@ def test_missing_file(capsys):
 
 def test_usage_error(capsys):
     assert main(["reduce", FIG1]) == 2  # missing --to/-o
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom\nsecond line"),
+                                 RecursionError("maximum recursion depth exceeded")])
+def test_internal_error_exit_3(capsys, monkeypatch, exc):
+    def failing(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_bisim", failing)
+    code, out, err = run(capsys, "bisim", FIG1)
+    assert code == 3 and out == ""
+    assert err == f"internal error: {type(exc).__name__}: {str(exc).replace(chr(10), ' ')}\n"
+
+
+def test_trans_line_without_monoids_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.futs"
+    bad.write_text("futs\nlabels A0 = { a }\nstates { x }\ntrans 0 x a -> { x: 1 }\n")
+    code, out, err = run(capsys, "bisim", str(bad))
+    assert (code, out, err) == (2, "", "4:7: error: missing monoids line for component 0\n")

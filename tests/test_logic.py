@@ -1,16 +1,11 @@
-import os
 import pickle
 import random
-import subprocess
-import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import futs
 from futs.bisim import Partition, largest_bisimulation
 from futs.logic import (
     TOP,
@@ -42,6 +37,8 @@ from conftest import (
     WLTS_NAT,
     WLTS_PROD,
     WLTS_RAT,
+    Hashed,
+    load_from_other_process,
     nat_chain_text,
     random_formula,
     random_futs,
@@ -261,14 +258,6 @@ def rebuild(phi):
     return type(phi)()
 
 
-class Hashed:
-    def __init__(self, value):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
-
-
 def structural_hash(phi):
     """The hash a frozen dataclass derives from its compared fields,
     computed by walking the whole tree."""
@@ -303,13 +292,9 @@ def test_formula_repr_and_immutability():
 def test_unpickled_formula_rehashed():
     """Pickled in a process with another str hash seed, a formula still
     hashes like one built here."""
-    code = ("import pickle, sys\nfrom futs.logic import TOP, And, Diamond\n"
-            "sys.stdout.buffer.write(pickle.dumps(And(Diamond(0, 'a', (1,), TOP), TOP)))")
-    env = dict(os.environ, PYTHONHASHSEED="1",
-               PYTHONPATH=str(Path(futs.__file__).parents[1]))
-    data = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True).stdout
-    loaded, fresh = pickle.loads(data), And(Diamond(0, "a", (1,), TOP), TOP)
+    loaded = load_from_other_process("And(Diamond(0, 'a', (1,), TOP), TOP)",
+                                     "from futs.logic import TOP, And, Diamond")
+    fresh = And(Diamond(0, "a", (1,), TOP), TOP)
     assert loaded == fresh and hash(loaded) == hash(fresh)
 
 

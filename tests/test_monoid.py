@@ -1,15 +1,21 @@
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from futs.monoid import (
     BOOL_OR,
     NAT_MAX,
     NAT_PLUS,
     RAT_PLUS,
+    BoolOr,
+    NatMax,
+    NatPlus,
     Power,
     Product,
+    RatPlus,
     WeightError,
     add,
     cancellative,
@@ -26,6 +32,8 @@ from futs.monoid import (
     power_dirac,
     zero,
 )
+
+from conftest import Hashed, load_from_other_process
 
 PROD_NB = Product((NAT_PLUS, BOOL_OR))
 POW_AB_NAT = Power(("a", "b"), NAT_PLUS)
@@ -234,3 +242,128 @@ def test_hom_additive(mw):
     sec = monoid_section(0, p)
     assert hom_apply(sec, add(m, w1, w2)) == add(p, hom_apply(sec, w1), hom_apply(sec, w2))
     assert hom_apply(sec, zero(m)) == zero(p)
+
+
+# --- canonical payloads and descriptors holding their zero ---------------------
+
+def old_check_weight(m, w):
+    """``check_weight`` before its fast path, the oracle for it."""
+    if isinstance(m, BoolOr):
+        if not isinstance(w, bool):
+            raise WeightError(f"bool-or weight expected, got {w!r}")
+        return w
+    if isinstance(m, (NatPlus, NatMax)):
+        if isinstance(w, bool) or not isinstance(w, int) or w < 0:
+            raise WeightError(f"natural weight expected, got {w!r}")
+        return w
+    if isinstance(m, RatPlus):
+        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+            raise WeightError(f"rational weight expected, got {w!r}")
+        w = Fraction(w)
+        if w < 0:
+            raise WeightError(f"rational weight must be nonnegative, got {w!r}")
+        return w
+    if isinstance(m, Product):
+        if not isinstance(w, tuple) or len(w) != len(m.factors):
+            raise WeightError(f"{len(m.factors)}-tuple expected, got {w!r}")
+        return tuple(old_check_weight(f, x) for f, x in zip(m.factors, w))
+    if isinstance(m, Power):
+        if not isinstance(w, tuple):
+            raise WeightError(f"power map expected, got {w!r}")
+        items = {}
+        for pair in w:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise WeightError(f"power map entries must be (label, weight) pairs, got {pair!r}")
+            lab, val = pair
+            if lab not in m.labels:
+                raise WeightError(f"label {lab!r} not in power label set {m.labels}")
+            if lab in items:
+                raise WeightError(f"duplicate label {lab!r} in power map")
+            items[lab] = old_check_weight(m.base, val)
+        return tuple(sorted((l, v) for l, v in items.items() if not is_zero(m.base, v)))
+    raise TypeError(f"unknown monoid {m!r}")
+
+
+SCALARS = st.one_of(st.booleans(), st.integers(-2, 3), st.fractions(-2, 3, max_denominator=4),
+                   st.sampled_from(["a", None, 1.5]))
+
+
+def near_payload(m):
+    """Payloads shaped after ``m`` but free to go wrong at every leaf: each
+    scalar type and sign, zeros, and labels out of order, repeated or
+    unknown."""
+    if isinstance(m, Product):
+        return st.tuples(*(near_payload(f) for f in m.factors))
+    if isinstance(m, Power):
+        pair = st.tuples(st.sampled_from(m.labels + ("zz",)), near_payload(m.base))
+        return st.lists(pair, max_size=3).map(tuple)
+    return SCALARS
+
+
+ANY_PAYLOAD = st.recursive(SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=3).map(tuple), st.lists(kids, max_size=2)), max_leaves=4)
+
+
+def payload_strategy(m):
+    near = near_payload(m)
+    return st.one_of(near, near.map(lambda w: list(w) if isinstance(w, tuple) else w), ANY_PAYLOAD)
+
+
+MONOIDS = st.one_of(st.sampled_from([BOOL_OR, NAT_PLUS, NAT_MAX, RAT_PLUS]), monoid_strategy())
+
+
+def outcome(fn, m, w):
+    try:
+        out = fn(m, w)
+    except WeightError as e:
+        return "error", str(e)
+    return "value", out, repr(out)
+
+
+@settings(deadline=None, max_examples=300)
+@given(MONOIDS.flatmap(lambda m: st.tuples(st.just(m), payload_strategy(m))))
+def test_check_weight_matches_old_checks(mw):
+    m, w = mw
+    assert outcome(check_weight, m, w) == outcome(old_check_weight, m, w)
+
+
+@given(monoid_with_weights(1))
+def test_canonical_payload_returned_as_is(mw):
+    m, w = mw
+    w = check_weight(m, w)
+    assert check_weight(m, w) is w
+
+
+def structural_hash(m):
+    """The hash a frozen dataclass derives from its compared fields,
+    computed by walking the whole descriptor."""
+    if isinstance(m, Product):
+        return hash((tuple(Hashed(structural_hash(f)) for f in m.factors),))
+    if isinstance(m, Power):
+        return hash((m.labels, Hashed(structural_hash(m.base))))
+    return hash(m)
+
+
+@given(monoid_strategy())
+def test_composite_hash_is_structural(m):
+    rebuilt = pickle.loads(pickle.dumps(m))
+    assert rebuilt == m and hash(rebuilt) == hash(m) == structural_hash(m)
+
+
+def test_composite_repr_and_immutability():
+    m = Product((NAT_PLUS, Power(("b", "a"), RAT_PLUS)))
+    assert repr(m) == ("Product(factors=(NatPlus(), Power(labels=('a', 'b'), "
+                       "base=RatPlus())))")
+    for target, name in ((m, "factors"), (m, "_zero"), (m.factors[1], "labels")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(target, name, ())
+
+
+def test_unpickled_composite_rehashed():
+    """Pickled in a process with another str hash seed, a descriptor still
+    hashes like one built here."""
+    loaded = load_from_other_process("Product((Power(('a', 'b'), NAT_PLUS),))",
+                                     "from futs.monoid import NAT_PLUS, Power, Product")
+    fresh = Product((Power(("a", "b"), NAT_PLUS),))
+    assert loaded == fresh and hash(loaded) == hash(fresh)
+    assert zero(loaded) == ((),) and {fresh: 1}[loaded] == 1

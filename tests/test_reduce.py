@@ -273,6 +273,61 @@ def test_verify_detects_corrupted_target(w3):
     assert not rep.ok and rep.violations
 
 
+def old_verify_reduction(r, exhaustive=True, samples=100, seed=0):
+    """``verify_reduction`` with the pair witnesses enumerated for every
+    bisimulation, before the round trip: the oracle for the report."""
+    from futs.reduce import Report, _extend, _pullback, _sampled_partitions
+    parts = (all_partitions(r.source.states) if exhaustive
+             else _sampled_partitions(r.source, samples, seed))
+    report = Report(0, 0)
+    for p in parts:
+        report.relations_checked += 1
+        if not is_bisimulation(r.source, p):
+            continue
+        report.bisimulations += 1
+        q = _extend(r, p)
+        if not is_bisimulation(r.target, q):
+            report.violations.append(
+                f"extension of {p.render()} is not a bisimulation on the target")
+            continue
+        for i, x in enumerate(r.source.states):
+            for y in r.source.states[i + 1:]:
+                if p.same_block(x, y) != q.same_block(r.state_map[x], r.state_map[y]):
+                    report.violations.append(
+                        f"pair ({x}, {y}) related {p.same_block(x, y)} at the source but "
+                        f"{q.same_block(r.state_map[x], r.state_map[y])} at the target "
+                        f"under {p.render()}")
+        back = _pullback(r, q)
+        if back != p:
+            report.violations.append(
+                f"round trip of {p.render()} returned {back.render()}")
+    return report
+
+
+def test_verify_report_matches_old_loop(w3):
+    """A reduction whose carrier map swaps states: every partition of the
+    deadlocked source is a bisimulation and extends to itself, so the pair
+    and round-trip violations come out, in the old order."""
+    s = Futs(Signature((Component(("a",), (NAT_PLUS,)),)), ["p", "q", "r", "t"])
+    swapped = Reduction("flatten", s, s, {"p": "r", "q": "q", "r": "p", "t": "t"}, full=True)
+    rep = verify_reduction(swapped)
+    assert rep == old_verify_reduction(swapped)
+    assert rep.bisimulations == 15 and len(rep.violations) == 32
+    assert rep.violations[:5] == [
+        "pair (p, q) related True at the source but False at the target under { {p, q, t}, {r} }",
+        "pair (p, t) related True at the source but False at the target under { {p, q, t}, {r} }",
+        "pair (q, r) related False at the source but True at the target under { {p, q, t}, {r} }",
+        "pair (r, t) related False at the source but True at the target under { {p, q, t}, {r} }",
+        "round trip of { {p, q, t}, {r} } returned { {p}, {q, r, t} }",
+    ]
+    bad = Reduction("unlabel", w3, w3, {"x": "y", "x'": "x'", "y": "x", "z": "z"}, full=True)
+    for r in (bad, to_wts(w3), unlabel(w3)):
+        assert verify_reduction(r) == old_verify_reduction(r)
+    r = to_wts(random_futs(random.Random(3), ULTRAS_RAT, 7))
+    assert (verify_reduction(r, exhaustive=False, samples=20, seed=4)
+            == old_verify_reduction(r, exhaustive=False, samples=20, seed=4))
+
+
 def test_verify_exhaustive_guard():
     rng = random.Random(10)
     s = random_futs(rng, WLTS_NAT, EXHAUSTIVE_LIMIT + 1)

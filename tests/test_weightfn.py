@@ -1,12 +1,15 @@
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from futs.bisim import Partition
-from futs.monoid import BOOL_OR, NAT_PLUS, RAT_PLUS
+from futs.monoid import BOOL_OR, NAT_PLUS, RAT_PLUS, Power, weight_key
 from futs.weightfn import (
     Leaf,
+    Node,
     class_sum,
     format_term,
     leaves,
@@ -21,6 +24,16 @@ from futs.weightfn import (
     term_key,
     weight_of,
     zero_term,
+)
+
+from conftest import (
+    NESTED3,
+    TWO_COMP,
+    ULTRAS_RAT,
+    WLTS_PROD,
+    Hashed,
+    load_from_other_process,
+    random_term,
 )
 
 RAT1 = (RAT_PLUS,)
@@ -164,3 +177,62 @@ def test_injective_maps_preserved(ts):
     for i, t in enumerate(ts):
         for j, u in enumerate(ts):
             assert (t == u) == (images[i] == images[j])
+
+
+# --- cached hash and key ------------------------------------------------------
+
+def structural_hash(t):
+    """The hash a frozen dataclass derives from its compared fields,
+    computed by walking the whole term."""
+    if isinstance(t, Node):
+        return hash((t.stack, tuple((Hashed(structural_hash(k)), w) for k, w in t.entries)))
+    return hash(t)
+
+
+def rebuild(t):
+    """A node-by-node copy sharing no term object with ``t``."""
+    if isinstance(t, Node):
+        return Node(t.stack, tuple((rebuild(k), w) for k, w in t.entries))
+    return Leaf(t.state)
+
+
+def uncached_key(t):
+    if isinstance(t, Leaf):
+        return t.state
+    outer = t.stack[0]
+    return "{" + ",".join(f"{uncached_key(k)}:{weight_key(outer, w)}" for k, w in t.entries) + "}"
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([NESTED3, TWO_COMP, WLTS_PROD, ULTRAS_RAT]), st.randoms(use_true_random=False))
+def test_node_hash_and_key_cached(sig, rng):
+    comp = sig.components[rng.randrange(len(sig.components))]
+    t = random_term(rng, comp.monoids, ["p", "q", "r"], max_entries=4)
+    copy = rebuild(t)
+    assert copy == t and hash(copy) == hash(t) == structural_hash(t)
+    assert term_key(t) == term_key(t) == term_key(copy) == uncached_key(t)
+    assert pickle.loads(pickle.dumps(t)) == t and {t: 1}[copy] == 1
+
+
+def test_node_repr_and_immutability():
+    t = node(BR2, [(node(RAT1, [(Leaf("s"), Fraction(1, 2))]), True)])
+    term_key(t)
+    assert repr(t) == ("Node(stack=(BoolOr(), RatPlus()), entries=((Node(stack=(RatPlus(),), "
+                       "entries=((Leaf(state='s'), Fraction(1, 2)),)), True),))")
+    for name in ("stack", "entries", "_hash", "_key"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, ())
+
+
+def test_unpickled_node_rehashed():
+    """Pickled in a process with another str hash seed, a term still hashes
+    like one built here, and its key is recomputed."""
+    loaded = load_from_other_process(
+        "(t := node((Power(('a', 'b'), NAT_PLUS), BOOL_OR), "
+        "[(node((BOOL_OR,), [(Leaf('s'), True)]), (('a', 2),))]), hash(t), term_key(t))[0]",
+        "from futs.monoid import BOOL_OR, NAT_PLUS, Power\n"
+        "from futs.weightfn import Leaf, node, term_key")
+    fresh = node((Power(("a", "b"), NAT_PLUS), BOOL_OR),
+                 [(node((BOOL_OR,), [(Leaf("s"), True)]), (("a", 2),))])
+    assert loaded == fresh and hash(loaded) == hash(fresh) and {fresh: 1}[loaded] == 1
+    assert loaded._key is None and term_key(loaded) == term_key(fresh) == "{{s:tt}:{a:2}}"
