@@ -5,85 +5,43 @@ bisimulation via partition refinement, bisimulation-coherent reductions
 down to single-level weighted transition systems, and a fully abstract
 finite-conjunction modal logic with formula translations along the
 reductions.
+
+The names below are loaded on first use (PEP 562): ``import futs`` loads
+no submodule, and ``futs.X`` or ``from futs import X`` imports the one
+module defining ``X``.
 """
 
-from .bisim import (
-    Partition,
-    all_partitions,
-    ext_related,
-    is_bisimulation,
-    is_kernel_bisimulation,
-    largest_bisimulation,
-    quotient_system,
-)
-from .logic import (
-    And,
-    Diamond,
-    Formula,
-    Top,
-    bounded_logical_equiv,
-    distinguishing_formula,
-    sat_set,
-    satisfies,
-    translate,
-    translate_to_wts,
-)
-from .monoid import (
-    BOOL_OR,
-    NAT_MAX,
-    NAT_PLUS,
-    RAT_PLUS,
-    Hom,
-    Monoid,
-    Power,
-    Product,
-    add,
-    cancellative,
-    hom_apply,
-    monoid_section,
-    nat_leq,
-    positive,
-    power_dirac,
-    zero,
-)
-from .reduce import (
-    Reduction,
-    extend_bisim,
-    flatten,
-    homogenize,
-    nest,
-    plan_wts_stages,
-    restrict_bisim,
-    tabularize,
-    to_wts,
-    unlabel,
-    verify_reduction,
-)
-from .system import (
-    CarrierMap,
-    Component,
-    Futs,
-    Signature,
-    dirac_embed,
-    is_homomorphism,
-    project_component,
-    relabel_weights,
-    systems_equal,
-    validate,
-)
-from .textio import ParseError, parse_formula, parse_system, write_formula, write_system
-from .weightfn import (
-    Leaf,
-    Node,
-    class_sum,
-    leaves,
-    node,
-    pushforward,
-    quotient_term,
-    support,
-    term_equal,
-    zero_term,
-)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "bisim": ("Partition all_partitions ext_related is_bisimulation largest_bisimulation "
+              "quotient_system"),
+    "logic": ("And Diamond Formula Top bounded_logical_equiv distinguishing_formula sat_set "
+              "satisfies translate translate_to_wts"),
+    "monoid": ("BOOL_OR NAT_MAX NAT_PLUS RAT_PLUS Hom Monoid Power Product add cancellative "
+               "hom_apply monoid_section nat_leq positive power_dirac zero"),
+    "reduce": ("Reduction extend_bisim flatten homogenize nest plan_wts_stages restrict_bisim "
+               "tabularize to_wts unlabel verify_reduction"),
+    "system": ("CarrierMap Component Futs Signature dirac_embed is_homomorphism "
+               "project_component relabel_weights systems_equal validate"),
+    "textio": "ParseError parse_formula parse_system write_formula write_system",
+    "weightfn": ("Leaf Node class_sum leaves node pushforward quotient_term support "
+                 "term_equal zero_term"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted([*_EXPORTS, *_MODULE_OF])
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # not cached here: a name always reads the submodule's current binding
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

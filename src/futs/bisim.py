@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
-from .system import CarrierMap, Futs, is_homomorphism
+from .system import Futs
 from .weightfn import Term, leaves, quotient_term, term_equal
 
 
@@ -192,10 +192,6 @@ def quotient_system(s: Futs, p: Partition) -> Futs:
     """Quotient by a bisimulation; block ids become the new states."""
     if not is_bisimulation(s, p):
         raise ValueError("quotient_system needs a bisimulation partition")
-    return _representative_quotient(s, p)
-
-
-def _representative_quotient(s: Futs, p: Partition) -> Futs:
     trans = {}
     for i, comp in enumerate(s.sig.components):
         for block in p.blocks:
@@ -203,16 +199,3 @@ def _representative_quotient(s: Futs, p: Partition) -> Futs:
             for a in comp.labels:
                 trans[(i, rep, a)] = quotient_term(s.transition(i, rep, a), p.kappa)
     return Futs(s.sig, p.block_ids(), trans)
-
-
-def is_kernel_bisimulation(s: Futs, p: Partition) -> bool:
-    """Kernel characterisation: build the representative quotient and test
-    whether the quotient map is a homomorphism into it.
-
-    For every behaviour type in the catalog this coincides with
-    is_bisimulation; both are kept as independent routes.
-    """
-    if set(p.carrier) != set(s.states):
-        raise ValueError("partition carrier does not match the system's states")
-    q = _representative_quotient(s, p)
-    return is_homomorphism(CarrierMap(s, q, dict(p.kappa)))

@@ -12,11 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import logic, reduce as rd, textio
-from .bisim import largest_bisimulation, quotient_system
-from .monoid import cancellative, positive
-from .system import Futs
-from .textio import ParseError
+# Library modules are imported by the commands that use them, so a launch
+# loads only what its subcommand runs (``--help`` loads none of them).
 
 OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -29,33 +26,32 @@ STAGE_BY_NAME = {
 }
 
 
-def _load_system(path: str) -> Futs:
+def _load_system(path: str):
+    from . import textio
     with open(path, encoding="utf-8") as fh:
         return textio.parse_system(fh.read())
 
 
-def _print_diagnostics(err: ParseError):
-    for d in err.diagnostics:
-        print(d.render(), file=sys.stderr)
-
-
 def cmd_bisim(args) -> int:
+    from . import bisim, textio
     s = _load_system(args.file)
-    part = largest_bisimulation(s)
+    part = bisim.largest_bisimulation(s)
     print(part.render())
     if args.quotient:
         with open(args.quotient, "w", encoding="utf-8") as fh:
-            fh.write(textio.write_system(quotient_system(s, part)))
+            fh.write(textio.write_system(bisim.quotient_system(s, part)))
     return OK
 
 
-def _run_reduction(s: Futs, stage: str) -> rd.Reduction:
+def _run_reduction(s, stage: str):
+    from . import reduce as rd
     if STAGE_BY_NAME[stage] is None:
         return rd.to_wts(s)
     return rd.STAGE_FUNCS[STAGE_BY_NAME[stage]](s)
 
 
 def cmd_reduce(args) -> int:
+    from . import textio
     s = _load_system(args.file)
     try:
         r = _run_reduction(s, args.to)
@@ -72,6 +68,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import logic, textio
     s = _load_system(args.file)
     if args.formula is not None:
         texts = [args.formula]
@@ -110,6 +107,7 @@ def cmd_equiv(args) -> int:
         print(f"error: unknown state(s) {missing}", file=sys.stderr)
         return USAGE
     if args.logic:
+        from . import logic
         part = logic.bounded_logical_equiv(s, depth=args.depth)
         if part.same_block(args.x, args.y):
             print(f"{args.x} and {args.y} are logically equivalent")
@@ -117,7 +115,8 @@ def cmd_equiv(args) -> int:
         print(f"{args.x} and {args.y} are distinguished")
         _print_witness(s, args.x, args.y)
         return FAIL
-    part = largest_bisimulation(s)
+    from . import bisim
+    part = bisim.largest_bisimulation(s)
     if part.same_block(args.x, args.y):
         print(f"{args.x} and {args.y} are bisimilar")
         return OK
@@ -125,7 +124,9 @@ def cmd_equiv(args) -> int:
     return FAIL
 
 
-def _print_witness(s: Futs, x: str, y: str):
+def _print_witness(s, x: str, y: str):
+    from . import logic, reduce as rd, textio
+    from .monoid import cancellative, positive
     if s.sig.is_simple:
         target, tx, ty, sig = s, x, y, s.sig
     else:
@@ -144,6 +145,7 @@ def _print_witness(s: Futs, x: str, y: str):
 
 
 def cmd_verify(args) -> int:
+    from . import reduce as rd
     s = _load_system(args.file)
     try:
         r = _run_reduction(s, args.to)
@@ -164,6 +166,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from . import logic, reduce as rd, textio
     s = _load_system(args.sig)
     phi = textio.parse_formula(args.formula, s.sig)
     if args.to == "wts":
@@ -242,10 +245,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return USAGE if e.code not in (0, None) else 0
+    from .textio import ParseError  # every command reads a system file
     try:
         return args.fn(args)
     except ParseError as e:
-        _print_diagnostics(e)
+        for d in e.diagnostics:
+            print(d.render(), file=sys.stderr)
         return USAGE
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)

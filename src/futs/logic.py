@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from . import reduce as rd
-from .bisim import Partition, largest_bisimulation
 from .monoid import (
     Weight,
     add,
@@ -38,6 +36,9 @@ from .monoid import (
 )
 from .system import Futs, Signature
 from .weightfn import Leaf, Node
+
+if TYPE_CHECKING:
+    from .bisim import Partition
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,7 @@ def translate(stage: str, sig: Signature, phi: Formula) -> Formula:
     Satisfaction is preserved: a state satisfies the original formula iff
     its image satisfies the translated one on the reduced system.
     """
+    from . import reduce as rd
     phi = check_formula(phi, sig)
     if stage == "unlabel":
         def go(f):
@@ -237,6 +239,7 @@ def translate(stage: str, sig: Signature, phi: Formula) -> Formula:
 
 def translate_to_wts(sig: Signature, phi: Formula) -> tuple[Formula, Signature]:
     """Composite translation mirroring the to_wts stage plan."""
+    from . import reduce as rd
     cur = sig
     for stage in rd.plan_wts_stages(sig):
         phi = translate(stage, cur, phi)
@@ -288,6 +291,7 @@ def _oracle(s: Futs, depth: Optional[int], grid: Optional[dict]):
     Returns the final partition, the accumulated distinguishing formulas,
     and the evaluator that knows all their satisfaction sets.
     """
+    from .bisim import Partition
     if depth is None:
         depth = len(s.states)
     if grid is None:
@@ -428,6 +432,7 @@ def distinguishing_formula(s: Futs, x: str, y: str) -> Optional[Formula]:
     for state in (x, y):
         if state not in set(s.states):
             raise ValueError(f"unknown state {state!r}")
+    from .bisim import Partition, largest_bisimulation
     if largest_bisimulation(s).same_block(x, y):
         return None
 

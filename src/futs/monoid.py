@@ -275,22 +275,6 @@ def hom_apply(h: Hom, w: Weight) -> Weight:
     return check_weight(h.target, h.fn(w))
 
 
-def identity_hom(m: Monoid) -> Hom:
-    return Hom(m, m, lambda w: w, injective=True, name="id")
-
-
-def compose_hom(outer: Hom, inner: Hom) -> Hom:
-    if inner.target != outer.source:
-        raise ValueError("homomorphism composition type mismatch")
-    return Hom(
-        inner.source,
-        outer.target,
-        lambda w: outer.fn(inner.fn(w)),
-        injective=outer.injective and inner.injective,
-        name=f"{outer.name}.{inner.name}",
-    )
-
-
 def monoid_section(index: int, p: Product) -> Hom:
     """Section of the ``index``-th projection of a product monoid.
 
@@ -310,9 +294,8 @@ def monoid_section(index: int, p: Product) -> Hom:
 
 def power_dirac(label: str, w: Weight, labels, base: Monoid) -> Weight:
     """The element of base^labels valued ``w`` at ``label`` and zero elsewhere."""
-    power = Power(tuple(labels), base)
-    if label not in power.labels:
-        raise ValueError(f"label {label!r} not in {power.labels}")
+    if label not in labels:  # the descriptor is built only to name the label set
+        raise ValueError(f"label {label!r} not in {Power(tuple(labels), base).labels}")
     w = check_weight(base, w)
     if is_zero(base, w):
         return ()

@@ -32,10 +32,9 @@ relations on the source.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .bisim import Partition, all_partitions, is_bisimulation, largest_bisimulation
 from .monoid import NAT_PLUS, Hom, Power, Product, monoid_section, power_dirac
 from .system import (
     CarrierMap,
@@ -54,6 +53,9 @@ from .weightfn import (
     term_depth,
     term_key,
 )
+
+if TYPE_CHECKING:  # the stages need no bisimulation code; the rest imports it on use
+    from .bisim import Partition
 
 UNLABEL_LABEL = "*"
 
@@ -283,12 +285,14 @@ def to_wts(s: Futs) -> Reduction:
 # --- bisimulation correspondence -------------------------------------------
 
 def _pullback(r: Reduction, p_target: Partition) -> Partition:
+    from .bisim import Partition
     return Partition.group_by(r.source.states,
                               lambda x: p_target.block_of(r.state_map[x]))
 
 
 def restrict_bisim(r: Reduction, p_target: Partition) -> Partition:
     """Pull a target bisimulation back along the carrier map."""
+    from .bisim import is_bisimulation
     if not is_bisimulation(r.target, p_target):
         raise ValueError("restrict_bisim needs a bisimulation on the target")
     return _pullback(r, p_target)
@@ -301,12 +305,14 @@ def extend_bisim(r: Reduction, p: Partition) -> Partition:
     additionally groups each level's term-states by their quotient under
     the source partition, realising the coproduct of the extensions.
     """
+    from .bisim import is_bisimulation
     if not is_bisimulation(r.source, p):
         raise ValueError("extend_bisim needs a bisimulation on the source")
     return _extend(r, p)
 
 
 def _extend(r: Reduction, p: Partition) -> Partition:
+    from .bisim import Partition
     if r.stages:
         q = p
         for st in r.stages:
@@ -347,6 +353,9 @@ EXHAUSTIVE_LIMIT = 5
 def _sampled_partitions(source: Futs, samples: int, seed: int):
     """Random partitions, always seeded with the identity and the largest
     bisimulation so the sample contains relations that actually matter."""
+    import random
+
+    from .bisim import Partition, largest_bisimulation
     rng = random.Random(seed)
     items = sorted(source.states)
     seen = set()
@@ -375,6 +384,7 @@ def verify_reduction(r: Reduction, exhaustive: bool = True,
     pairs R does, and restricting back must return R.  Violations are
     reported with concrete witnesses rather than raised.
     """
+    from .bisim import all_partitions, is_bisimulation
     if exhaustive and len(r.source.states) > EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"exhaustive verification is limited to {EXHAUSTIVE_LIMIT} states "

@@ -204,13 +204,6 @@ class CarrierMap:
         return len(set(img)) == len(img)
 
 
-def compose_maps(first: CarrierMap, second: CarrierMap) -> CarrierMap:
-    if first.target is not second.source and not systems_equal(first.target, second.source):
-        raise ValueError("carrier maps do not compose")
-    return CarrierMap(first.source, second.target,
-                      {x: second.mapping[first.mapping[x]] for x in first.source.states})
-
-
 def is_homomorphism(f: CarrierMap) -> bool:
     """True iff the target transition of f(x) is the pushforward of x's."""
     if f.source.sig != f.target.sig:
@@ -222,10 +215,6 @@ def is_homomorphism(f: CarrierMap) -> bool:
                 if image != f.target.transition(i, f.mapping[x], a):
                     return False
     return True
-
-
-def identity_map(s: Futs) -> CarrierMap:
-    return CarrierMap(s, s, {x: x for x in s.states})
 
 
 def project_component(s: Futs, i: int) -> Futs:

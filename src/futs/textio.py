@@ -25,12 +25,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import monoid as mo
-from .logic import And, Diamond, Formula, FormulaError, Top, check_formula
 from .monoid import Monoid, quote_id
 from .system import Component, Futs, Signature
 from .weightfn import Leaf, Node, Term, format_term, node
+
+if TYPE_CHECKING:  # formulas are imported where they are read or written
+    from .logic import Formula
 
 
 @dataclass
@@ -52,6 +55,15 @@ class ParseError(Exception):
 
 def _fail(line: int, column: int, message: str):
     raise ParseError([Diagnostic(line, column, message)])
+
+
+def _int(tok: Token, digits: str | None = None) -> int:
+    """The natural written by ``digits`` (default: the token's value)."""
+    digits = tok.value if digits is None else digits
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts from text
+        _fail(tok.line, tok.column, f"number too long ({len(digits)} digits)")
 
 
 @dataclass(slots=True)
@@ -178,14 +190,13 @@ def _parse_weight(cur: _Cursor, m: Monoid):
             _fail(t.line, t.column, f"expected tt or ff, found {t.value!r}")
         return t.value == "tt"
     if isinstance(m, (mo.NatPlus, mo.NatMax)):
-        t = cur.next("nat", what="natural number")
-        return int(t.value)
+        return _int(cur.next("nat", what="natural number"))
     if isinstance(m, mo.RatPlus):
         t = cur.next("nat", what="rational number")
-        num = int(t.value)
+        num = _int(t)
         if cur.at("/"):
             cur.next()
-            den = int(cur.next("nat", what="denominator").value)
+            den = _int(cur.next("nat", what="denominator"))
             if den == 0:
                 _fail(t.line, t.column, "zero denominator")
             return Fraction(num, den)
@@ -259,9 +270,12 @@ def _parse_term(cur: _Cursor, stack: tuple[Monoid, ...], leaves: dict[str, Leaf]
             pos = cur.pos
             if quick and pos + 3 < len(toks):
                 key, colon, w, sep = toks[pos:pos + 4]
-                weight = (quick[1](w.value) if key.kind == "ident" and key.value in leaves
-                          and colon.value == ":" and w.kind == quick[0]
-                          and sep.kind == "punct" and sep.value in ",}" else None)
+                try:
+                    weight = (quick[1](w.value) if key.kind == "ident" and key.value in leaves
+                              and colon.value == ":" and w.kind == quick[0]
+                              and sep.kind == "punct" and sep.value in ",}" else None)
+                except ValueError:  # too many digits: the cursor path reports it
+                    weight = None
                 if weight is not None:
                     entries.append((leaves[key.value], weight))
                     cur.pos = pos + 4
@@ -307,7 +321,7 @@ def parse_system(text: str) -> Futs:
         m = re.fullmatch(prefix + r"([0-9]+)", tok.value)
         if not m:
             _fail(tok.line, tok.column, f"expected {prefix}<index>, found {tok.value!r}")
-        return int(m.group(1))
+        return _int(tok, m.group(1))
 
     for lineno, toks in rows[1:]:
         cur = _Cursor(toks, lineno)
@@ -362,7 +376,7 @@ def parse_system(text: str) -> Futs:
             if states is None:
                 _fail(head.line, head.column, "trans line before states line")
             itok = cur.next("nat", what="component index")
-            i = int(itok.value)
+            i = _int(itok)
             if i not in labels:
                 _fail(itok.line, itok.column, f"unknown component {i}")
             if i not in monoids:
@@ -423,33 +437,37 @@ def write_system(s: Futs) -> str:
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse a formula against a signature; raises ParseError."""
+    from . import logic
     cur = _Cursor(tokenize(text), 1)
-    phi = _parse_conjunction(cur, sig)
+    phi = _parse_conjunction(cur, sig, logic)
     cur.expect_done()
     try:
-        return check_formula(phi, sig)
-    except FormulaError as e:
+        return logic.check_formula(phi, sig)
+    except logic.FormulaError as e:
         raise ParseError([Diagnostic(1, 1, str(e))]) from e
 
 
-def _parse_conjunction(cur: _Cursor, sig: Signature) -> Formula:
-    phi = _parse_unary(cur, sig)
+# the formula readers and writer take the ``logic`` module from their
+# public caller, so only formula work imports it, and only once per call
+
+def _parse_conjunction(cur: _Cursor, sig: Signature, logic) -> Formula:
+    phi = _parse_unary(cur, sig, logic)
     while cur.at("&"):
         cur.next()
-        phi = And(phi, _parse_unary(cur, sig))
+        phi = logic.And(phi, _parse_unary(cur, sig, logic))
     return phi
 
 
-def _parse_unary(cur: _Cursor, sig: Signature) -> Formula:
+def _parse_unary(cur: _Cursor, sig: Signature, logic) -> Formula:
     tok = cur.peek()
     if tok is None:
         cur.next(what="formula")
     if tok.kind == "ident" and tok.value == "T":
         cur.next()
-        return Top()
+        return logic.Top()
     if cur.at("("):
         cur.next()
-        phi = _parse_conjunction(cur, sig)
+        phi = _parse_conjunction(cur, sig, logic)
         cur.next(value=")")
         return phi
     if cur.at("<"):
@@ -488,8 +506,8 @@ def _parse_unary(cur: _Cursor, sig: Signature) -> Formula:
         if j != comp.depth:
             _fail(open_tok.line, open_tok.column,
                   f"expected {comp.depth} bounds for component {i}, got {j}")
-        body = _parse_unary(cur, sig)
-        return Diamond(i, label, tuple(bounds), body)
+        body = _parse_unary(cur, sig, logic)
+        return logic.Diamond(i, label, tuple(bounds), body)
     _fail(tok.line, tok.column, f"expected a formula, found {tok.value!r}")
 
 
@@ -505,7 +523,7 @@ def _resolve_modality(segments, sig: Signature, open_tok: Token):
         if len(itok) != 1 or itok[0].kind != "nat":
             where = itok[0] if itok else open_tok
             _fail(where.line, where.column, "expected a component index")
-        i = int(itok[0].value)
+        i = _int(itok[0])
         if not 0 <= i < len(sig.components):
             _fail(itok[0].line, itok[0].column, f"component index {i} out of range")
         lab = single_ident(segments[1], "a label")
@@ -529,15 +547,20 @@ def _resolve_modality(segments, sig: Signature, open_tok: Token):
 
 
 def write_formula(phi: Formula, sig: Signature) -> str:
-    if isinstance(phi, Top):
+    from . import logic
+    return _write_formula(phi, sig, logic)
+
+
+def _write_formula(phi: Formula, sig: Signature, logic) -> str:
+    if isinstance(phi, logic.Top):
         return "T"
-    if isinstance(phi, And):
-        left = write_formula(phi.left, sig)
-        right = write_formula(phi.right, sig)
-        if isinstance(phi.right, And):
+    if isinstance(phi, logic.And):
+        left = _write_formula(phi.left, sig, logic)
+        right = _write_formula(phi.right, sig, logic)
+        if isinstance(phi.right, logic.And):
             right = f"({right})"
         return f"{left} & {right}"
-    if isinstance(phi, Diamond):
+    if isinstance(phi, logic.Diamond):
         comp = sig.components[phi.component]
         bounds = ", ".join(mo.format_weight(m, b)
                            for m, b in zip(comp.monoids, phi.bounds))
@@ -547,8 +570,8 @@ def write_formula(phi: Formula, sig: Signature) -> str:
             head = f"<{quote_id(phi.label)}|{bounds}>"
         else:
             head = f"<{bounds}>"
-        body = write_formula(phi.body, sig)
-        if isinstance(phi.body, And):
+        body = _write_formula(phi.body, sig, logic)
+        if isinstance(phi.body, logic.And):
             body = f"({body})"
         return f"{head} {body}"
-    raise FormulaError(f"not a formula: {phi!r}")
+    raise logic.FormulaError(f"not a formula: {phi!r}")

@@ -108,14 +108,6 @@ def support(t: Node) -> tuple[Term, ...]:
     return tuple(k for k, _ in t.entries)
 
 
-def weight_of(t: Node, key: Term) -> Weight:
-    """Lookup with the monoid zero as default."""
-    for k, w in t.entries:
-        if k == key:
-            return w
-    return zero(t.stack[0])
-
-
 def leaves(t: Term) -> set[str]:
     if isinstance(t, Leaf):
         return {t.state}

@@ -9,7 +9,7 @@ bisimulation, and independent of ``futs.bisim``'s compiled-graph engine.
 from __future__ import annotations
 
 from futs.bisim import Partition
-from futs.system import Futs
+from futs.system import CarrierMap, Futs, is_homomorphism
 from futs.weightfn import quotient_term, term_key
 
 
@@ -44,3 +44,25 @@ def largest_bisimulation(s: Futs) -> Partition:
         if refined == p:
             return p
         p = refined
+
+
+def representative_quotient(s: Futs, p: Partition) -> Futs:
+    """Each block's least member stands for the block, stepping as it does
+    under the quotient map; ``p`` need not be a bisimulation."""
+    trans = {(i, block[0], a): quotient_term(s.transition(i, block[0], a), p.kappa)
+             for i, comp in enumerate(s.sig.components)
+             for block in p.blocks for a in comp.labels}
+    return Futs(s.sig, p.block_ids(), trans)
+
+
+def is_kernel_bisimulation(s: Futs, p: Partition) -> bool:
+    """Kernel characterisation: build the representative quotient and test
+    whether the quotient map is a homomorphism into it.
+
+    For every behaviour type in the catalog this coincides with
+    ``futs.bisim.is_bisimulation``; both are kept as independent routes.
+    """
+    if set(p.carrier) != set(s.states):
+        raise ValueError("partition carrier does not match the system's states")
+    q = representative_quotient(s, p)
+    return is_homomorphism(CarrierMap(s, q, dict(p.kappa)))

@@ -21,6 +21,7 @@ from futs.monoid import (
     NAT_PLUS,
     RAT_PLUS,
     BoolOr,
+    Hom,
     Monoid,
     NatMax,
     NatPlus,
@@ -30,9 +31,9 @@ from futs.monoid import (
     check_weight,
     zero,
 )
-from futs.system import Component, Futs, Signature, validate
+from futs.system import CarrierMap, Component, Futs, Signature, systems_equal, validate
 from futs.textio import parse_system
-from futs.weightfn import Leaf, node
+from futs.weightfn import Leaf, Node, Term, node
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -122,6 +123,40 @@ def absence_pair() -> Futs:
         "trans 0 q0 a -> { q1: tt }\n"
         "trans 0 q1 b -> { pd: tt }\n"
     )
+
+
+# --- identities, compositions and lookups used only by tests ------------------
+
+
+def identity_hom(m: Monoid) -> Hom:
+    return Hom(m, m, lambda w: w, injective=True, name="id")
+
+
+def compose_hom(outer: Hom, inner: Hom) -> Hom:
+    if inner.target != outer.source:
+        raise ValueError("homomorphism composition type mismatch")
+    return Hom(inner.source, outer.target, lambda w: outer.fn(inner.fn(w)),
+               injective=outer.injective and inner.injective,
+               name=f"{outer.name}.{inner.name}")
+
+
+def identity_map(s: Futs) -> CarrierMap:
+    return CarrierMap(s, s, {x: x for x in s.states})
+
+
+def compose_maps(first: CarrierMap, second: CarrierMap) -> CarrierMap:
+    if first.target is not second.source and not systems_equal(first.target, second.source):
+        raise ValueError("carrier maps do not compose")
+    return CarrierMap(first.source, second.target,
+                      {x: second.mapping[first.mapping[x]] for x in first.source.states})
+
+
+def weight_of(t: Node, key: Term):
+    """Lookup with the monoid zero as default."""
+    for k, w in t.entries:
+        if k == key:
+            return w
+    return zero(t.stack[0])
 
 
 # --- seeded random generation -------------------------------------------------

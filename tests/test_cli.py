@@ -204,3 +204,11 @@ def test_trans_line_without_monoids_exit_2(capsys, tmp_path):
     bad.write_text("futs\nlabels A0 = { a }\nstates { x }\ntrans 0 x a -> { x: 1 }\n")
     code, out, err = run(capsys, "bisim", str(bad))
     assert (code, out, err) == (2, "", "4:7: error: missing monoids line for component 0\n")
+
+
+def test_overlong_weight_exit_2(capsys, tmp_path):
+    bad = tmp_path / "long.futs"
+    bad.write_text("futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\nstates { x }\n"
+                   f"trans 0 x a -> {{ x: {'9' * 5000} }}\n")
+    code, out, err = run(capsys, "bisim", str(bad))
+    assert (code, out, err) == (2, "", "5:21: error: number too long (5000 digits)\n")

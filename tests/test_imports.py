@@ -1,0 +1,87 @@
+"""Import budget: a CLI launch loads only the modules its subcommand runs,
+and the lazy package namespace resolves to the submodules' objects."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import futs
+
+from conftest import DATA
+
+FIG1 = str(DATA / "fig1.futs")
+W3 = str(DATA / "w3.futs")
+
+# run main in a fresh interpreter and print the futs modules it loaded
+PROBE = """
+import contextlib, io, json, sys
+import futs.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    futs.cli.main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "futs")))
+"""
+
+
+def loaded_modules(*argv) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(futs.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(json.loads(out))
+
+
+def test_help_loads_no_library_module():
+    assert loaded_modules("--help") == {"futs", "futs.cli"}
+    assert loaded_modules("bisim") == {"futs", "futs.cli"}  # a usage error
+
+
+@pytest.mark.parametrize("argv", [["bisim", FIG1], ["equiv", W3, "x", "y"]],
+                         ids=["bisim", "equiv"])
+def test_bisimulation_loads_no_logic_or_reductions(argv):
+    loaded = loaded_modules(*argv)
+    assert "futs.bisim" in loaded
+    assert not loaded & {"futs.logic", "futs.reduce"}
+
+
+def test_check_loads_no_reductions_or_bisimulation():
+    loaded = loaded_modules("check", FIG1, "--formula", "<0|b|tt, 1/2> T")
+    assert "futs.logic" in loaded
+    assert not loaded & {"futs.reduce", "futs.bisim"}
+
+
+def test_equiv_logic_and_reduce_load_what_they_run(tmp_path):
+    assert {"futs.logic", "futs.bisim"} <= loaded_modules("equiv", W3, "x", "y", "--logic")
+    loaded = loaded_modules("reduce", FIG1, "--to", "wts", "-o", str(tmp_path / "out.futs"))
+    assert "futs.reduce" in loaded
+    assert not loaded & {"futs.logic", "futs.bisim"}
+
+
+SUBMODULES = ("bisim", "logic", "monoid", "reduce", "system", "textio", "weightfn")
+
+
+def test_every_export_is_the_submodule_object():
+    modules = {name: importlib.import_module(f"futs.{name}") for name in SUBMODULES}
+    for name in futs.__all__:
+        value = getattr(futs, name)
+        if name in modules:
+            assert value is modules[name]
+            continue
+        owners = {m for m, mod in modules.items() if getattr(mod, name, None) is value}
+        home = getattr(value, "__module__", "") or ""
+        assert owners and (not home.startswith("futs.") or home[len("futs."):] in owners), name
+    assert set(futs.__all__) <= set(dir(futs))
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from futs import *", namespace)
+    assert set(futs.__all__) <= set(namespace)
+    assert namespace["largest_bisimulation"] is futs.bisim.largest_bisimulation
+    with pytest.raises(AttributeError, match="no_such_name"):
+        futs.no_such_name
+    with pytest.raises(ImportError):
+        exec("from futs import no_such_name", {})

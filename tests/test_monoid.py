@@ -20,11 +20,9 @@ from futs.monoid import (
     add,
     cancellative,
     check_weight,
-    compose_hom,
     format_monoid,
     format_weight,
     hom_apply,
-    identity_hom,
     is_zero,
     monoid_section,
     nat_leq,
@@ -33,7 +31,7 @@ from futs.monoid import (
     zero,
 )
 
-from conftest import Hashed, load_from_other_process
+from conftest import Hashed, compose_hom, identity_hom, load_from_other_process
 
 PROD_NB = Product((NAT_PLUS, BOOL_OR))
 POW_AB_NAT = Power(("a", "b"), NAT_PLUS)
@@ -81,6 +79,26 @@ def test_power_dirac_examples():
     assert power_dirac("a", Fraction(1, 2), ("a", "b"), RAT_PLUS) == (("a", Fraction(1, 2)),)
     with pytest.raises(ValueError):
         power_dirac("c", 1, ("a", "b"), NAT_PLUS)
+
+
+def test_power_dirac_message_names_the_sorted_label_set():
+    with pytest.raises(ValueError) as err:
+        power_dirac("c", 1, ("b", "a", "b"), NAT_PLUS)
+    assert str(err.value) == "label 'c' not in ('a', 'b')"
+    with pytest.raises(ValueError) as err:
+        power_dirac("c", 1, (), NAT_PLUS)
+    assert str(err.value) == "power monoid needs a non-empty label set"
+
+
+def test_power_dirac_builds_no_descriptor_for_a_member(monkeypatch):
+    import futs.monoid
+
+    def no_power(*args):
+        raise AssertionError("Power built")
+
+    monkeypatch.setattr(futs.monoid, "Power", no_power)
+    assert power_dirac("a", 2, ("b", "a"), NAT_PLUS) == (("a", 2),)
+    assert power_dirac("b", 0, ("b", "a"), NAT_PLUS) == ()
 
 
 def test_hom_apply_examples():

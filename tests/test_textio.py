@@ -185,3 +185,39 @@ def test_conjunction_parens_round_trip(fig1):
 def test_diagnostic_render():
     d = Diagnostic(3, 7, "boom")
     assert d.render() == "3:7: error: boom"
+
+
+LONG = "1" * 5000  # more digits than int() converts from text by default
+NAT_HEAD = "futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\nstates { x, y }\n"
+
+
+@pytest.mark.parametrize("text, line, column", [
+    (NAT_HEAD + f"trans 0 x a -> {{ y: {LONG} }}\n", 5, 21),                 # one-token weight
+    (NAT_HEAD + f"trans 0 x a -> {{ y: 1, x: {LONG}, }}\n", 5, 27),          # cursor path
+    (NAT_HEAD.replace("nat-plus", "rat-plus") + f"trans 0 x a -> {{ y: 1/{LONG} }}\n", 5, 23),
+    (NAT_HEAD.replace("nat-plus", "bool-or, nat-plus")
+     + f"trans 0 x a -> {{ {{ y: {'0' * 4999}1 }}: tt }}\n", 5, 23),
+    (NAT_HEAD + f"trans {LONG} x a -> {{ y: 1 }}\n", 5, 7),                   # component index
+    (NAT_HEAD.replace("A0", "A" + LONG), 2, 8),
+    (NAT_HEAD.replace("M0", "M" + LONG), 3, 9),
+], ids=["weight", "weight-in-list", "denominator", "inner-weight", "trans-index",
+        "labels-index", "monoids-index"])
+def test_overlong_numeral_in_system_is_positioned(text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    (diag,) = err.value.diagnostics
+    assert (diag.line, diag.column, diag.message) == (line, column, "number too long (5000 digits)")
+
+
+@pytest.mark.parametrize("text, column", [
+    (f"<a|{LONG}> T", 4),                  # bound
+    (f"<{LONG}|a|1> T", 2),                # component index
+    (f"<a|1> T & <a|1/{LONG}> T", 16),     # denominator (over rat-plus)
+], ids=["bound", "component-index", "denominator"])
+def test_overlong_numeral_in_formula_is_positioned(text, column):
+    rat = "/" in text
+    s = parse_system(NAT_HEAD.replace("nat-plus", "rat-plus") if rat else NAT_HEAD)
+    with pytest.raises(ParseError) as err:
+        parse_formula(text, s.sig)
+    (diag,) = err.value.diagnostics
+    assert (diag.line, diag.column, diag.message) == (1, column, "number too long (5000 digits)")

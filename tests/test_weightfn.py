@@ -22,7 +22,6 @@ from futs.weightfn import (
     term_depth,
     term_equal,
     term_key,
-    weight_of,
     zero_term,
 )
 
@@ -34,6 +33,7 @@ from conftest import (
     Hashed,
     load_from_other_process,
     random_term,
+    weight_of,
 )
 
 RAT1 = (RAT_PLUS,)
