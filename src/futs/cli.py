@@ -36,10 +36,12 @@ def cmd_bisim(args) -> int:
     from . import bisim, textio
     s = _load_system(args.file)
     part = bisim.largest_bisimulation(s)
+    # written in full before any output, so a failure leaves neither
+    quotient = textio.write_system(bisim.quotient_system(s, part)) if args.quotient else None
     print(part.render())
-    if args.quotient:
+    if quotient is not None:
         with open(args.quotient, "w", encoding="utf-8") as fh:
-            fh.write(textio.write_system(bisim.quotient_system(s, part)))
+            fh.write(quotient)
     return OK
 
 

@@ -12,10 +12,14 @@ satisfaction is preserved on the reduced system, and
 ``bounded_logical_equiv`` partitions states by agreement on a finite,
 level-wise generated formula family, which on positive cancellative
 monoids coincides with bisimilarity.
+
+Formulas of any depth are handled iteratively: every formula pass is a
+``fold`` over the formula with an explicit stack.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional, Union
@@ -87,35 +91,62 @@ class FormulaError(ValueError):
     pass
 
 
+def fold(phi: Formula, top, on_and, on_diamond, memo: Optional[dict] = None):
+    """Fold a formula bottom-up with an explicit stack, so depth costs
+    memory, not the recursion limit.
+
+    ``top`` is the value of ``T``; ``on_and(f, left, right)`` and
+    ``on_diamond(f, body)`` map a node and its children's values (never
+    None) to its own.  ``memo`` (subformula -> value, filled in place) is
+    looked up first, so a subformula shared by several parents folds once.
+    """
+    memo = {} if memo is None else memo
+    stack = [phi]
+    while stack:
+        f = stack[-1]
+        if f in memo:
+            stack.pop()
+        elif isinstance(f, Diamond):
+            body = memo.get(f.body)
+            if body is None:
+                stack.append(f.body)
+            else:
+                memo[f] = on_diamond(f, body)
+        elif isinstance(f, And):
+            left, right = memo.get(f.left), memo.get(f.right)
+            if left is None or right is None:
+                stack += [g for g, v in ((f.right, right), (f.left, left)) if v is None]
+            else:
+                memo[f] = on_and(f, left, right)
+        elif isinstance(f, Top):
+            memo[f] = top
+        else:
+            raise FormulaError(f"not a formula: {f!r}")
+    return memo[phi]
+
+
 def check_formula(phi: Formula, sig: Signature) -> Formula:
     """Validate against a signature; returns the bound-canonical form."""
-    if isinstance(phi, Top):
-        return phi
-    if isinstance(phi, And):
-        return And(check_formula(phi.left, sig), check_formula(phi.right, sig))
-    if isinstance(phi, Diamond):
-        if not 0 <= phi.component < len(sig.components):
-            raise FormulaError(f"component index {phi.component} out of range")
-        comp = sig.components[phi.component]
-        if phi.label not in comp.labels:
-            raise FormulaError(f"label {phi.label!r} not in component {phi.component}")
-        if len(phi.bounds) != comp.depth:
+    def diamond(f: Diamond, body: Formula) -> Formula:
+        if not 0 <= f.component < len(sig.components):
+            raise FormulaError(f"component index {f.component} out of range")
+        comp = sig.components[f.component]
+        if f.label not in comp.labels:
+            raise FormulaError(f"label {f.label!r} not in component {f.component}")
+        if len(f.bounds) != comp.depth:
             raise FormulaError(
-                f"expected {comp.depth} bounds for component {phi.component}, "
-                f"got {len(phi.bounds)}")
-        bounds = tuple(check_weight(m, b) for m, b in zip(comp.monoids, phi.bounds))
-        return Diamond(phi.component, phi.label, bounds, check_formula(phi.body, sig))
-    raise FormulaError(f"not a formula: {phi!r}")
+                f"expected {comp.depth} bounds for component {f.component}, "
+                f"got {len(f.bounds)}")
+        bounds = tuple(check_weight(m, b) for m, b in zip(comp.monoids, f.bounds))
+        return Diamond(f.component, f.label, bounds, body)
+
+    return fold(phi, TOP, lambda f, left, right: And(left, right), diamond)
 
 
 def conj(parts) -> Formula:
+    """The left-deep conjunction of ``parts`` (``T`` when there are none)."""
     parts = list(parts)
-    if not parts:
-        return TOP
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return functools.reduce(And, parts) if parts else TOP
 
 
 class Evaluator:
@@ -123,27 +154,22 @@ class Evaluator:
 
     def __init__(self, s: Futs):
         self.system = s
+        self._all = frozenset(s.states)
         self._cache: dict[Formula, frozenset[str]] = {}
 
     def sat(self, phi: Formula) -> frozenset[str]:
         hit = self._cache.get(phi)
         if hit is not None:
             return hit
-        if isinstance(phi, Top):
-            out = frozenset(self.system.states)
-        elif isinstance(phi, And):
-            out = self.sat(phi.left) & self.sat(phi.right)
-        elif isinstance(phi, Diamond):
-            body = self.sat(phi.body)
-            comp = self.system.sig.components[phi.component]
-            out = frozenset(
-                x for x in self.system.states
-                if _member(self.system.transition(phi.component, x, phi.label),
-                           phi.bounds, 0, body, comp.monoids))
-        else:
-            raise FormulaError(f"not a formula: {phi!r}")
-        self._cache[phi] = out
-        return out
+        return fold(phi, self._all, lambda f, left, right: left & right, self._diamond,
+                    self._cache)
+
+    def _diamond(self, f: Diamond, body: frozenset[str]) -> frozenset[str]:
+        s = self.system
+        monoids = s.sig.components[f.component].monoids
+        return frozenset(x for x in s.states
+                         if _member(s.transition(f.component, x, f.label),
+                                    f.bounds, 0, body, monoids))
 
     def holds(self, x: str, phi: Formula) -> bool:
         return x in self.sat(phi)
@@ -181,60 +207,38 @@ def translate(stage: str, sig: Signature, phi: Formula) -> Formula:
     from . import reduce as rd
     phi = check_formula(phi, sig)
     if stage == "unlabel":
-        def go(f):
-            if isinstance(f, Top):
-                return f
-            if isinstance(f, And):
-                return And(go(f.left), go(f.right))
+        def diamond(f, body):
             comp = sig.components[f.component]
             folded = power_dirac(f.label, f.bounds[0], comp.labels, comp.monoids[0])
-            return Diamond(f.component, rd.UNLABEL_LABEL,
-                           (folded,) + f.bounds[1:], go(f.body))
+            return Diamond(f.component, rd.UNLABEL_LABEL, (folded,) + f.bounds[1:], body)
     elif stage == "tabularize":
         depth = max(c.depth for c in sig.components)
 
-        def go(f):
-            if isinstance(f, Top):
-                return f
-            if isinstance(f, And):
-                return And(go(f.left), go(f.right))
+        def diamond(f, body):
             pad = depth - sig.components[f.component].depth
-            return Diamond(f.component, f.label, (1,) * pad + f.bounds, go(f.body))
+            return Diamond(f.component, f.label, (1,) * pad + f.bounds, body)
     elif stage == "homogenize":
         rows = rd.homog_sections(sig)
 
-        def go(f):
-            if isinstance(f, Top):
-                return f
-            if isinstance(f, And):
-                return And(go(f.left), go(f.right))
+        def diamond(f, body):
             bounds = tuple(hom_apply(h, b) for h, b in zip(rows[f.component], f.bounds))
-            return Diamond(f.component, f.label, bounds, go(f.body))
+            return Diamond(f.component, f.label, bounds, body)
     elif stage == "nest":
         rd.sig_nest(sig)  # precondition check
 
-        def go(f):
-            if isinstance(f, Top):
-                return f
-            if isinstance(f, And):
-                return And(go(f.left), go(f.right))
-            return Diamond(0, rd.fused_label(f.component, f.label), f.bounds, go(f.body))
+        def diamond(f, body):
+            return Diamond(0, rd.fused_label(f.component, f.label), f.bounds, body)
     elif stage == "flatten":
         rd.sig_flatten(sig)  # precondition check
         lab = sig.components[0].labels[0]
 
-        def go(f):
-            if isinstance(f, Top):
-                return f
-            if isinstance(f, And):
-                return And(go(f.left), go(f.right))
-            out = go(f.body)
+        def diamond(f, body):
             for m in reversed(f.bounds):
-                out = Diamond(0, lab, (m,), out)
-            return out
+                body = Diamond(0, lab, (m,), body)
+            return body
     else:
         raise ValueError(f"unknown stage {stage!r}")
-    return go(phi)
+    return fold(phi, TOP, lambda f, left, right: And(left, right), diamond)
 
 
 def translate_to_wts(sig: Signature, phi: Formula) -> tuple[Formula, Signature]:
@@ -285,62 +289,63 @@ def realizable_grid(s: Futs) -> dict[tuple[int, int], list[Weight]]:
     return grid
 
 
-def _oracle(s: Futs, depth: Optional[int], grid: Optional[dict]):
-    """Level-wise refinement by satisfaction profiles.
+class _Levels:
+    """The oracle's level loop: refinement by satisfaction profiles.
 
-    Returns the final partition, the accumulated distinguishing formulas,
-    and the evaluator that knows all their satisfaction sets.
+    Iterating yields each level's bodies (one characteristic conjunction
+    per block over the distinguishers so far) and then refines ``part`` by
+    candidate diamonds over labels, then grid bound vectors, then bodies.
+    ``ev`` knows the satisfaction sets of all the ``distinguishers``.
     """
-    from .bisim import Partition
-    if depth is None:
-        depth = len(s.states)
-    if grid is None:
-        grid = realizable_grid(s)
-    for i, comp in enumerate(s.sig.components):
-        for j in range(comp.depth):
-            if not grid.get((i, j)):
-                raise ValueError(f"empty bound grid for component {i}, level {j}")
-    part = Partition.single(s.states)
-    ev = Evaluator(s)
-    distinguishers: list[Formula] = []
-    if depth == 0 or len(s.states) <= 1:
-        return part, distinguishers, ev
-    known = set()
-    for _level in range(depth):
-        bodies: list[Formula] = []
-        seen_sets = set()
-        for block in part.blocks:
-            chi = conj(f for f in distinguishers if block[0] in ev.sat(f))
-            key = ev.sat(chi)
-            if key not in seen_sets:
-                seen_sets.add(key)
-                bodies.append(chi)
-        candidates: list[Formula] = []
+
+    def __init__(self, s: Futs, depth: Optional[int], grid: Optional[dict]):
+        from .bisim import Partition
+        self.depth = len(s.states) if depth is None else depth
+        if grid is None:
+            grid = realizable_grid(s)
         for i, comp in enumerate(s.sig.components):
-            # a zero outermost bound makes the diamond a tautology; skip those
-            vectors = [v for v in itertools.product(
-                *(grid[(i, j)] for j in range(comp.depth)))
-                if not is_zero(comp.monoids[0], v[0])]
-            for a in comp.labels:
-                for vec in vectors:
-                    for chi in bodies:
-                        candidates.append(Diamond(i, a, vec, chi))
-        useful = []
-        for f in candidates:
-            sat = ev.sat(f)
-            if sat and len(sat) < len(s.states):
-                useful.append(f)
-        refined = part.refine_by(lambda x: tuple(x in ev.sat(f) for f in useful))
-        for f in useful:
-            if f not in known:
-                known.add(f)
-                distinguishers.append(f)
-        if refined == part:
-            break
-        part = refined
-        if len(part.blocks) == len(s.states):
-            break
-    return part, distinguishers, ev
+            for j in range(comp.depth):
+                if not grid.get((i, j)):
+                    raise ValueError(f"empty bound grid for component {i}, level {j}")
+        self.system, self.grid, self.ev = s, grid, Evaluator(s)
+        self.part = Partition.single(s.states)
+        self.distinguishers: dict[Formula, None] = {}  # an ordered set
+
+    def run(self) -> "_Levels":
+        for _bodies in self:
+            pass
+        return self
+
+    def __iter__(self):
+        s, ev, n = self.system, self.ev, len(self.system.states)
+        for _level in range(self.depth if n > 1 else 0):
+            bodies: list[Formula] = []
+            seen_sets = set()
+            for block in self.part.blocks:
+                chi = conj(f for f in self.distinguishers if block[0] in ev.sat(f))
+                key = ev.sat(chi)
+                if key not in seen_sets:
+                    seen_sets.add(key)
+                    bodies.append(chi)
+            yield bodies
+            useful = []
+            for i, comp in enumerate(s.sig.components):
+                # a zero outermost bound makes the diamond a tautology; skip those
+                vectors = [v for v in itertools.product(
+                    *(self.grid[(i, j)] for j in range(comp.depth)))
+                    if not is_zero(comp.monoids[0], v[0])]
+                for a in comp.labels:
+                    for vec in vectors:
+                        for chi in bodies:
+                            f = Diamond(i, a, vec, chi)
+                            if 0 < len(ev.sat(f)) < n:
+                                useful.append(f)
+            refined = self.part.refine_by(lambda x: tuple(x in ev.sat(f) for f in useful))
+            self.distinguishers.update(dict.fromkeys(useful))
+            done = refined == self.part or len(refined.blocks) == n
+            self.part = refined
+            if done:
+                break
 
 
 def bounded_logical_equiv(s: Futs, depth: Optional[int] = None,
@@ -353,8 +358,7 @@ def bounded_logical_equiv(s: Futs, depth: Optional[int] = None,
     the default depth (the carrier size) and default grid this coincides
     with bisimilarity on positive cancellative monoids.
     """
-    part, _, _ = _oracle(s, depth, grid)
-    return part
+    return _Levels(s, depth, grid).run().part
 
 
 def witness_formula(s: Futs, x: str, y: str,
@@ -366,54 +370,58 @@ def witness_formula(s: Futs, x: str, y: str,
     family does not separate the states, which outside cancellative
     monoids can happen for non-bisimilar pairs.
     """
-    part, distinguishers, ev = _oracle(s, depth, None)
-    if part.same_block(x, y):
+    levels = _Levels(s, depth, None).run()
+    if levels.part.same_block(x, y):
         return None
-    for f in distinguishers:
-        if (x in ev.sat(f)) != (y in ev.sat(f)):
-            return _shrink_witness(ev, f, x, y)
+    for f in levels.distinguishers:
+        if (x in levels.ev.sat(f)) != (y in levels.ev.sat(f)):
+            return _shrink_witness(levels.ev, f, x, y)
     raise RuntimeError("separated states without a separating formula")
 
 
 def _conjuncts(phi: Formula) -> list[Formula]:
-    if isinstance(phi, And):
-        return _conjuncts(phi.left) + _conjuncts(phi.right)
-    return [] if isinstance(phi, Top) else [phi]
+    out, stack = [], [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack += (f.right, f.left)
+        elif not isinstance(f, Top):
+            out.append(f)
+    return out
+
+
+def _simplifications(phi: Formula):
+    """Smaller variants of ``phi``: in pre-order, each diamond with a body
+    other than ``T`` gets body ``T``, then its body less one conjunct."""
+    stack = [(phi, None)]  # (subformula, path up to the root as (node, side, path))
+    while stack:
+        f, path = stack.pop()
+        if isinstance(f, And):
+            stack += ((f.right, (f, 1, path)), (f.left, (f, 0, path)))
+        elif isinstance(f, Diamond) and not isinstance(f.body, Top):
+            parts = _conjuncts(f.body)
+            drops = range(len(parts)) if len(parts) > 1 else ()
+            for body in itertools.chain([TOP], (conj(parts[:i] + parts[i + 1:]) for i in drops)):
+                g, up = Diamond(f.component, f.label, f.bounds, body), path
+                while up is not None:
+                    node, side, up = up
+                    g = (Diamond(node.component, node.label, node.bounds, g)
+                         if isinstance(node, Diamond)
+                         else And(g, node.right) if side == 0 else And(node.left, g))
+                yield g
+            stack.append((f.body, (f, 0, path)))
 
 
 def _shrink_witness(ev: Evaluator, phi: Formula, x: str, y: str) -> Formula:
     """Greedily simplify subformulas while the whole formula still
     separates the two states; keeps reported witnesses readable."""
-
-    def separates(f: Formula) -> bool:
-        return (x in ev.sat(f)) != (y in ev.sat(f))
-
-    def attempt(f: Formula, rebuild):
-        if isinstance(f, Diamond) and not isinstance(f.body, Top):
-            cand = rebuild(Diamond(f.component, f.label, f.bounds, TOP))
-            if separates(cand):
-                return cand
-            parts = _conjuncts(f.body)
-            if len(parts) > 1:
-                for i in range(len(parts)):
-                    smaller = conj(parts[:i] + parts[i + 1:])
-                    cand = rebuild(Diamond(f.component, f.label, f.bounds, smaller))
-                    if separates(cand):
-                        return cand
-            return attempt(f.body,
-                           lambda g: rebuild(Diamond(f.component, f.label, f.bounds, g)))
-        if isinstance(f, And):
-            found = attempt(f.left, lambda g: rebuild(And(g, f.right)))
-            if found is not None:
-                return found
-            return attempt(f.right, lambda g: rebuild(And(f.left, g)))
-        return None
-
     while True:
-        smaller = attempt(phi, lambda g: g)
-        if smaller is None:
+        for smaller in _simplifications(phi):
+            if (x in ev.sat(smaller)) != (y in ev.sat(smaller)):
+                phi = smaller
+                break
+        else:
             return phi
-        phi = smaller
 
 
 def distinguishing_formula(s: Futs, x: str, y: str) -> Optional[Formula]:
@@ -425,44 +433,20 @@ def distinguishing_formula(s: Futs, x: str, y: str) -> Optional[Formula]:
     """
     if not s.sig.is_simple:
         raise ValueError("distinguishing_formula needs a simple system")
-    comp = s.sig.components[0]
-    m = comp.monoids[0]
+    m = s.sig.components[0].monoids[0]
     if not (positive(m) and cancellative(m)):
         raise ValueError("distinguishing_formula needs a positive cancellative monoid")
     for state in (x, y):
         if state not in set(s.states):
             raise ValueError(f"unknown state {state!r}")
-    from .bisim import Partition, largest_bisimulation
+    from .bisim import largest_bisimulation
     if largest_bisimulation(s).same_block(x, y):
         return None
-
-    grid = realizable_grid(s)
-    ev = Evaluator(s)
-    part = Partition.single(s.states)
-    distinguishers: list[Formula] = []
-    for _level in range(len(s.states) + 1):
-        bodies: list[Formula] = []
-        seen_sets = set()
-        for block in part.blocks:
-            chi = conj(f for f in distinguishers if block[0] in ev.sat(f))
-            key = ev.sat(chi)
-            if key not in seen_sets:
-                seen_sets.add(key)
-                bodies.append(chi)
-        found = _split_formula(s, ev, x, y, bodies)
+    levels = _Levels(s, len(s.states) + 1, realizable_grid(s))
+    for bodies in levels:  # scanned before each level refines
+        found = _split_formula(s, levels.ev, x, y, bodies)
         if found is not None:
             return found
-        candidates = [Diamond(0, a, (b,), chi)
-                      for a in comp.labels
-                      for b in grid[(0, 0)] if not is_zero(m, b)
-                      for chi in bodies]
-        useful = [f for f in candidates
-                  if ev.sat(f) and len(ev.sat(f)) < len(s.states)]
-        refined = part.refine_by(lambda z: tuple(z in ev.sat(f) for f in useful))
-        distinguishers.extend(f for f in useful if f not in distinguishers)
-        if refined == part:
-            break
-        part = refined
     raise RuntimeError(
         f"states {x!r} and {y!r} are not bisimilar but no distinguishing formula "
         f"was found; the bounded family is incomplete here")

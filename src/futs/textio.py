@@ -23,6 +23,7 @@ system.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -429,86 +430,98 @@ def write_system(s: Futs) -> str:
         out.append(f"monoids M{i} = [ {mons} ]")
     out.append("states { " + ", ".join(quote_id(x) for x in s.states) + " }")
     for (i, x, a), term in s.nonzero_items():
-        out.append(f"trans {i} {quote_id(x)} {quote_id(a)} -> {format_term(term)}")
+        line = f"trans {i} {quote_id(x)} {quote_id(a)}"
+        try:
+            out.append(f"{line} -> {format_term(term)}")
+        except ValueError:  # str() refuses integers longer than sys.get_int_max_str_digits()
+            raise ValueError(f"{line}: a weight has more than {sys.get_int_max_str_digits()} "
+                             "digits, too many to write") from None
     return "\n".join(out) + "\n"
 
 
 # --- formulas -----------------------------------------------------------------
 
 def parse_formula(text: str, sig: Signature) -> Formula:
-    """Parse a formula against a signature; raises ParseError."""
+    """Parse a formula against a signature; raises ParseError.  Diamond
+    chains and parentheses are read with a stack, so they nest to any depth."""
     from . import logic
     cur = _Cursor(tokenize(text), 1)
-    phi = _parse_conjunction(cur, sig, logic)
-    cur.expect_done()
-    try:
-        return logic.check_formula(phi, sig)
-    except logic.FormulaError as e:
-        raise ParseError([Diagnostic(1, 1, str(e))]) from e
-
-
-# the formula readers and writer take the ``logic`` module from their
-# public caller, so only formula work imports it, and only once per call
-
-def _parse_conjunction(cur: _Cursor, sig: Signature, logic) -> Formula:
-    phi = _parse_unary(cur, sig, logic)
-    while cur.at("&"):
-        cur.next()
-        phi = logic.And(phi, _parse_unary(cur, sig, logic))
-    return phi
-
-
-def _parse_unary(cur: _Cursor, sig: Signature, logic) -> Formula:
-    tok = cur.peek()
-    if tok is None:
-        cur.next(what="formula")
-    if tok.kind == "ident" and tok.value == "T":
-        cur.next()
-        return logic.Top()
-    if cur.at("("):
-        cur.next()
-        phi = _parse_conjunction(cur, sig, logic)
-        cur.next(value=")")
-        return phi
-    if cur.at("<"):
-        open_tok = cur.next()
-        segments: list[list[Token]] = [[]]
-        depth = 0
-        while True:
-            t = cur.peek()
-            if t is None:
-                _fail(open_tok.line, open_tok.column, "unterminated modality")
-            if t.kind == "punct" and t.value in "{([":
-                depth += 1
-            elif t.kind == "punct" and t.value in "})]":
-                depth -= 1
-            elif t.kind == "punct" and t.value == ">" and depth == 0:
+    outer = []          # per open parenthesis: the enclosing (conjunction, diamond heads)
+    phi, heads = None, []
+    while True:
+        tok = cur.peek()
+        if tok is None:
+            cur.next(what="formula")
+        if tok.kind == "ident" and tok.value == "T":
+            cur.next()
+            unary = logic.TOP
+        elif cur.at("("):
+            cur.next()
+            outer.append((phi, heads))
+            phi, heads = None, []
+            continue
+        elif cur.at("<"):
+            heads.append(_parse_modality(cur, sig))
+            continue
+        else:
+            _fail(tok.line, tok.column, f"expected a formula, found {tok.value!r}")
+        while True:  # the unary is complete: wrap it in its diamonds and conjoin
+            for i, label, bounds in reversed(heads):
+                unary = logic.Diamond(i, label, bounds, unary)
+            phi = unary if phi is None else logic.And(phi, unary)
+            if cur.at("&"):
                 cur.next()
+                heads = []
                 break
-            elif t.kind == "punct" and t.value == "|" and depth == 0:
-                cur.next()
-                segments.append([])
-                continue
-            segments[-1].append(cur.next())
-        i, label, bound_toks = _resolve_modality(segments, sig, open_tok)
-        comp = sig.components[i]
-        bcur = _Cursor(bound_toks, open_tok.line)
-        bounds = [_parse_weight(bcur, comp.monoids[0])]
-        j = 1
-        while bcur.at(","):
-            bcur.next()
-            if j >= comp.depth:
-                _fail(open_tok.line, open_tok.column,
-                      f"too many bounds for component {i} (row length {comp.depth})")
-            bounds.append(_parse_weight(bcur, comp.monoids[j]))
-            j += 1
-        bcur.expect_done()
-        if j != comp.depth:
+            if not outer:
+                cur.expect_done()
+                try:
+                    return logic.check_formula(phi, sig)
+                except logic.FormulaError as e:
+                    raise ParseError([Diagnostic(1, 1, str(e))]) from e
+            cur.next(value=")")
+            unary = phi
+            phi, heads = outer.pop()
+
+
+def _parse_modality(cur: _Cursor, sig: Signature):
+    """``<`` ... ``>``: the component index, label and bounds of a diamond."""
+    open_tok = cur.next()
+    segments: list[list[Token]] = [[]]
+    depth = 0
+    while True:
+        t = cur.peek()
+        if t is None:
+            _fail(open_tok.line, open_tok.column, "unterminated modality")
+        if t.kind == "punct" and t.value in "{([":
+            depth += 1
+        elif t.kind == "punct" and t.value in "})]":
+            depth -= 1
+        elif t.kind == "punct" and t.value == ">" and depth == 0:
+            cur.next()
+            break
+        elif t.kind == "punct" and t.value == "|" and depth == 0:
+            cur.next()
+            segments.append([])
+            continue
+        segments[-1].append(cur.next())
+    i, label, bound_toks = _resolve_modality(segments, sig, open_tok)
+    comp = sig.components[i]
+    bcur = _Cursor(bound_toks, open_tok.line)
+    bounds = [_parse_weight(bcur, comp.monoids[0])]
+    j = 1
+    while bcur.at(","):
+        bcur.next()
+        if j >= comp.depth:
             _fail(open_tok.line, open_tok.column,
-                  f"expected {comp.depth} bounds for component {i}, got {j}")
-        body = _parse_unary(cur, sig, logic)
-        return logic.Diamond(i, label, tuple(bounds), body)
-    _fail(tok.line, tok.column, f"expected a formula, found {tok.value!r}")
+                  f"too many bounds for component {i} (row length {comp.depth})")
+        bounds.append(_parse_weight(bcur, comp.monoids[j]))
+        j += 1
+    bcur.expect_done()
+    if j != comp.depth:
+        _fail(open_tok.line, open_tok.column,
+              f"expected {comp.depth} bounds for component {i}, got {j}")
+    return i, label, tuple(bounds)
 
 
 def _resolve_modality(segments, sig: Signature, open_tok: Token):
@@ -547,31 +560,29 @@ def _resolve_modality(segments, sig: Signature, open_tok: Token):
 
 
 def write_formula(phi: Formula, sig: Signature) -> str:
+    """The text ``parse_formula`` reads back; a formula's text is built as a
+    tree of pieces shared where the formula is, then joined in one pass."""
     from . import logic
-    return _write_formula(phi, sig, logic)
 
-
-def _write_formula(phi: Formula, sig: Signature, logic) -> str:
-    if isinstance(phi, logic.Top):
-        return "T"
-    if isinstance(phi, logic.And):
-        left = _write_formula(phi.left, sig, logic)
-        right = _write_formula(phi.right, sig, logic)
-        if isinstance(phi.right, logic.And):
-            right = f"({right})"
-        return f"{left} & {right}"
-    if isinstance(phi, logic.Diamond):
-        comp = sig.components[phi.component]
-        bounds = ", ".join(mo.format_weight(m, b)
-                           for m, b in zip(comp.monoids, phi.bounds))
+    def diamond(f, body):
+        comp = sig.components[f.component]
+        bounds = ", ".join(mo.format_weight(m, b) for m, b in zip(comp.monoids, f.bounds))
         if len(sig.components) > 1:
-            head = f"<{phi.component}|{quote_id(phi.label)}|{bounds}>"
+            head = f"<{f.component}|{quote_id(f.label)}|{bounds}> "
         elif len(comp.labels) > 1:
-            head = f"<{quote_id(phi.label)}|{bounds}>"
+            head = f"<{quote_id(f.label)}|{bounds}> "
         else:
-            head = f"<{bounds}>"
-        body = _write_formula(phi.body, sig, logic)
-        if isinstance(phi.body, logic.And):
-            body = f"({body})"
-        return f"{head} {body}"
-    raise logic.FormulaError(f"not a formula: {phi!r}")
+            head = f"<{bounds}> "
+        return (head, ("(", body, ")") if isinstance(f.body, logic.And) else body)
+
+    def conjunction(f, left, right):
+        return (left, " & ", ("(", right, ")") if isinstance(f.right, logic.And) else right)
+
+    out, stack = [], [logic.fold(phi, "T", conjunction, diamond)]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            stack += reversed(piece)
+    return "".join(out)

@@ -86,11 +86,15 @@ def load_from_other_process(expr: str, imports: str):
     return pickle.loads(data)
 
 
-def nat_chain_text(n: int) -> str:
-    """A nat-plus chain c0 -> c1 -> ... -> c<n-1>, weight 1 per step."""
+def nat_chain_text(n: int, ring: int = 0) -> str:
+    """A nat-plus chain c0 -> c1 -> ... -> c<n-1>, weight 1 per step, and
+    beside it a cycle r0 -> r1 -> ... -> r<ring-1> -> r0 if ``ring``."""
+    names = [f"c{k}" for k in range(n)] + [f"r{k}" for k in range(ring)]
+    steps = [(f"c{k}", f"c{k + 1}") for k in range(n - 1)]
+    steps += [(f"r{k}", f"r{(k + 1) % ring}") for k in range(ring)]
     return ("futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\n"
-            "states { " + ", ".join(f"c{k}" for k in range(n)) + " }\n"
-            + "".join(f"trans 0 c{k} a -> {{ c{k + 1}: 1 }}\n" for k in range(n - 1)))
+            "states { " + ", ".join(names) + " }\n"
+            + "".join(f"trans 0 {x} a -> {{ {y}: 1 }}\n" for x, y in steps))
 
 
 def load(name: str) -> Futs:
@@ -223,6 +227,8 @@ TWO_COMP_CANC = Signature((
     Component(("b",), (RAT_PLUS, NAT_PLUS)),
 ))
 NESTED2_CANC = Signature((Component(("a",), (RAT_PLUS, NAT_PLUS)),))
+CORPUS_SIGS = [WLTS_NAT, WLTS_RAT, WLTS_PROD, ULTRAS_RAT, NESTED3, TWO_COMP,
+               TWO_COMP_CANC, NESTED2_CANC]
 
 
 def corpus_systems() -> list[Futs]:

@@ -103,12 +103,27 @@ def test_check_formula_file_multiple(capsys, tmp_path):
     assert out.count("formula:") == 2
 
 
-def test_check_deep_formula(capsys, tmp_path):
-    chain = tmp_path / "chain.futs"
-    chain.write_text(nat_chain_text(620))
-    code, out, _ = run(capsys, "check", str(chain), "--formula", "<1> " * 600 + "T",
-                       "--state", "c0")
-    assert code == 0 and out == "c0: true\n"
+# the deeper case runs on a short chain beside a cycle; see test_logic.DEEP_CASES
+@pytest.mark.parametrize("depth, chain, ring", [pytest.param(600, 620, 0, id="600"),
+                                                pytest.param(5000, 20, 3, id="5000")])
+def test_check_deep_formula(capsys, tmp_path, depth, chain, ring):
+    path = tmp_path / "chain.futs"
+    path.write_text(nat_chain_text(chain, ring))
+    formula = "<1> " * depth + "T"
+    holds = {f"c{k}": k < chain - depth for k in range(chain)} | {f"r{k}": True for k in range(ring)}
+    code, out, _ = run(capsys, "check", str(path), "--formula", formula)
+    assert code == 0
+    assert out == "".join(f"{x}: {'true' if v else 'false'}\n" for x, v in sorted(holds.items()))
+    code, out, _ = run(capsys, "check", str(path), "--formula", formula, "--state", "c0")
+    assert (code, out) == ((0, "c0: true\n") if holds["c0"] else (1, "c0: false\n"))
+
+
+def test_translate_deep_formula(capsys, tmp_path):
+    path = tmp_path / "chain.futs"
+    path.write_text(nat_chain_text(20))
+    code, out, err = run(capsys, "translate", "--formula", "<1> " * 5000 + "T",
+                         "--sig", str(path), "--to", "wts")
+    assert (code, out, err) == (0, "<({ a: 1 })> " * 5000 + "T\n", "")
 
 
 def test_check_malformed_formula(capsys):
@@ -212,3 +227,15 @@ def test_overlong_weight_exit_2(capsys, tmp_path):
                    f"trans 0 x a -> {{ x: {'9' * 5000} }}\n")
     code, out, err = run(capsys, "bisim", str(bad))
     assert (code, out, err) == (2, "", "5:21: error: number too long (5000 digits)\n")
+
+
+def test_overlong_quotient_weight_exit_2(capsys, tmp_path):
+    """Two 4300-digit weights into bisimilar states sum to a 4301-digit
+    quotient weight, too long to write: no partition, no file, exit 2."""
+    src, quot = tmp_path / "sum.futs", tmp_path / "q.futs"
+    big = "9" * 4300
+    src.write_text("futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\nstates { x, y, z }\n"
+                   f"trans 0 x a -> {{ y: {big}, z: {big} }}\n")
+    code, out, err = run(capsys, "bisim", str(src), "--quotient", str(quot))
+    assert (code, out) == (2, "") and not quot.exists()
+    assert err == "error: trans 0 x a: a weight has more than 4300 digits, too many to write\n"

@@ -15,6 +15,7 @@ from futs.logic import (
     FormulaError,
     bounded_logical_equiv,
     check_formula,
+    conj,
     distinguishing_formula,
     realizable_grid,
     sat_set,
@@ -29,14 +30,11 @@ from futs.system import Component, Signature
 from futs.textio import parse_system
 
 from conftest import (
-    NESTED2_CANC,
+    CORPUS_SIGS,
     NESTED3,
     TWO_COMP,
-    TWO_COMP_CANC,
     ULTRAS_RAT,
     WLTS_NAT,
-    WLTS_PROD,
-    WLTS_RAT,
     Hashed,
     load_from_other_process,
     nat_chain_text,
@@ -245,9 +243,6 @@ def test_diamond_conjunction_distribution_as_displayed():
 
 # --- cached formula hashes ----------------------------------------------------
 
-CORPUS_SIGS = [WLTS_NAT, WLTS_RAT, WLTS_PROD, ULTRAS_RAT, NESTED3, TWO_COMP,
-               TWO_COMP_CANC, NESTED2_CANC]
-
 
 def rebuild(phi):
     """A node-by-node copy sharing no formula object with ``phi``."""
@@ -298,9 +293,28 @@ def test_unpickled_formula_rehashed():
     assert loaded == fresh and hash(loaded) == hash(fresh)
 
 
-def test_deep_formula_sat_set():
-    s = parse_system(nat_chain_text(620))
+# A chain as long as the formula is deep makes the satisfaction sets hold
+# depth^2/2 states in all (about 840 MB at depth 5000), so the deeper case
+# runs on a 20-state chain beside a 3-cycle, where the formula holds only
+# around the cycle.
+DEEP_CASES = [pytest.param(600, 620, 0, id="600"), pytest.param(5000, 20, 3, id="5000")]
+
+
+@pytest.mark.parametrize("depth, chain, ring", DEEP_CASES)
+def test_deep_formula_sat_set(depth, chain, ring):
+    s = parse_system(nat_chain_text(chain, ring))
     phi = TOP
-    for _ in range(600):
+    for _ in range(depth):
         phi = Diamond(0, "a", (1,), phi)
-    assert sat_set(s, phi) == frozenset(f"c{k}" for k in range(20))
+    expected = [f"c{k}" for k in range(chain - depth)] + [f"r{k}" for k in range(ring)]
+    assert sat_set(s, phi) == frozenset(expected)
+
+
+def test_long_left_deep_conjunction_sat_set(w3):
+    """The oracle's characteristic formulas are left-deep conjunctions."""
+    parts = [d(0, "a", (1 + k % 2,)) for k in range(3000)]
+    phi = conj(parts)
+    assert isinstance(phi.left, And) and phi.right == parts[-1]
+    ev = Evaluator(w3)
+    assert ev.sat(phi) == sat_set(w3, d(0, "a", (2,)))
+    assert len(ev._cache) == 3000 - 1 + 2 + 1  # the conjunctions, two diamonds, T

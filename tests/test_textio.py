@@ -182,6 +182,30 @@ def test_conjunction_parens_round_trip(fig1):
     assert parse_formula(write_formula(phi, fig1.sig), fig1.sig) == phi
 
 
+def test_deep_formula_round_trip():
+    """5000 diamonds, every other one over a parenthesised conjunction:
+    deeper than the recursion limit, and read back as written.  Equal
+    formulas of this depth are compared by hash and text (dataclass
+    equality recurses)."""
+    sig = parse_system(NAT_HEAD).sig
+    phi = TOP
+    for k in range(5000):
+        phi = Diamond(0, "a", (k % 3 + 1,), And(TOP, phi) if k % 2 else phi)
+    text = write_formula(phi, sig)
+    assert text.startswith("<2> (T & <1> <3> (T & <2> <1> (T & ") and text.count("(") == 2500
+    back = parse_formula(text, sig)
+    assert hash(back) == hash(phi) and write_formula(back, sig) == text
+
+
+def test_deeply_parenthesised_formula():
+    sig = parse_system(NAT_HEAD).sig
+    assert parse_formula("(" * 5000 + "T" + ")" * 5000, sig) == TOP
+    assert parse_formula("(" * 5000 + "<1> T" + ")" * 5000, sig) == Diamond(0, "a", (1,), TOP)
+    with pytest.raises(ParseError) as err:
+        parse_formula("(" * 5000 + "T" + ")" * 4999, sig)
+    assert str(err.value) == "1:10001: error: expected token, found end of input"
+
+
 def test_diagnostic_render():
     d = Diagnostic(3, 7, "boom")
     assert d.render() == "3:7: error: boom"
