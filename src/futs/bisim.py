@@ -7,7 +7,8 @@ terms.  A partition is a bisimulation when related states have related
 transition terms at every component and label.  Both the check and the
 largest bisimulation run on the system compiled once to integer ids
 (``Futs.graph``), in which, as in the flattened WTS, every intermediate
-weight term is a node of its own.
+weight term is a node of its own, and whose one term classifier also
+groups flatten's term-states when a partition is extended.
 """
 
 from __future__ import annotations
@@ -121,25 +122,15 @@ def ext_related(p: Partition, t: Term, t2: Term) -> bool:
 def is_bisimulation(s: Futs, p: Partition) -> bool:
     """True iff states in a block have extension-related behaviours.
 
-    Works bottom-up on the compiled graph: a term node's class is its
-    signature over its children's classes, the leaves taking their block
-    in ``p``.  Classes are computed on demand, so the check stops at the
-    first block whose members disagree on a (component, label) slot.
+    Works on the compiled graph, whose classifier classes each term node
+    under ``p`` on demand, so the check stops at the first block whose
+    members disagree on a (component, label) slot.
     """
     if set(p.carrier) != set(s.states):
         raise ValueError("partition carrier does not match the system's states")
     g = s.graph
-    ids = {x: v for v, x in enumerate(s.states)}
-    block = [p.kappa[x] for x in s.states] + [None] * (len(g.out) - g.n)
-    classes: dict = {}
-
-    def signature(v: int):
-        for c in g.out[v] if v < g.n else (c for c, _ in g.out[v]):
-            if block[c] is None:
-                block[c] = classes.setdefault((g.kind[c], signature(c)), len(classes))
-        return g.signature(block, v)
-
-    return all(len({signature(ids[x]) for x in members}) == 1
+    class_of = g.classifier(p.kappa[x] for x in s.states)
+    return all(len({tuple(map(class_of, g.out[g.ids[x]])) for x in members}) == 1
                for members in p.blocks if len(members) > 1)
 
 

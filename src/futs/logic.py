@@ -30,12 +30,12 @@ from .monoid import (
     add_all,
     cancellative,
     check_weight,
+    format_weight,
     hom_apply,
     is_zero,
     nat_leq,
     positive,
     power_dirac,
-    weight_key,
     zero,
 )
 from .system import Futs, Signature
@@ -64,6 +64,27 @@ class And:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        """Structural equality by cached hashes and an explicit-stack walk
+        of both DAGs, so depth costs memory, not the recursion limit."""
+        if type(other) is not type(self):
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            f, g = stack.pop()
+            if f is g or (id(f), id(g)) in seen:
+                continue
+            if type(f) is not type(g) or hash(f) != hash(g):
+                return False
+            seen.add((id(f), id(g)))
+            if isinstance(f, And):
+                stack += [(f.left, g.left), (f.right, g.right)]
+            elif isinstance(f, Diamond):
+                if (f.component, f.label, f.bounds) != (g.component, g.label, g.bounds):
+                    return False
+                stack.append((f.body, g.body))
+        return True
+
     def __reduce__(self):  # pickle by fields, so the loading process rehashes its strs
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
@@ -79,7 +100,7 @@ class Diamond:
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.component, self.label, self.bounds, self.body)))
 
-    __hash__, __reduce__ = And.__hash__, And.__reduce__
+    __hash__, __eq__, __reduce__ = And.__hash__, And.__eq__, And.__reduce__
 
 
 Formula = Union[Top, And, Diamond]
@@ -273,7 +294,7 @@ def realizable_grid(s: Futs) -> dict[tuple[int, int], list[Weight]]:
             for combo in itertools.combinations(weights, r):
                 total = add_all(m, combo)
                 if not is_zero(m, total):
-                    sums.setdefault(weight_key(m, total), total)
+                    sums.setdefault(format_weight(m, total, True), total)
         for k, _ in term.entries:
             if isinstance(k, Node):
                 visit(i, level + 1, k, monoids)

@@ -329,33 +329,26 @@ def format_monoid(m: Monoid) -> str:
     raise TypeError(f"unknown monoid {m!r}")
 
 
-def format_weight(m: Monoid, w: Weight) -> str:
-    """Display form of a weight (used by the system writer and formulas)."""
+# item, key-value and brace separators of the display and the compact text forms
+SEPARATORS = ((", ", ": ", "{ ", " }"), (",", ":", "{", "}"))
+
+
+def format_weight(m: Monoid, w: Weight, compact: bool = False) -> str:
+    """Display form of a weight (the system writer and formulas), or with
+    ``compact`` the canonical key that orders term entries: no blanks and
+    power labels unquoted."""
     if isinstance(m, BoolOr):
         return "tt" if w else "ff"
     if isinstance(m, (NatPlus, NatMax)):
         return str(w)
     if isinstance(m, RatPlus):
         return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
+    sep, colon, lb, rb = SEPARATORS[compact]
     if isinstance(m, Product):
-        return "(" + ", ".join(format_weight(f, x) for f, x in zip(m.factors, w)) + ")"
+        return "(" + sep.join(format_weight(f, x, compact) for f, x in zip(m.factors, w)) + ")"
     if isinstance(m, Power):
         if not w:
             return "{}"
-        return "{ " + ", ".join(f"{quote_id(l)}: {format_weight(m.base, v)}" for l, v in w) + " }"
-    raise TypeError(f"unknown monoid {m!r}")
-
-
-def weight_key(m: Monoid, w: Weight) -> str:
-    """Compact canonical serialisation used for deterministic ordering."""
-    if isinstance(m, BoolOr):
-        return "tt" if w else "ff"
-    if isinstance(m, (NatPlus, NatMax)):
-        return str(w)
-    if isinstance(m, RatPlus):
-        return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
-    if isinstance(m, Product):
-        return "(" + ",".join(weight_key(f, x) for f, x in zip(m.factors, w)) + ")"
-    if isinstance(m, Power):
-        return "{" + ",".join(f"{l}:{weight_key(m.base, v)}" for l, v in w) + "}"
+        return lb + sep.join(f"{l if compact else quote_id(l)}{colon}"
+                             f"{format_weight(m.base, v, compact)}" for l, v in w) + rb
     raise TypeError(f"unknown monoid {m!r}")

@@ -13,7 +13,8 @@ Five stages are provided.  Four are full (they keep the carrier):
 
 The fifth, ``flatten``, turns an unlabelled homogeneous nested system
 into a single-level system whose extra states are the intermediate
-weight terms reachable in some transition; it is injective but not full.
+weight terms reachable in some transition, read off the system's
+compiled graph (``Futs.graph``); it is injective but not full.
 
 ``to_wts`` composes them into the FuTS -> WTS pipeline.  The stage plan
 is computed from the signature alone (``plan_wts_stages``) so the logic
@@ -43,16 +44,7 @@ from .system import (
     Signature,
     relabel_weights,
 )
-from .weightfn import (
-    Leaf,
-    Node,
-    Term,
-    node,
-    quotient_term,
-    subterms_at_depths,
-    term_depth,
-    term_key,
-)
+from .weightfn import Leaf, Node, Term, format_term, node
 
 if TYPE_CHECKING:  # the stages need no bisimulation code; the rest imports it on use
     from .bisim import Partition
@@ -186,49 +178,41 @@ def nest(s: Futs) -> Reduction:
     return Reduction("nest", s, target, {x: x for x in s.states}, full=True)
 
 
-def intermediate_id(term: Term) -> str:
-    return f"#{term_depth(term)}:{term_key(term)}"
-
-
 def flatten(s: Futs) -> Reduction:
     """Split multi-level steps into single-level ones.
 
-    The target carrier is the source carrier plus one state per distinct
-    intermediate weight term (depth 1..l) reachable in some transition;
-    an original state steps to the term-states of its outer transition,
-    and a term-state's single transition is the term itself read one
+    Reads the source's compiled graph (``Futs.graph``), which already has
+    one node per distinct weight term.  The target carrier is the source
+    carrier plus one state ``#<depth>:<canonical key>`` per term node below
+    the top depth; an original state steps to the term-states of its outer
+    transition, and a term-state's single transition is its term read one
     level down.
     """
     sig2 = sig_flatten(s.sig)
     comp = s.sig.components[0]
-    lab = comp.labels[0]
-    base = (comp.monoids[0],)
-
-    interm: dict[Term, str] = {}
-    for (_i, _x, _a), term in s.trans.items():
-        for sub in subterms_at_depths(term):
-            interm.setdefault(sub, intermediate_id(sub))
-    clash = set(interm.values()) & set(s.states)
+    lab, base = comp.labels[0], (comp.monoids[0],)
+    g = s.graph
+    names = {v: f"#{len(t.stack)}:{format_term(t, True)}"
+             for v, t in enumerate(g.term) if t is not None and len(t.stack) < comp.depth}
+    clash = set(names.values()) & set(s.states)
     if clash:
         raise ValueError(f"generated state ids collide with carrier: {sorted(clash)}")
+    leaf = {v: Leaf(name) for v, name in names.items()}
 
-    def one_level(term: Node) -> Node:
-        entries = []
-        for k, w in term.entries:
-            entries.append((Leaf(interm[k]) if isinstance(k, Node) else k, w))
-        return node(base, entries)
+    def one_level(v: int) -> Node:
+        t = g.term[v]
+        if len(t.stack) == 1:
+            return t
+        # every child is named "#<depth-1>:<its key>", so the entries keep
+        # their canonical order and the node is canonical as built
+        return Node(base, tuple((leaf[c], w) for c, w in g.out[v]))
 
-    trans = {}
-    for x in s.states:
-        t = s.transition(0, x, lab)
-        trans[(0, x, lab)] = one_level(t)
-    for term, name in interm.items():
-        trans[(0, name, lab)] = one_level(term)
-
-    target = Futs(sig2, tuple(s.states) + tuple(interm.values()), trans)
-    pairs = tuple(sorted(((name, term) for term, name in interm.items())))
+    trans = {(0, x, lab): one_level(g.out[v][0]) for v, x in enumerate(s.states)}
+    trans.update(((0, name, lab), one_level(v)) for v, name in names.items())
+    target = Futs(sig2, s.states + tuple(names.values()), trans)
+    pairs = tuple(sorted((name, g.term[v]) for v, name in names.items()))
     return Reduction("flatten", s, target, {x: x for x in s.states},
-                     full=not interm, intermediates=pairs)
+                     full=not names, intermediates=pairs)
 
 
 STAGE_FUNCS = {
@@ -302,8 +286,9 @@ def extend_bisim(r: Reduction, p: Partition) -> Partition:
     """Push a source bisimulation forward to one on the target.
 
     Full stages transport blocks along the carrier bijection; flatten
-    additionally groups each level's term-states by their quotient under
-    the source partition, realising the coproduct of the extensions.
+    additionally groups the term-states by the class of their term under
+    the source partition (``Graph.classifier``), realising the coproduct
+    of the extensions.
     """
     from .bisim import is_bisimulation
     if not is_bisimulation(r.source, p):
@@ -319,13 +304,12 @@ def _extend(r: Reduction, p: Partition) -> Partition:
             q = _extend(st, q)
         return q
     if r.kind == "flatten":
-        blocks = [tuple(b) for b in p.blocks]
-        groups: dict[tuple[int, str], list[str]] = {}
+        g = r.source.graph
+        class_of = g.classifier(p.kappa[x] for x in r.source.states)
+        groups: dict = {}
         for name, term in r.intermediates:
-            key = (term_depth(term), term_key(quotient_term(term, p.kappa)))
-            groups.setdefault(key, []).append(name)
-        blocks.extend(tuple(g) for g in groups.values())
-        return Partition.of_blocks(r.target.states, blocks)
+            groups.setdefault(class_of(g.ids[term]), []).append(name)
+        return Partition.of_blocks(r.target.states, [*p.blocks, *groups.values()])
     return Partition.of_blocks(
         r.target.states,
         [tuple(r.state_map[x] for x in b) for b in p.blocks],

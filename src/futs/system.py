@@ -102,48 +102,72 @@ class Graph:
 
     States are nodes ``0..n-1`` in ``s.states`` order; every distinct
     ``Node`` subterm of a transition term, each component's zero term
-    included, is one further node, numbered after its children.  ``out``
-    holds a state's term node per (component, label) slot, or a term's
-    (child, weight) entries, and ``preds`` the reverse edges.  ``kind`` is
-    0 for states and numbers a term's monoid stack from 1.
+    included, is one further node, numbered after its children.  ``ids``
+    maps state names and terms to nodes, ``term`` holds a term node's
+    ``Node``, ``out`` a state's term node per (component, label) slot or a
+    term's (child, weight) entries, and ``kind`` is 0 for states and
+    numbers a term's monoid stack from 1.  The term nodes below the top
+    depth are the states that flattening adds.
     """
 
     def __init__(self, s: Futs):
         self.n = len(s.states)
-        leaf = {x: v for v, x in enumerate(s.states)}
-        self.out, self.kind, self.outer = [None] * self.n, [0] * self.n, [None] * self.n
-        kinds, nodes = {}, {}
+        self.ids: dict = {x: v for v, x in enumerate(s.states)}
+        self.term, self.out, self.kind = [None] * self.n, [None] * self.n, [0] * self.n
+        kinds: dict = {}
 
         def intern(t: Term) -> int:
             if isinstance(t, Leaf):
-                return leaf[t.state]
-            key = (kinds.setdefault(t.stack, len(kinds) + 1),
-                   tuple((intern(c), w) for c, w in t.entries))
-            if key not in nodes:
-                nodes[key] = len(self.out)
-                self.kind.append(key[0])
-                self.out.append(key[1])
-                self.outer.append(t.stack[0])
-            return nodes[key]
+                return self.ids[t.state]
+            v = self.ids.get(t)
+            if v is None:
+                out = tuple((intern(c), w) for c, w in t.entries)
+                v = self.ids[t] = len(self.out)
+                self.term.append(t)
+                self.out.append(out)
+                self.kind.append(kinds.setdefault(t.stack, len(kinds) + 1))
+            return v
 
         for v, x in enumerate(s.states):
             self.out[v] = [intern(s.transition(i, x, a))
                            for i, comp in enumerate(s.sig.components) for a in comp.labels]
-        self.preds: list = [[] for _ in self.out]
+
+    @cached_property
+    def preds(self) -> list:
+        """The reverse edges, built on first use."""
+        preds: list = [[] for _ in self.out]
         for v, edges in enumerate(self.out):
             for c in edges if v < self.n else (c for c, _ in edges):
-                self.preds[c].append(v)
+                preds[c].append(v)
+        return preds
 
     def signature(self, block: list, v: int):
         """A state's slot blocks, or a term's weights summed per child block."""
         if v < self.n:
             return tuple(block[t] for t in self.out[v])
-        m = self.outer[v]
+        m = self.term[v].stack[0]
         sums: dict = {}
         for c, w in self.out[v]:
             b = block[c]
             sums[b] = mo.add(m, sums[b], w) if b in sums else w
         return frozenset(sums.items())
+
+    def classifier(self, state_blocks):
+        """``class_of(v)``: the class of term node ``v`` under a partition
+        given as one block per state, computed bottom-up on first use.  Two
+        terms share a class iff the partition's extension relates them."""
+        block = list(state_blocks) + [None] * (len(self.out) - self.n)
+        classes: dict = {}
+
+        def class_of(v: int):
+            if block[v] is None:
+                for c, _ in self.out[v]:
+                    class_of(c)
+                block[v] = classes.setdefault((self.kind[v], self.signature(block, v)),
+                                              len(classes))
+            return block[v]
+
+        return class_of
 
 
 def systems_equal(s1: Futs, s2: Futs) -> bool:

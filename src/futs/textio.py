@@ -156,16 +156,23 @@ _MONOID_NAMES = {
 }
 
 
-def _parse_monoid(cur: _Cursor) -> Monoid:
+# the most prod(/pow( levels a monoid type nests, and the most monoids in
+# one stack: weights and terms are read and written recursively
+MAX_NESTING = 100
+
+
+def _parse_monoid(cur: _Cursor, nesting: int = 0) -> Monoid:
     tok = cur.next("ident", what="monoid")
     if tok.value in _MONOID_NAMES:
         return _MONOID_NAMES[tok.value]
+    if tok.value in ("prod", "pow") and nesting == MAX_NESTING:
+        _fail(tok.line, tok.column, f"monoid type nested more than {MAX_NESTING} deep")
     if tok.value == "prod":
         cur.next(value="(")
-        factors = [_parse_monoid(cur)]
+        factors = [_parse_monoid(cur, nesting + 1)]
         while cur.at(","):
             cur.next()
-            factors.append(_parse_monoid(cur))
+            factors.append(_parse_monoid(cur, nesting + 1))
         cur.next(value=")")
         return mo.Product(tuple(factors))
     if tok.value == "pow":
@@ -177,7 +184,7 @@ def _parse_monoid(cur: _Cursor) -> Monoid:
             labels.append(cur.next("ident", what="label").value)
         cur.next(value="}")
         cur.next(value=",")
-        base = _parse_monoid(cur)
+        base = _parse_monoid(cur, nesting + 1)
         cur.next(value=")")
         return mo.Power(tuple(labels), base)
     _fail(tok.line, tok.column, f"unknown monoid {tok.value!r}")
@@ -351,7 +358,10 @@ def parse_system(text: str) -> Futs:
             ms = [_parse_monoid(cur)]
             while cur.at(","):
                 cur.next()
+                tok = cur.peek()
                 ms.append(_parse_monoid(cur))
+                if len(ms) > MAX_NESTING:
+                    _fail(tok.line, tok.column, f"more than {MAX_NESTING} monoids in a stack")
             cur.next(value="]")
             cur.expect_done()
             if i in monoids:

@@ -7,7 +7,8 @@ are canonical by construction: zero entries are dropped, colliding keys
 are merged by monoid addition, and entries are sorted by the canonical
 serialisation of their key, so structural equality coincides with
 extensional equality of the represented functions.  A node computes its
-hash and that serialisation (``term_key``) on first use and keeps them.
+hash and that serialisation (``format_term(t, compact=True)``) on first
+use and keeps them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
 from .monoid import (
+    SEPARATORS,
     Monoid,
     Weight,
     add,
@@ -24,7 +26,6 @@ from .monoid import (
     check_weight,
     format_weight,
     quote_id,
-    weight_key,
     zero,
 )
 
@@ -38,7 +39,7 @@ class Leaf:
 class Node:
     stack: tuple[Monoid, ...]
     entries: tuple[tuple["Term", Weight], ...]
-    # the dataclass's hash and the canonical term_key, each computed on
+    # the dataclass's hash and the canonical compact key, each computed on
     # first use and kept: both would otherwise walk the whole subtree on
     # every dict lookup and every sort, and most terms are never hashed
     _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
@@ -85,7 +86,7 @@ def node(stack, entries) -> Node:
         merged[key] = add(outer, merged[key], w) if key in merged else w
     z = zero(outer)
     kept = [(k, w) for k, w in merged.items() if w != z]
-    kept.sort(key=lambda kw: term_key(kw[0]))
+    kept.sort(key=lambda kw: format_term(kw[0], True))
     return Node(stack, tuple(kept))
 
 
@@ -117,29 +118,21 @@ def leaves(t: Term) -> set[str]:
     return acc
 
 
-def term_key(t: Term) -> str:
-    """Compact canonical serialisation; drives ordering and state ids.
-
-    A node's key is computed on first use and kept on the node."""
+def format_term(t: Term, compact: bool = False) -> str:
+    """Display form of a term in the system file syntax, or with
+    ``compact`` the canonical key that orders entries and names flatten's
+    states.  A node computes its key on first use and keeps it."""
     if isinstance(t, Leaf):
-        return t.state
-    key = t._key
-    if key is None:
-        outer = t.stack[0]
-        key = "{" + ",".join(f"{term_key(k)}:{weight_key(outer, w)}" for k, w in t.entries) + "}"
-        object.__setattr__(t, "_key", key)
-    return key
-
-
-def format_term(t: Term) -> str:
-    """Display serialisation matching the system file syntax."""
-    if isinstance(t, Leaf):
-        return quote_id(t.state)
-    if not t.entries:
-        return "{}"
+        return t.state if compact else quote_id(t.state)
+    if compact and t._key is not None:
+        return t._key
+    sep, colon, lb, rb = SEPARATORS[compact]
     outer = t.stack[0]
-    inner = ", ".join(f"{format_term(k)}: {format_weight(outer, w)}" for k, w in t.entries)
-    return "{ " + inner + " }"
+    text = lb + sep.join(f"{format_term(k, compact)}{colon}{format_weight(outer, w, compact)}"
+                         for k, w in t.entries) + rb if t.entries else "{}"
+    if compact:
+        object.__setattr__(t, "_key", text)
+    return text
 
 
 def pushforward(f: Union[Mapping[str, str], Callable[[str], str]], t: Term) -> Term:
@@ -178,20 +171,3 @@ def class_sum(t: Node, members: Iterable[Term]) -> Weight:
     """Monoid sum of the weights of entries whose key lies in ``members``."""
     wanted = set(members)
     return add_all(t.stack[0], (w for k, w in t.entries if k in wanted))
-
-
-def subterms_at_depths(t: Term, lo: int = 1) -> set[Term]:
-    """All node subterms of depth >= lo strictly below ``t`` itself."""
-    found: set[Term] = set()
-
-    def walk(sub: Term):
-        if isinstance(sub, Node):
-            if term_depth(sub) >= lo:
-                found.add(sub)
-            for k, _ in sub.entries:
-                walk(k)
-
-    if isinstance(t, Node):
-        for k, _ in t.entries:
-            walk(k)
-    return found

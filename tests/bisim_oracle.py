@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from futs.bisim import Partition
 from futs.system import CarrierMap, Futs, is_homomorphism
-from futs.weightfn import quotient_term, term_key
+from futs.weightfn import format_term, quotient_term
 
 
 def _state_signature(s: Futs, p: Partition, x: str) -> tuple[str, ...]:
     sig = []
     for i, comp in enumerate(s.sig.components):
         for a in comp.labels:
-            sig.append(term_key(quotient_term(s.transition(i, x, a), p.kappa)))
+            sig.append(format_term(quotient_term(s.transition(i, x, a), p.kappa), True))
     return tuple(sig)
 
 

@@ -1,0 +1,154 @@
+"""The second-walk flatten and its quotient-term extension, kept as the
+differential oracle for ``futs.reduce`` and the compiled graph.
+
+``Graph`` interns terms by rebuilt (kind, child ids, weights) tuple keys
+and builds the reverse edges up front.  ``flatten`` collects its
+intermediate terms with a walk of its own (``subterms_at_depths``) and
+names them by their canonical keys, and ``_extend`` groups flatten's
+term-states by the canonical key of each term quotiented under the
+partition.  Stages other than flatten and the composite are transported
+as in ``futs.reduce``.
+"""
+
+from __future__ import annotations
+
+from futs import monoid as mo
+from futs.bisim import Partition
+from futs.reduce import Reduction, sig_flatten
+from futs.system import Futs
+from futs.weightfn import Leaf, Node, Term, format_term, node, quotient_term, term_depth
+
+
+def term_key(t: Term) -> str:
+    return format_term(t, compact=True)
+
+
+class Graph:
+    """A system compiled to integer ids.
+
+    States are nodes ``0..n-1`` in ``s.states`` order; every distinct
+    ``Node`` subterm of a transition term, each component's zero term
+    included, is one further node, numbered after its children.  ``out``
+    holds a state's term node per (component, label) slot, or a term's
+    (child, weight) entries, and ``preds`` the reverse edges.  ``kind`` is
+    0 for states and numbers a term's monoid stack from 1.
+    """
+
+    def __init__(self, s: Futs):
+        self.n = len(s.states)
+        leaf = {x: v for v, x in enumerate(s.states)}
+        self.out, self.kind, self.outer = [None] * self.n, [0] * self.n, [None] * self.n
+        kinds, nodes = {}, {}
+
+        def intern(t: Term) -> int:
+            if isinstance(t, Leaf):
+                return leaf[t.state]
+            key = (kinds.setdefault(t.stack, len(kinds) + 1),
+                   tuple((intern(c), w) for c, w in t.entries))
+            if key not in nodes:
+                nodes[key] = len(self.out)
+                self.kind.append(key[0])
+                self.out.append(key[1])
+                self.outer.append(t.stack[0])
+            return nodes[key]
+
+        for v, x in enumerate(s.states):
+            self.out[v] = [intern(s.transition(i, x, a))
+                           for i, comp in enumerate(s.sig.components) for a in comp.labels]
+        self.preds: list = [[] for _ in self.out]
+        for v, edges in enumerate(self.out):
+            for c in edges if v < self.n else (c for c, _ in edges):
+                self.preds[c].append(v)
+
+    def signature(self, block: list, v: int):
+        """A state's slot blocks, or a term's weights summed per child block."""
+        if v < self.n:
+            return tuple(block[t] for t in self.out[v])
+        m = self.outer[v]
+        sums: dict = {}
+        for c, w in self.out[v]:
+            b = block[c]
+            sums[b] = mo.add(m, sums[b], w) if b in sums else w
+        return frozenset(sums.items())
+
+
+def subterms_at_depths(t: Term, lo: int = 1) -> set[Term]:
+    """All node subterms of depth >= lo strictly below ``t`` itself."""
+    found: set[Term] = set()
+
+    def walk(sub: Term):
+        if isinstance(sub, Node):
+            if term_depth(sub) >= lo:
+                found.add(sub)
+            for k, _ in sub.entries:
+                walk(k)
+
+    if isinstance(t, Node):
+        for k, _ in t.entries:
+            walk(k)
+    return found
+
+
+def intermediate_id(term: Term) -> str:
+    return f"#{term_depth(term)}:{term_key(term)}"
+
+
+def flatten(s: Futs) -> Reduction:
+    """Split multi-level steps into single-level ones.
+
+    The target carrier is the source carrier plus one state per distinct
+    intermediate weight term (depth 1..l) reachable in some transition;
+    an original state steps to the term-states of its outer transition,
+    and a term-state's single transition is the term itself read one
+    level down.
+    """
+    sig2 = sig_flatten(s.sig)
+    comp = s.sig.components[0]
+    lab = comp.labels[0]
+    base = (comp.monoids[0],)
+
+    interm: dict[Term, str] = {}
+    for (_i, _x, _a), term in s.trans.items():
+        for sub in subterms_at_depths(term):
+            interm.setdefault(sub, intermediate_id(sub))
+    clash = set(interm.values()) & set(s.states)
+    if clash:
+        raise ValueError(f"generated state ids collide with carrier: {sorted(clash)}")
+
+    def one_level(term: Node) -> Node:
+        entries = []
+        for k, w in term.entries:
+            entries.append((Leaf(interm[k]) if isinstance(k, Node) else k, w))
+        return node(base, entries)
+
+    trans = {}
+    for x in s.states:
+        t = s.transition(0, x, lab)
+        trans[(0, x, lab)] = one_level(t)
+    for term, name in interm.items():
+        trans[(0, name, lab)] = one_level(term)
+
+    target = Futs(sig2, tuple(s.states) + tuple(interm.values()), trans)
+    pairs = tuple(sorted(((name, term) for term, name in interm.items())))
+    return Reduction("flatten", s, target, {x: x for x in s.states},
+                     full=not interm, intermediates=pairs)
+
+
+def _extend(r: Reduction, p: Partition) -> Partition:
+    if r.stages:
+        q = p
+        for st in r.stages:
+            q = _extend(st, q)
+        return q
+    if r.kind == "flatten":
+        blocks = [tuple(b) for b in p.blocks]
+        groups: dict[tuple[int, str], list[str]] = {}
+        for name, term in r.intermediates:
+            key = (term_depth(term), term_key(quotient_term(term, p.kappa)))
+            groups.setdefault(key, []).append(name)
+        blocks.extend(tuple(g) for g in groups.values())
+        return Partition.of_blocks(r.target.states, blocks)
+    return Partition.of_blocks(
+        r.target.states,
+        [tuple(r.state_map[x] for x in b) for b in p.blocks],
+    )

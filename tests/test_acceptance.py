@@ -217,7 +217,7 @@ def _random_nat_term(rng, stack, states):
 
 
 def test_criterion6_extension_composition():
-    from futs.weightfn import quotient_term, term_key
+    from futs.weightfn import format_term, quotient_term
     rng = random.Random(61)
     states = ["a", "b", "c", "d"]
     parts = list(all_partitions(states))
@@ -230,7 +230,7 @@ def test_criterion6_extension_composition():
         def stepwise(term):
             classes = {}
             for k, w in term.entries:
-                key = term_key(quotient_term(k, p.kappa))
+                key = format_term(quotient_term(k, p.kappa), True)
                 classes[key] = add(NAT_PLUS, classes.get(key, 0), w)
             return classes
 

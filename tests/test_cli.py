@@ -4,7 +4,7 @@ import pytest
 
 from futs import cli
 from futs.cli import main
-from futs.textio import parse_system
+from futs.textio import MAX_NESTING, parse_system
 
 from conftest import DATA, nat_chain_text
 
@@ -103,13 +103,16 @@ def test_check_formula_file_multiple(capsys, tmp_path):
     assert out.count("formula:") == 2
 
 
-# the deeper case runs on a short chain beside a cycle; see test_logic.DEEP_CASES
-@pytest.mark.parametrize("depth, chain, ring", [pytest.param(600, 620, 0, id="600"),
-                                                pytest.param(5000, 20, 3, id="5000")])
-def test_check_deep_formula(capsys, tmp_path, depth, chain, ring):
+# the deeper cases run on a short chain beside a cycle; see test_logic.DEEP_CASES.
+# "1500-conj" conjoins two equal, separately parsed chains, which compare equal
+@pytest.mark.parametrize("depth, chain, ring, twice", [
+    pytest.param(600, 620, 0, False, id="600"), pytest.param(5000, 20, 3, False, id="5000"),
+    pytest.param(1500, 20, 3, True, id="1500-conj")])
+def test_check_deep_formula(capsys, tmp_path, depth, chain, ring, twice):
     path = tmp_path / "chain.futs"
     path.write_text(nat_chain_text(chain, ring))
     formula = "<1> " * depth + "T"
+    formula = f"({formula}) & ({formula})" if twice else formula
     holds = {f"c{k}": k < chain - depth for k in range(chain)} | {f"r{k}": True for k in range(ring)}
     code, out, _ = run(capsys, "check", str(path), "--formula", formula)
     assert code == 0
@@ -239,3 +242,41 @@ def test_overlong_quotient_weight_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "bisim", str(src), "--quotient", str(quot))
     assert (code, out) == (2, "") and not quot.exists()
     assert err == "error: trans 0 x a: a weight has more than 4300 digits, too many to write\n"
+
+
+def nested_system(tmp_path, stack: int, nesting: int):
+    """A file whose one stack holds ``stack`` monoids, each nested
+    ``nesting`` products deep, in which x steps through every level to y,
+    and a formula that holds at x only."""
+    m = "prod(" * nesting + "nat-plus" + ")" * nesting
+    w = "(" * nesting + "1" + ")" * nesting
+    term = "y"
+    for _ in range(stack):
+        term = f"{{ {term}: {w} }}"
+    path = tmp_path / "nested.futs"
+    path.write_text(f"futs\nlabels A0 = {{ a }}\nmonoids M0 = [ {', '.join([m] * stack)} ]\n"
+                    f"states {{ x, y }}\ntrans 0 x a -> {term}\n")
+    return str(path), "<" + ", ".join([w] * stack) + "> T"
+
+
+@pytest.mark.parametrize("stack, nesting", [(MAX_NESTING, 0), (1, MAX_NESTING)],
+                         ids=["stack", "nesting"])
+def test_nesting_limit_answers(capsys, tmp_path, stack, nesting):
+    path, formula = nested_system(tmp_path, stack, nesting)
+    assert run(capsys, "bisim", path) == (0, "{ {x}, {y} }\n", "")
+    assert run(capsys, "reduce", path, "--to", "wts", "-o", str(tmp_path / "w.futs"))[0] == 0
+    assert run(capsys, "check", path, "--formula", formula) == (0, "x: true\ny: false\n", "")
+
+
+# a monoid in the stack takes 10 columns ("nat-plus, "), a nesting level 5 ("prod(")
+@pytest.mark.parametrize("stack, nesting, column, message", [
+    (MAX_NESTING + 1, 0, 16 + 10 * MAX_NESTING, f"more than {MAX_NESTING} monoids in a stack"),
+    (1200, 0, 16 + 10 * MAX_NESTING, f"more than {MAX_NESTING} monoids in a stack"),
+    (1, MAX_NESTING + 1, 16 + 5 * MAX_NESTING, f"monoid type nested more than {MAX_NESTING} deep"),
+    (1, 1200, 16 + 5 * MAX_NESTING, f"monoid type nested more than {MAX_NESTING} deep"),
+], ids=["stack", "stack-1200", "nesting", "nesting-1200"])
+def test_nesting_limit_exceeded_exit_2(capsys, tmp_path, stack, nesting, column, message):
+    path, _ = nested_system(tmp_path, stack, nesting)
+    for argv in (("bisim", path), ("reduce", path, "--to", "wts", "-o", str(tmp_path / "w.futs")),
+                 ("check", path, "--formula", "T")):
+        assert run(capsys, *argv) == (2, "", f"3:{column}: error: {message}\n")

@@ -276,6 +276,33 @@ def test_rebuilt_formula_same_hash_and_cache_entry(sig, rng):
     assert ev.sat(copy) is first and len(ev._cache) == entries
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(CORPUS_SIGS), st.randoms(use_true_random=False))
+def test_formula_equality_matches_repr(sig, rng):
+    phi, psi = random_formula(rng, sig, 4), random_formula(rng, sig, 4)
+    assert (phi == psi) == (repr(phi) == repr(psi))
+    assert rebuild(phi) == phi and not rebuild(phi) != phi
+
+
+def test_formula_equality_deep_and_shared():
+    """5000-deep chains compare without recursion, and a conjunction
+    doubled 100 times (2^100 paths) compares once per distinct pair."""
+    def chain(bound):
+        phi = Diamond(0, "a", (bound,), TOP)
+        for _ in range(5000):
+            phi = Diamond(0, "a", (1,), phi)
+        return phi
+
+    def doubled(bound):
+        phi = Diamond(0, "a", (bound,), TOP)
+        for _ in range(100):
+            phi = And(phi, phi)
+        return phi
+
+    assert chain(1) == chain(1) and chain(1) != chain(2)
+    assert doubled(1) == doubled(1) and doubled(1) != doubled(2)
+
+
 def test_formula_repr_and_immutability():
     phi = And(Diamond(0, "a", (1,), TOP), TOP)
     assert repr(phi) == "And(left=Diamond(component=0, label='a', bounds=(1,), body=Top()), right=Top())"

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from futs.bisim import Partition, all_partitions, is_bisimulation, largest_bisimulation
 from futs.monoid import BOOL_OR, NAT_PLUS, RAT_PLUS, Power, Product
@@ -28,6 +29,7 @@ from futs.system import Component, Futs, Signature, validate
 from futs.weightfn import Leaf, node, term_depth
 
 from conftest import (
+    CORPUS_SIGS,
     GOLDEN,
     NESTED3,
     TWO_COMP,
@@ -355,6 +357,15 @@ def test_largest_bisimulation_transport_every_stage():
         for r in _stage_reductions(s):
             assert restrict_bisim(r, largest_bisimulation(r.target)) == \
                 largest_bisimulation(r.source)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(CORPUS_SIGS), st.integers(1, 8), st.randoms(use_true_random=False))
+def test_restrict_wts_largest_bisimulation(sig, n, rng):
+    # the WTS's largest bisimulation pulled back is the source's
+    s = random_futs(rng, sig, n, density=rng.choice([0.3, 0.6, 0.9]))
+    r = to_wts(s)
+    assert restrict_bisim(r, largest_bisimulation(r.target)) == largest_bisimulation(s)
 
 
 def _stage_reductions(s):
