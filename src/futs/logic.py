@@ -275,39 +275,31 @@ def translate_to_wts(sig: Signature, phi: Formula) -> tuple[Formula, Signature]:
 # --- bounded logical equivalence --------------------------------------------
 
 def realizable_grid(s: Futs) -> dict[tuple[int, int], list[Weight]]:
-    """Per (component, level): all subset sums of entry weights.
+    """Per (component, level): all subset sums of entry weights, the zero
+    first and the others in the order of their compact text.
 
     Thresholds strictly between these sums cannot change any satisfaction
     value under the natural order, so this grid is what the bounded
     equivalence oracle draws diamond bounds from.  The empty-subset sum
     (the monoid zero) is included: a zero bound at an inner level leaves
     that level unconstrained, which is needed to tell apart, e.g., the
-    zero behaviour from one giving mass to the zero inner function.
+    zero behaviour from one giving mass to the zero inner function.  A
+    term's sums grow as a set, entry by entry, so each is added once.
     """
-    buckets: dict[tuple[int, int], dict[str, Weight]] = {}
-
-    def visit(i: int, level: int, term: Node, monoids):
-        m = monoids[level]
-        weights = [w for _, w in term.entries]
-        sums = buckets.setdefault((i, level), {})
-        for r in range(1, len(weights) + 1):
-            for combo in itertools.combinations(weights, r):
-                total = add_all(m, combo)
-                if not is_zero(m, total):
-                    sums.setdefault(format_weight(m, total, True), total)
-        for k, _ in term.entries:
+    levels = {(i, j): (m, {zero(m)}) for i, comp in enumerate(s.sig.components)
+              for j, m in enumerate(comp.monoids)}
+    stack = [(i, 0, term) for (i, _x, _a), term in s.trans.items()]
+    while stack:
+        i, level, term = stack.pop()
+        m, sums = levels[(i, level)]
+        found = {zero(m)}  # the subset sums of this term's weights
+        for k, w in term.entries:
+            found |= {add(m, total, w) for total in found}
             if isinstance(k, Node):
-                visit(i, level + 1, k, monoids)
-
-    for (i, _x, _a), term in s.trans.items():
-        visit(i, 0, term, s.sig.components[i].monoids)
-
-    grid: dict[tuple[int, int], list[Weight]] = {}
-    for i, comp in enumerate(s.sig.components):
-        for j, m in enumerate(comp.monoids):
-            found = buckets.get((i, j), {})
-            grid[(i, j)] = [zero(m)] + [found[k] for k in sorted(found)]
-    return grid
+                stack.append((i, level + 1, k))
+        sums |= found
+    return {key: [zero(m)] + sorted(sums - {zero(m)}, key=lambda w: format_weight(m, w, True))
+            for key, (m, sums) in levels.items()}
 
 
 class _Levels:
@@ -317,18 +309,15 @@ class _Levels:
     per block over the distinguishers so far) and then refines ``part`` by
     candidate diamonds over labels, then grid bound vectors, then bodies.
     ``ev`` knows the satisfaction sets of all the ``distinguishers``.
+    At most ``depth`` levels run (default: the carrier size).
     """
 
-    def __init__(self, s: Futs, depth: Optional[int], grid: Optional[dict]):
+    def __init__(self, s: Futs, depth: Optional[int]):
         from .bisim import Partition
+        if depth is not None and depth < 0:
+            raise ValueError(f"depth must be >= 0, got {depth}")
         self.depth = len(s.states) if depth is None else depth
-        if grid is None:
-            grid = realizable_grid(s)
-        for i, comp in enumerate(s.sig.components):
-            for j in range(comp.depth):
-                if not grid.get((i, j)):
-                    raise ValueError(f"empty bound grid for component {i}, level {j}")
-        self.system, self.grid, self.ev = s, grid, Evaluator(s)
+        self.system, self.grid, self.ev = s, realizable_grid(s), Evaluator(s)
         self.part = Partition.single(s.states)
         self.distinguishers: dict[Formula, None] = {}  # an ordered set
 
@@ -369,17 +358,16 @@ class _Levels:
                 break
 
 
-def bounded_logical_equiv(s: Futs, depth: Optional[int] = None,
-                          grid: Optional[dict] = None) -> Partition:
+def bounded_logical_equiv(s: Futs, depth: Optional[int] = None) -> Partition:
     """Partition states by agreement on a level-wise formula family.
 
-    At each level, candidate diamonds combine every label, every bound
-    vector drawn from the grid, and one characteristic conjunction per
-    current block; states are split by their satisfaction profile.  With
-    the default depth (the carrier size) and default grid this coincides
-    with bisimilarity on positive cancellative monoids.
+    At each of at most ``depth`` levels, candidate diamonds combine every
+    label, every bound vector drawn from ``realizable_grid``, and one
+    characteristic conjunction per current block; states are split by
+    their satisfaction profile.  With the default depth (the carrier size)
+    this coincides with bisimilarity on positive cancellative monoids.
     """
-    return _Levels(s, depth, grid).run().part
+    return _Levels(s, depth).run().part
 
 
 def witness_formula(s: Futs, x: str, y: str,
@@ -391,7 +379,7 @@ def witness_formula(s: Futs, x: str, y: str,
     family does not separate the states, which outside cancellative
     monoids can happen for non-bisimilar pairs.
     """
-    levels = _Levels(s, depth, None).run()
+    levels = _Levels(s, depth).run()
     if levels.part.same_block(x, y):
         return None
     for f in levels.distinguishers:
@@ -445,12 +433,16 @@ def _shrink_witness(ev: Evaluator, phi: Formula, x: str, y: str) -> Formula:
             return phi
 
 
-def distinguishing_formula(s: Futs, x: str, y: str) -> Optional[Formula]:
+def distinguishing_formula(s: Futs, x: str, y: str,
+                           depth: Optional[int] = None) -> Optional[Formula]:
     """A formula holding at exactly one of two states, or None if bisimilar.
 
     Restricted to simple systems over a positive cancellative monoid, where
     the bounded-equivalence family is guaranteed to separate non-bisimilar
-    states; the returned bound is the satisfied side's own class sum.
+    states; the returned bound is the satisfied side's own class sum, read
+    off the level where ``bounded_logical_equiv`` separates the pair.  With
+    a ``depth``, None means that many levels keep the pair together; without,
+    a pair that all levels keep together must be bisimilar (else RuntimeError).
     """
     if not s.sig.is_simple:
         raise ValueError("distinguishing_formula needs a simple system")
@@ -460,14 +452,16 @@ def distinguishing_formula(s: Futs, x: str, y: str) -> Optional[Formula]:
     for state in (x, y):
         if state not in set(s.states):
             raise ValueError(f"unknown state {state!r}")
-    from .bisim import largest_bisimulation
-    if largest_bisimulation(s).same_block(x, y):
-        return None
-    levels = _Levels(s, len(s.states) + 1, realizable_grid(s))
+    levels = _Levels(s, depth)
     for bodies in levels:  # scanned before each level refines
         found = _split_formula(s, levels.ev, x, y, bodies)
         if found is not None:
             return found
+    if depth is not None:
+        return None
+    from .bisim import largest_bisimulation
+    if largest_bisimulation(s).same_block(x, y):
+        return None  # the logic is sound: no formula separates bisimilar states
     raise RuntimeError(
         f"states {x!r} and {y!r} are not bisimilar but no distinguishing formula "
         f"was found; the bounded family is incomplete here")

@@ -1,15 +1,17 @@
-"""The recursive formula functions and the two oracle level loops, kept
-as the differential oracle for ``futs.logic`` and the formula half of
-``futs.textio``.
+"""The recursive formula functions, the two oracle level loops and the
+subset-sum grid they draw bounds from, kept as the differential oracle
+for ``futs.logic`` and the formula half of ``futs.textio``.
 
 Every formula pass here recurses once per nesting level, so a formula
 deeper than the recursion limit raises ``RecursionError``.  ``_oracle``
 is the level loop of ``bounded_logical_equiv`` and ``witness_formula``,
-and ``distinguishing_formula`` runs its own copy of it.  The formula
-classes, ``conj``, ``_member``, ``realizable_grid``, ``_split_formula``
-and the text cursor are shared with the library; ``parse_formula`` and
-``write_formula`` pass ``futs.logic`` for its formula classes and call
-this module's ``check_formula``.
+and ``distinguishing_formula`` runs its own copy of it; both take their
+bounds from this module's ``realizable_grid``, which sums every subset of
+a term's weights with ``itertools.combinations``.  The formula classes,
+``conj``, ``_member``, ``_split_formula`` and the text cursor are shared
+with the library; ``parse_formula`` and ``write_formula`` pass
+``futs.logic`` for its formula classes and call this module's
+``check_formula``.
 """
 
 from __future__ import annotations
@@ -30,16 +32,19 @@ from futs.logic import (
     _member,
     _split_formula,
     conj,
-    realizable_grid,
 )
 from futs.monoid import (
+    Weight,
+    add_all,
     cancellative,
     check_weight,
+    format_weight,
     hom_apply,
     is_zero,
     positive,
     power_dirac,
     quote_id,
+    zero,
 )
 from futs.system import Futs, Signature
 from futs.textio import (
@@ -52,6 +57,7 @@ from futs.textio import (
     _resolve_modality,
     tokenize,
 )
+from futs.weightfn import Node
 
 
 def check_formula(phi: Formula, sig: Signature) -> Formula:
@@ -181,6 +187,42 @@ def translate_to_wts(sig: Signature, phi: Formula) -> tuple[Formula, Signature]:
         phi = translate(stage, cur, phi)
         cur = rd.SIG_FUNCS[stage](cur)
     return check_formula(phi, cur), cur
+
+
+def realizable_grid(s: Futs) -> dict[tuple[int, int], list[Weight]]:
+    """Per (component, level): all subset sums of entry weights.
+
+    Thresholds strictly between these sums cannot change any satisfaction
+    value under the natural order, so this grid is what the bounded
+    equivalence oracle draws diamond bounds from.  The empty-subset sum
+    (the monoid zero) is included: a zero bound at an inner level leaves
+    that level unconstrained, which is needed to tell apart, e.g., the
+    zero behaviour from one giving mass to the zero inner function.
+    """
+    buckets: dict[tuple[int, int], dict[str, Weight]] = {}
+
+    def visit(i: int, level: int, term: Node, monoids):
+        m = monoids[level]
+        weights = [w for _, w in term.entries]
+        sums = buckets.setdefault((i, level), {})
+        for r in range(1, len(weights) + 1):
+            for combo in itertools.combinations(weights, r):
+                total = add_all(m, combo)
+                if not is_zero(m, total):
+                    sums.setdefault(format_weight(m, total, True), total)
+        for k, _ in term.entries:
+            if isinstance(k, Node):
+                visit(i, level + 1, k, monoids)
+
+    for (i, _x, _a), term in s.trans.items():
+        visit(i, 0, term, s.sig.components[i].monoids)
+
+    grid: dict[tuple[int, int], list[Weight]] = {}
+    for i, comp in enumerate(s.sig.components):
+        for j, m in enumerate(comp.monoids):
+            found = buckets.get((i, j), {})
+            grid[(i, j)] = [zero(m)] + [found[k] for k in sorted(found)]
+    return grid
 
 
 def _oracle(s: Futs, depth: Optional[int], grid: Optional[dict]):

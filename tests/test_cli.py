@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,45 @@ def test_equiv_logic_distinguished(capsys):
     assert code == 1
     assert "distinguished" in out and "distinguishing formula" in out
     assert "reduced weighted system" in out
+
+
+def test_equiv_logic_builds_one_grid(capsys, monkeypatch):
+    """A simple system's verdict is its witness search: one bound grid and
+    no bisimulation for a distinguished pair.  Fig. 1 needs two grids: the
+    FuTS's for the verdict, its WTS's for the witness."""
+    from futs import bisim, logic
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(logic, "realizable_grid", counted(logic.realizable_grid))
+    monkeypatch.setattr(bisim, "largest_bisimulation", counted(bisim.largest_bisimulation))
+    code, out, _ = run(capsys, "equiv", W3, "x", "y", "--logic")
+    assert (code, out) == (1, "x and y are distinguished\ndistinguishing formula: <2> T\n")
+    assert calls == {"realizable_grid": 1}
+    calls.clear()
+    assert run(capsys, "equiv", FIG1, "s0", "s2", "--logic")[0] == 1
+    assert calls["realizable_grid"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", FIG1, "s0", "s2", "--logic", "--depth", "-1"],
+    ["verify", FIG1, "--to", "wts", "--samples", "-4"],
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{argv[-2]}: invalid natural value: '{argv[-1]}'" in err
+
+
+@pytest.mark.parametrize("path, x, y", [(FIG1, "s0", "s2"), (W3, "x", "y")])
+def test_equiv_logic_depth_zero_keeps_pairs_together(capsys, path, x, y):
+    code, out, _ = run(capsys, "equiv", path, x, y, "--logic", "--depth", "0")
+    assert (code, out) == (0, f"{x} and {y} are logically equivalent\n")
 
 
 def test_equiv_unknown_state(capsys):

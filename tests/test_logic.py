@@ -171,9 +171,30 @@ def test_default_grid_contents(w3):
     assert grid[(0, 0)] == [0, 1, 2]
 
 
-def test_empty_grid_rejected(w3):
-    with pytest.raises(ValueError):
-        bounded_logical_equiv(w3, grid={(0, 0): []})
+def test_negative_depth_rejected(w3):
+    for fn in (lambda: bounded_logical_equiv(w3, depth=-1),
+               lambda: witness_formula(w3, "x", "y", depth=-1),
+               lambda: distinguishing_formula(w3, "x", "y", depth=-1)):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            fn()
+    # depth 0 runs no level, so it keeps every pair together
+    assert witness_formula(w3, "x", "y", depth=0) is None
+    assert distinguishing_formula(w3, "x", "y", depth=0) is None
+
+
+def test_distinguishing_formula_depth(w3):
+    """With a depth, the witness is the default one where that many levels
+    of bounded_logical_equiv separate the pair, and None where they do not."""
+    chain = parse_system(nat_chain_text(5))
+    assert distinguishing_formula(chain, "c0", "c1", depth=3) is None
+    assert distinguishing_formula(chain, "c0", "c1", depth=4) is not None
+    for s in (chain, w3):
+        for x in s.states:
+            for y in s.states:
+                for depth in range(len(s.states) + 2):
+                    apart = not bounded_logical_equiv(s, depth=depth).same_block(x, y)
+                    want = distinguishing_formula(s, x, y) if apart else None
+                    assert distinguishing_formula(s, x, y, depth=depth) == want
 
 
 def test_distinguishing_formula_examples(w3):

@@ -1,11 +1,17 @@
-"""The one formula fold and the one oracle level loop against the recursive
-formula functions and the two level loops they replace (``logic_oracle``).
+"""The one formula fold, the one oracle level loop and its bound grid
+against the recursive formula functions, the two level loops and the
+``combinations`` grid they replace (``logic_oracle``), and the CLI's
+``equiv --logic`` against the oracle's verdict followed by its witness.
 
 Both sides build formulas from the same classes, so the formula passes'
 results compare with ``==``; witnesses compare by ``repr``, which shows
 both whole formulas when they differ."""
 
+import contextlib
+import io
+import os
 import random
+import tempfile
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -17,13 +23,18 @@ from futs.logic import (
     bounded_logical_equiv,
     check_formula,
     distinguishing_formula,
+    realizable_grid,
     sat_set,
     translate,
     translate_to_wts,
     witness_formula,
 )
+from futs.cli import main
+from futs.monoid import BOOL_OR, NAT_MAX, cancellative, positive
 from futs.reduce import SIG_FUNCS, plan_wts_stages, to_wts
-from futs.textio import ParseError, parse_formula, write_formula
+from futs.system import Component, Futs, Signature
+from futs.textio import ParseError, parse_formula, parse_system, write_formula, write_system
+from futs.weightfn import Leaf, node
 
 import logic_oracle as oracle
 from conftest import (
@@ -33,6 +44,9 @@ from conftest import (
     TWO_COMP,
     TWO_COMP_CANC,
     ULTRAS_RAT,
+    WLTS_NAT,
+    WLTS_PROD,
+    WLTS_RAT,
     random_formula,
     random_futs,
     random_weight,
@@ -42,6 +56,10 @@ STAGES = ("unlabel", "tabularize", "homogenize", "nest", "flatten")
 # NESTED3's three-level bound grid makes every oracle run take about a second
 ORACLE_SIGS = [sig for sig in CORPUS_SIGS if sig is not NESTED3]
 REDUCED_SIGS = [ULTRAS_RAT, TWO_COMP, TWO_COMP_CANC, NESTED2_CANC]
+# one component, one level: cancellative, then not
+SIMPLE_SIGS = [WLTS_NAT, WLTS_RAT, WLTS_PROD,
+               Signature((Component(("a", "b"), (BOOL_OR,)),)),
+               Signature((Component(("a",), (NAT_MAX,)),))]
 TEXT_ALPHABET = "<>()&|,:{}/ T01tfab"
 
 
@@ -137,7 +155,7 @@ def test_parse_formula_matches_oracle(sig, rng):
 def assert_oracle_agrees(s):
     for depth in (None, 1, 2):
         assert bounded_logical_equiv(s, depth=depth) == oracle.bounded_logical_equiv(s, depth=depth)
-    levels, (_, _, old_ev) = _Levels(s, None, None).run(), oracle._oracle(s, None, None)
+    levels, (_, _, old_ev) = _Levels(s, None).run(), oracle._oracle(s, None, None)
     assert len(levels.ev._cache) == len(old_ev._cache)
     for x in s.states:
         for y in s.states:
@@ -161,3 +179,66 @@ def test_level_loop_matches_oracle_on_reduced_systems(sig, rng):
     target = to_wts(random_futs(rng, sig, 2)).target
     assume(len(target.states) <= 6)
     assert_oracle_agrees(target)
+
+
+def pooled_term(rng: random.Random, stack, states):
+    """A term whose weights at each level come from a pool of two, so that
+    weights repeat and many subsets of its entries share a sum."""
+    if not stack:
+        return Leaf(rng.choice(states))
+    pool = [random_weight(rng, stack[0], nonzero=True) for _ in range(2)]
+    return node(stack, [(pooled_term(rng, stack[1:], states), rng.choice(pool))
+                        for _ in range(rng.randint(0, 6))])
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(CORPUS_SIGS), st.randoms(use_true_random=False))
+def test_realizable_grid_matches_oracle(sig, rng):
+    s = random_futs(rng, sig, rng.randint(1, 4))
+    trans = dict(s.trans)
+    for i, comp in enumerate(sig.components):
+        for x in s.states:
+            if rng.random() < 0.5:
+                trans[(i, x, rng.choice(comp.labels))] = pooled_term(rng, comp.monoids, s.states)
+    s = Futs(sig, s.states, trans)
+    assert repr(realizable_grid(s)) == repr(oracle.realizable_grid(s))
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def oracle_route(s, x: str, y: str, depth):
+    """`equiv --logic` on a simple system as answered by asking the oracle
+    for the verdict, then for a witness at the default depth."""
+    if oracle.bounded_logical_equiv(s, depth=depth).same_block(x, y):
+        return 0, f"{x} and {y} are logically equivalent\n"
+    m = s.sig.components[0].monoids[0]
+    find = (oracle.distinguishing_formula if positive(m) and cancellative(m)
+            else oracle.witness_formula)
+    phi = find(s, x, y)
+    line = ("no distinguishing formula found on the reduced system" if phi is None
+            else f"distinguishing formula: {oracle.write_formula(phi, s.sig)}")
+    return 1, f"{x} and {y} are distinguished\n{line}\n"
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(SIMPLE_SIGS), st.randoms(use_true_random=False))
+def test_cli_logic_route_matches_oracle(sig, rng):
+    """The CLI asks the witness search alone for a simple system's verdict;
+    soundness makes its output that of the oracle's verdict and witness."""
+    text = write_system(random_futs(rng, sig, rng.randint(1, 4)))
+    s = parse_system(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.futs")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for x in s.states:
+            for y in s.states:
+                for depth in (None, 0, 1, 2):
+                    extra = [] if depth is None else ["--depth", str(depth)]
+                    got = run_cli(["equiv", path, x, y, "--logic"] + extra)
+                    assert got == oracle_route(s, x, y, depth), (x, y, depth)
