@@ -47,19 +47,16 @@ def cmd_bisim(args) -> int:
 
 def _run_reduction(s, stage: str):
     from . import reduce as rd
-    if STAGE_BY_NAME[stage] is None:
-        return rd.to_wts(s)
-    return rd.STAGE_FUNCS[STAGE_BY_NAME[stage]](s)
+    run = rd.to_wts if STAGE_BY_NAME[stage] is None else rd.STAGE_FUNCS[STAGE_BY_NAME[stage]]
+    try:
+        return run(s)
+    except ValueError as e:  # main reports it as a usage error
+        raise ValueError(f"reduction to {stage} failed: {e}") from e
 
 
 def cmd_reduce(args) -> int:
     from . import textio
-    s = _load_system(args.file)
-    try:
-        r = _run_reduction(s, args.to)
-    except ValueError as e:
-        print(f"error: reduction to {args.to} failed: {e}", file=sys.stderr)
-        return USAGE
+    r = _run_reduction(_load_system(args.file), args.to)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(textio.write_system(r.target))
     if args.map:
@@ -96,17 +93,14 @@ def cmd_check(args) -> int:
         else:
             for x in s.states:
                 print(f"{x}: {'true' if x in sat else 'false'}")
-    if args.state is not None:
-        return OK if all_hold else FAIL
-    return OK
+    return OK if all_hold else FAIL  # all_hold stays true without --state
 
 
 def cmd_equiv(args) -> int:
     s = _load_system(args.file)
     x, y = args.x, args.y
-    states = set(s.states)
-    if x not in states or y not in states:
-        missing = [z for z in (x, y) if z not in states]
+    missing = [z for z in (x, y) if z not in s.states]
+    if missing:
         print(f"error: unknown state(s) {missing}", file=sys.stderr)
         return USAGE
     if args.logic:
@@ -146,11 +140,7 @@ def cmd_equiv(args) -> int:
 def cmd_verify(args) -> int:
     from . import reduce as rd
     s = _load_system(args.file)
-    try:
-        r = _run_reduction(s, args.to)
-    except ValueError as e:
-        print(f"error: reduction to {args.to} failed: {e}", file=sys.stderr)
-        return USAGE
+    r = _run_reduction(s, args.to)
     if args.exhaustive and len(s.states) > rd.EXHAUSTIVE_LIMIT:
         print(f"error: --exhaustive is limited to {rd.EXHAUSTIVE_LIMIT} states "
               f"({len(s.states)} given); drop the flag to sample instead",
@@ -253,10 +243,7 @@ def main(argv=None) -> int:
         for d in e.diagnostics:
             print(d.render(), file=sys.stderr)
         return USAGE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
-    except ValueError as e:
+    except (FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
     except Exception as e:  # a bug, never a verdict: exit 1 means "property fails"

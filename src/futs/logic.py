@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -39,7 +40,6 @@ from .monoid import (
     zero,
 )
 from .system import Futs, Signature
-from .weightfn import Leaf, Node
 
 if TYPE_CHECKING:
     from .bisim import Partition
@@ -186,31 +186,29 @@ class Evaluator:
                     self._cache)
 
     def _diamond(self, f: Diamond, body: frozenset[str]) -> frozenset[str]:
-        s = self.system
+        """Bottom-up over the slot's levels in ``Futs.graph``, each distinct term
+        node is tested once: do its weights into passed nodes (``body`` at the
+        bottom) reach the bound?  This evaluates the flatten translation."""
+        s, g = self.system, self.system.graph
+        k = g.slots[(f.component, f.label)]
         monoids = s.sig.components[f.component].monoids
-        return frozenset(x for x in s.states
-                         if _member(s.transition(f.component, x, f.label),
-                                    f.bounds, 0, body, monoids))
-
-    def holds(self, x: str, phi: Formula) -> bool:
-        return x in self.sat(phi)
-
-
-def _member(term: Node, bounds, idx: int, sat: frozenset[str], monoids) -> bool:
-    """Membership of a depth-(len(bounds)-idx) term in the threshold chain."""
-    m = monoids[idx]
-    acc = zero(m)
-    for k, w in term.entries:
-        ok = k.state in sat if isinstance(k, Leaf) else _member(k, bounds, idx + 1, sat, monoids)
-        if ok:
-            acc = add(m, acc, w)
-    return nat_leq(m, bounds[idx], acc)
+        passed = {g.ids[x] for x in body}
+        for nodes, m, bound in reversed(list(zip(g.levels[k], monoids, f.bounds))):
+            below, passed = passed, set()
+            for t in nodes:
+                acc = zero(m)
+                for c, w in g.out[t]:
+                    if c in below:
+                        acc = add(m, acc, w)
+                if nat_leq(m, bound, acc):
+                    passed.add(t)
+        return frozenset(x for v, x in enumerate(s.states) if g.out[v][k] in passed)
 
 
 def satisfies(s: Futs, x: str, phi: Formula) -> bool:
     if x not in set(s.states):
         raise ValueError(f"unknown state {x!r}")
-    return Evaluator(s).holds(x, check_formula(phi, s.sig))
+    return x in Evaluator(s).sat(check_formula(phi, s.sig))
 
 
 def sat_set(s: Futs, phi: Formula) -> frozenset[str]:
@@ -283,23 +281,26 @@ def realizable_grid(s: Futs) -> dict[tuple[int, int], list[Weight]]:
     equivalence oracle draws diamond bounds from.  The empty-subset sum
     (the monoid zero) is included: a zero bound at an inner level leaves
     that level unconstrained, which is needed to tell apart, e.g., the
-    zero behaviour from one giving mass to the zero inner function.  A
-    term's sums grow as a set, entry by entry, so each is added once.
+    zero behaviour from one giving mass to the zero inner function.  Each
+    distinct term node at the level in ``Futs.graph`` is read once, and its
+    sums grow as a set, entry by entry, so each is added once.
     """
-    levels = {(i, j): (m, {zero(m)}) for i, comp in enumerate(s.sig.components)
-              for j, m in enumerate(comp.monoids)}
-    stack = [(i, 0, term) for (i, _x, _a), term in s.trans.items()]
-    while stack:
-        i, level, term = stack.pop()
-        m, sums = levels[(i, level)]
-        found = {zero(m)}  # the subset sums of this term's weights
-        for k, w in term.entries:
-            found |= {add(m, total, w) for total in found}
-            if isinstance(k, Node):
-                stack.append((i, level + 1, k))
-        sums |= found
-    return {key: [zero(m)] + sorted(sums - {zero(m)}, key=lambda w: format_weight(m, w, True))
-            for key, (m, sums) in levels.items()}
+    g, grid = s.graph, {}
+    for i, comp in enumerate(s.sig.components):
+        for j, m in enumerate(comp.monoids):
+            sums = {zero(m)}
+            for t in set().union(*(g.levels[g.slots[(i, a)]][j] for a in comp.labels)):
+                found = {zero(m)}  # the subset sums of this term's weights
+                for _c, w in g.out[t]:
+                    found |= {add(m, total, w) for total in found}
+                sums |= found
+            try:
+                grid[(i, j)] = [zero(m)] + sorted(sums - {zero(m)},
+                                                  key=lambda w: format_weight(m, w, True))
+            except ValueError:  # str() refuses integers longer than sys.get_int_max_str_digits()
+                raise ValueError(f"a sum of weights has more than {sys.get_int_max_str_digits()} "
+                                 "digits, too many to write") from None
+    return grid
 
 
 class _Levels:
@@ -483,6 +484,6 @@ def _split_formula(s: Futs, ev: Evaluator, x: str, y: str, bodies) -> Optional[F
                 continue
             bound = sum_x if not nat_leq(m, sum_x, sum_y) else sum_y
             f = Diamond(0, a, (bound,), chi)
-            if ev.holds(x, f) != ev.holds(y, f):
+            if (x in ev.sat(f)) != (y in ev.sat(f)):
                 return f
     return None

@@ -104,15 +104,18 @@ class Graph:
     ``Node`` subterm of a transition term, each component's zero term
     included, is one further node, numbered after its children.  ``ids``
     maps state names and terms to nodes, ``term`` holds a term node's
-    ``Node``, ``out`` a state's term node per (component, label) slot or a
-    term's (child, weight) entries, and ``kind`` is 0 for states and
-    numbers a term's monoid stack from 1.  The term nodes below the top
-    depth are the states that flattening adds.
+    ``Node``, ``out`` a state's term node per slot (``slots`` maps each
+    (component, label) to its index) or a term's (child, weight) entries,
+    and ``kind`` is 0 for states and numbers a term's monoid stack from 1.
+    The term nodes below the top depth are the states that flattening adds.
     """
 
     def __init__(self, s: Futs):
         self.n = len(s.states)
         self.ids: dict = {x: v for v, x in enumerate(s.states)}
+        self.slots = {(i, a): k for k, (i, a) in enumerate(
+            (i, a) for i, comp in enumerate(s.sig.components) for a in comp.labels)}
+        self._depths = [s.sig.components[i].depth for i, _a in self.slots]
         self.term, self.out, self.kind = [None] * self.n, [None] * self.n, [0] * self.n
         kinds: dict = {}
 
@@ -129,8 +132,16 @@ class Graph:
             return v
 
         for v, x in enumerate(s.states):
-            self.out[v] = [intern(s.transition(i, x, a))
-                           for i, comp in enumerate(s.sig.components) for a in comp.labels]
+            self.out[v] = [intern(s.transition(i, x, a)) for i, a in self.slots]
+
+    @cached_property
+    def levels(self) -> list:
+        """Per slot, a set of distinct term nodes per stack level, top first."""
+        levels = [[{self.out[v][k] for v in range(self.n)}] for k in range(len(self._depths))]
+        for per_slot, depth in zip(levels, self._depths):
+            while len(per_slot) < depth:
+                per_slot.append({c for t in per_slot[-1] for c, _w in self.out[t]})
+        return levels
 
     @cached_property
     def preds(self) -> list:

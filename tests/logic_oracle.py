@@ -3,15 +3,18 @@ subset-sum grid they draw bounds from, kept as the differential oracle
 for ``futs.logic`` and the formula half of ``futs.textio``.
 
 Every formula pass here recurses once per nesting level, so a formula
-deeper than the recursion limit raises ``RecursionError``.  ``_oracle``
-is the level loop of ``bounded_logical_equiv`` and ``witness_formula``,
-and ``distinguishing_formula`` runs its own copy of it; both take their
-bounds from this module's ``realizable_grid``, which sums every subset of
-a term's weights with ``itertools.combinations``.  The formula classes,
-``conj``, ``_member``, ``_split_formula`` and the text cursor are shared
-with the library; ``parse_formula`` and ``write_formula`` pass
-``futs.logic`` for its formula classes and call this module's
-``check_formula``.
+deeper than the recursion limit raises ``RecursionError``.  ``Evaluator``
+tests a diamond with ``_member``, which walks each state's transition
+term again, shared subterms included; the library's evaluator tests each
+distinct term node of the compiled graph once.  ``_oracle`` is the level
+loop of ``bounded_logical_equiv`` and ``witness_formula``, and
+``distinguishing_formula`` runs its own copy of it; both take their
+bounds from this module's ``realizable_grid``, which walks the terms
+itself and sums every subset of a term's weights with
+``itertools.combinations``.  The formula classes, ``conj``,
+``_split_formula`` and the text cursor are shared with the library;
+``parse_formula`` and ``write_formula`` pass ``futs.logic`` for its
+formula classes and call this module's ``check_formula``.
 """
 
 from __future__ import annotations
@@ -29,18 +32,19 @@ from futs.logic import (
     Formula,
     FormulaError,
     Top,
-    _member,
     _split_formula,
     conj,
 )
 from futs.monoid import (
     Weight,
+    add,
     add_all,
     cancellative,
     check_weight,
     format_weight,
     hom_apply,
     is_zero,
+    nat_leq,
     positive,
     power_dirac,
     quote_id,
@@ -57,7 +61,7 @@ from futs.textio import (
     _resolve_modality,
     tokenize,
 )
-from futs.weightfn import Node
+from futs.weightfn import Leaf, Node
 
 
 def check_formula(phi: Formula, sig: Signature) -> Formula:
@@ -110,6 +114,17 @@ class Evaluator:
 
     def holds(self, x: str, phi: Formula) -> bool:
         return x in self.sat(phi)
+
+
+def _member(term: Node, bounds, idx: int, sat: frozenset[str], monoids) -> bool:
+    """Membership of a depth-(len(bounds)-idx) term in the threshold chain."""
+    m = monoids[idx]
+    acc = zero(m)
+    for k, w in term.entries:
+        ok = k.state in sat if isinstance(k, Leaf) else _member(k, bounds, idx + 1, sat, monoids)
+        if ok:
+            acc = add(m, acc, w)
+    return nat_leq(m, bounds[idx], acc)
 
 
 def sat_set(s: Futs, phi: Formula) -> frozenset[str]:

@@ -284,6 +284,19 @@ def test_overlong_quotient_weight_exit_2(capsys, tmp_path):
     assert err == "error: trans 0 x a: a weight has more than 4300 digits, too many to write\n"
 
 
+def test_overlong_grid_sum_exit_2(capsys, tmp_path):
+    """The bound grid orders its sums by their text, and x's two 4300-digit
+    weights sum to 4301 digits: one error line naming the limit, exit 2,
+    although y and z never touch the weights."""
+    src = tmp_path / "sum.futs"
+    big = "9" * 4300
+    src.write_text("futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\nstates { x, y, z }\n"
+                   f"trans 0 x a -> {{ y: {big}, z: {big} }}\n")
+    code, out, err = run(capsys, "equiv", str(src), "y", "z", "--logic")
+    assert (code, out) == (2, "")
+    assert err == "error: a sum of weights has more than 4300 digits, too many to write\n"
+
+
 def nested_system(tmp_path, stack: int, nesting: int):
     """A file whose one stack holds ``stack`` monoids, each nested
     ``nesting`` products deep, in which x steps through every level to y,

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import futs.logic
 from futs.bisim import Partition, largest_bisimulation
 from futs.logic import (
     TOP,
@@ -24,10 +25,10 @@ from futs.logic import (
     translate_to_wts,
     witness_formula,
 )
-from futs.monoid import BOOL_OR, NAT_PLUS, RAT_PLUS, power_dirac
+from futs.monoid import BOOL_OR, NAT_PLUS, RAT_PLUS, power_dirac, zero
 from futs.reduce import SIG_FUNCS, STAGE_FUNCS, homogenize, to_wts
-from futs.system import Component, Signature
-from futs.textio import parse_system
+from futs.system import Component, Futs, Signature
+from futs.textio import parse_formula, parse_system
 
 from conftest import (
     CORPUS_SIGS,
@@ -64,6 +65,35 @@ def test_sat_set_examples(fig1):
     assert sat_set(fig1, d(0, "b", (True, Fraction(1, 2)))) == frozenset({"s1"})
     phi = d(0, "b", (True, Fraction(1, 2)))
     assert sat_set(fig1, And(phi, TOP)) == sat_set(fig1, phi)
+
+
+def test_diamond_tests_each_term_node_once(monkeypatch):
+    """k states step to one distribution: a two-level diamond compares the
+    shared top term, the distribution and the zero term of t0 and t1 once
+    each, where a walk of every state's term makes 2k + 2 comparisons."""
+    k = 6
+    ps = [f"p{j}" for j in range(k)]
+    s = parse_system("futs\nlabels A0 = { a }\nmonoids M0 = [ bool-or, rat-plus ]\n"
+                     f"states {{ {', '.join(ps)}, t0, t1 }}\n"
+                     + "".join(f"trans 0 {p} a -> {{ {{ t0: 1/2, t1: 1/2 }}: tt }}\n" for p in ps))
+    calls = []
+    nat_leq = futs.logic.nat_leq
+    monkeypatch.setattr(futs.logic, "nat_leq", lambda *args: calls.append(args) or nat_leq(*args))
+    assert sat_set(s, parse_formula("<a|tt, 1/2> T", s.sig)) == frozenset(ps)
+    assert len(calls) == len(s.graph.term) - s.graph.n == 3
+
+
+@pytest.mark.parametrize("sig", CORPUS_SIGS)
+def test_empty_carrier(sig):
+    """No states means no top term nodes; every level still has its (empty)
+    node set, so diamonds hold nowhere and the grid holds the zeros."""
+    empty, rng = Futs(sig, []), random.Random(0)
+    comp = sig.components[-1]
+    zero_bounds = d(len(sig.components) - 1, comp.labels[0], [zero(m) for m in comp.monoids])
+    for phi in [zero_bounds, TOP] + [random_formula(rng, sig, 3) for _ in range(5)]:
+        assert sat_set(empty, phi) == frozenset()
+    assert realizable_grid(empty) == {(i, j): [zero(m)] for i, c in enumerate(sig.components)
+                                      for j, m in enumerate(c.monoids)}
 
 
 def test_check_formula_errors(fig1):

@@ -16,6 +16,7 @@ import tempfile
 from hypothesis import assume, given, settings, strategies as st
 
 from futs.logic import (
+    TOP,
     And,
     Diamond,
     Evaluator,
@@ -202,6 +203,49 @@ def test_realizable_grid_matches_oracle(sig, rng):
                 trans[(i, x, rng.choice(comp.labels))] = pooled_term(rng, comp.monoids, s.states)
     s = Futs(sig, s.states, trans)
     assert repr(realizable_grid(s)) == repr(oracle.realizable_grid(s))
+
+
+def shared_term_system(rng: random.Random, sig, n_states: int):
+    """A system whose terms at each level of a component are drawn from a
+    pool of three, built bottom-up from the pool below, so that subterms
+    repeat across states, slots and parents."""
+    states = [f"q{k}" for k in range(n_states)]
+    trans = {}
+    for i, comp in enumerate(sig.components):
+        pool = [Leaf(x) for x in states]
+        for j in reversed(range(comp.depth)):
+            stack = comp.monoids[j:]
+            pool = [node(stack, [(rng.choice(pool), random_weight(rng, stack[0], nonzero=True))
+                                 for _ in range(rng.randint(0, 3))]) for _ in range(3)]
+        for x in states:
+            for a in comp.labels:
+                if rng.random() < 0.8:
+                    trans[(i, x, a)] = rng.choice(pool)
+    return Futs(sig, states, trans)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(CORPUS_SIGS), st.randoms(use_true_random=False))
+def test_shared_subterms_match_oracle(sig, rng):
+    """The evaluator tests each distinct term node of the graph once; the
+    recursive one walks every occurrence.  Diamond bounds come from the
+    grid, so that they hit the class sums exactly."""
+    s = shared_term_system(rng, sig, rng.randint(1, 4))
+    grid = oracle.realizable_grid(s)
+    pool = [TOP]
+    for _ in range(rng.randint(1, 8)):
+        if rng.random() < 0.3:
+            pool.append(And(rng.choice(pool), rng.choice(pool)))
+        else:
+            i = rng.randrange(len(sig.components))
+            comp = sig.components[i]
+            bounds = tuple(rng.choice(grid[(i, j)]) for j in range(comp.depth))
+            pool.append(Diamond(i, rng.choice(comp.labels), bounds, rng.choice(pool)))
+    phi = pool[-1]
+    assert sat_set(s, phi) == oracle.sat_set(s, phi)
+    new, old = Evaluator(s), oracle.Evaluator(s)
+    assert [new.sat(f) for f in pool] == [old.sat(f) for f in pool]
+    assert repr(realizable_grid(s)) == repr(grid)
 
 
 def run_cli(argv):
