@@ -14,19 +14,16 @@ module defining ``X``.
 import importlib
 
 _EXPORTS = {
-    "bisim": ("Partition all_partitions ext_related is_bisimulation largest_bisimulation "
-              "quotient_system"),
+    "bisim": "Partition all_partitions is_bisimulation largest_bisimulation quotient_system",
     "logic": ("And Diamond Formula Top bounded_logical_equiv distinguishing_formula sat_set "
               "satisfies translate translate_to_wts"),
     "monoid": ("BOOL_OR NAT_MAX NAT_PLUS RAT_PLUS Hom Monoid Power Product add cancellative "
                "hom_apply monoid_section nat_leq positive power_dirac zero"),
     "reduce": ("Reduction extend_bisim flatten homogenize nest plan_wts_stages restrict_bisim "
                "tabularize to_wts unlabel verify_reduction"),
-    "system": ("CarrierMap Component Futs Signature dirac_embed is_homomorphism "
-               "project_component relabel_weights systems_equal validate"),
+    "system": "Component Futs Signature relabel_weights validate",
     "textio": "ParseError parse_formula parse_system write_formula write_system",
-    "weightfn": ("Leaf Node class_sum leaves node pushforward quotient_term support "
-                 "term_equal zero_term"),
+    "weightfn": "Leaf Node leaves node pushforward quotient_term zero_term",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .system import Futs
-from .weightfn import Term, leaves, quotient_term, term_equal
+from .weightfn import quotient_term
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,6 @@ class Partition:
             new_blocks.extend(groups.values())
         return Partition.of_blocks(self.carrier, new_blocks)
 
-    def restrict(self, sub: Iterable[str]) -> "Partition":
-        keep = set(sub)
-        blocks = [tuple(x for x in b if x in keep) for b in self.blocks]
-        return Partition.of_blocks(keep, [b for b in blocks if b])
-
     def render(self) -> str:
         inner = ", ".join("{" + ", ".join(b) + "}" for b in self.blocks)
         return "{ " + inner + " }"
@@ -107,16 +102,6 @@ def all_partitions(carrier: Iterable[str]) -> Iterator[Partition]:
         return
     for raw in go(0, []):
         yield Partition.of_blocks(items, raw)
-
-
-def ext_related(p: Partition, t: Term, t2: Term) -> bool:
-    """Extension of the partition to behaviours: equal quotiented terms."""
-    carrier = set(p.carrier)
-    for term in (t, t2):
-        extra = leaves(term) - carrier
-        if extra:
-            raise ValueError(f"term mentions states outside the carrier: {sorted(extra)}")
-    return term_equal(quotient_term(t, p.kappa), quotient_term(t2, p.kappa))
 
 
 def is_bisimulation(s: Futs, p: Partition) -> bool:

@@ -36,12 +36,11 @@ def cmd_bisim(args) -> int:
     from . import bisim, textio
     s = _load_system(args.file)
     part = bisim.largest_bisimulation(s)
-    # written in full before any output, so a failure leaves neither
-    quotient = textio.write_system(bisim.quotient_system(s, part)) if args.quotient else None
-    print(part.render())
-    if quotient is not None:
+    if args.quotient:  # written before the partition is printed, so a failure prints nothing
+        quotient = textio.write_system(bisim.quotient_system(s, part))
         with open(args.quotient, "w", encoding="utf-8") as fh:
             fh.write(quotient)
+    print(part.render())
     return OK
 
 
@@ -243,7 +242,7 @@ def main(argv=None) -> int:
         for d in e.diagnostics:
             print(d.render(), file=sys.stderr)
         return USAGE
-    except (FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:  # a file that cannot be read or written, or bad input
         print(f"error: {e}", file=sys.stderr)
         return USAGE
     except Exception as e:  # a bug, never a verdict: exit 1 means "property fails"

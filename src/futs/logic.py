@@ -470,16 +470,15 @@ def distinguishing_formula(s: Futs, x: str, y: str,
 
 def _split_formula(s: Futs, ev: Evaluator, x: str, y: str, bodies) -> Optional[Formula]:
     """Scan (label, body) pairs for differing class sums over the body's
-    satisfaction set; the larger (or incomparable own) sum is the bound."""
-    comp = s.sig.components[0]
-    m = comp.monoids[0]
-    for a in comp.labels:
-        tx = s.transition(0, x, a)
-        ty = s.transition(0, y, a)
+    satisfaction set, summed off ``Futs.graph``; the larger (or incomparable
+    own) sum is the bound."""
+    g, m = s.graph, s.sig.components[0].monoids[0]
+    for (_i, a), k in g.slots.items():
+        tx, ty = (g.out[g.out[g.ids[z]][k]] for z in (x, y))
         for chi in bodies:
             target = ev.sat(chi)
-            sum_x = add_all(m, (w for k, w in tx.entries if k.state in target))
-            sum_y = add_all(m, (w for k, w in ty.entries if k.state in target))
+            sum_x, sum_y = (add_all(m, (w for c, w in t if s.states[c] in target))
+                            for t in (tx, ty))
             if sum_x == sum_y:
                 continue
             bound = sum_x if not nat_leq(m, sum_x, sum_y) else sum_y

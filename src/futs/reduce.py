@@ -37,13 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .monoid import NAT_PLUS, Hom, Power, Product, monoid_section, power_dirac
-from .system import (
-    CarrierMap,
-    Component,
-    Futs,
-    Signature,
-    relabel_weights,
-)
+from .system import Component, Futs, Signature, relabel_weights
 from .weightfn import Leaf, Node, Term, format_term, node
 
 if TYPE_CHECKING:  # the stages need no bisimulation code; the rest imports it on use
@@ -65,10 +59,6 @@ class Reduction:
     full: bool
     stages: tuple["Reduction", ...] = ()
     intermediates: tuple[tuple[str, Term], ...] = ()
-
-    @property
-    def carrier_map(self) -> CarrierMap:
-        return CarrierMap(self.source, self.target, self.state_map)
 
 
 # --- signature transforms (single source of truth, shared with logic) ------

@@ -14,8 +14,8 @@ from functools import cached_property
 from types import MappingProxyType
 
 from . import monoid as mo
-from .monoid import BOOL_OR, Hom, Monoid
-from .weightfn import Leaf, Node, Term, leaves, node, pushforward, term_depth, zero_term
+from .monoid import Hom, Monoid
+from .weightfn import Leaf, Node, Term, leaves, node, term_depth, zero_term
 
 
 @dataclass(frozen=True)
@@ -181,10 +181,6 @@ class Graph:
         return class_of
 
 
-def systems_equal(s1: Futs, s2: Futs) -> bool:
-    return s1.sig == s2.sig and s1.states == s2.states and s1.trans == s2.trans
-
-
 def validate(s: Futs) -> list[str]:
     """Check every invariant; returns diagnostics rather than raising."""
     out: list[str] = []
@@ -212,71 +208,6 @@ def validate(s: Futs) -> list[str]:
             if leaf not in state_set:
                 out.append(f"{where}: unknown state {leaf!r} in transition term")
     return out
-
-
-@dataclass(frozen=True)
-class CarrierMap:
-    """A total map between the carriers of two systems."""
-
-    source: Futs
-    target: Futs
-    mapping: dict
-
-    def __post_init__(self):
-        missing = [x for x in self.source.states if x not in self.mapping]
-        if missing:
-            raise ValueError(f"carrier map is not total: missing {missing}")
-        bad = [y for y in self.mapping.values() if y not in set(self.target.states)]
-        if bad:
-            raise ValueError(f"carrier map hits unknown target states {bad}")
-
-    def __call__(self, state: str) -> str:
-        return self.mapping[state]
-
-    @property
-    def injective(self) -> bool:
-        img = [self.mapping[x] for x in self.source.states]
-        return len(set(img)) == len(img)
-
-
-def is_homomorphism(f: CarrierMap) -> bool:
-    """True iff the target transition of f(x) is the pushforward of x's."""
-    if f.source.sig != f.target.sig:
-        raise ValueError("homomorphism check needs systems of the same signature")
-    for i, comp in enumerate(f.source.sig.components):
-        for x in f.source.states:
-            for a in comp.labels:
-                image = pushforward(f.mapping, f.source.transition(i, x, a))
-                if image != f.target.transition(i, f.mapping[x], a):
-                    return False
-    return True
-
-
-def project_component(s: Futs, i: int) -> Futs:
-    """The single-component system keeping only component ``i``."""
-    comp = s.sig.components[i]
-    trans = {(0, x, a): term for (j, x, a), term in s.trans.items() if j == i}
-    return Futs(Signature((comp,)), s.states, trans)
-
-
-def dirac_embed(w: Futs) -> Futs:
-    """Embed a simple system into the boolean-outer two-level class.
-
-    Every transition function phi becomes the singleton set {phi}, encoded
-    as the boolean-weighted term {phi: tt}; this applies to the zero
-    function too, which becomes { {}: tt } rather than the zero term.
-    """
-    if not w.sig.is_simple:
-        raise ValueError("dirac_embed needs a simple (single component, depth 1) system")
-    comp = w.sig.components[0]
-    new_comp = Component(comp.labels, (BOOL_OR,) + comp.monoids)
-    sig = Signature((new_comp,))
-    trans = {}
-    for x in w.states:
-        for a in comp.labels:
-            phi = w.transition(0, x, a)
-            trans[(0, x, a)] = node(new_comp.monoids, [(phi, True)])
-    return Futs(sig, w.states, trans)
 
 
 def _map_term(term: Term, homs: tuple[Hom, ...], new_stack: tuple[Monoid, ...]) -> Term:

@@ -42,10 +42,9 @@ class Diagnostic:
     line: int
     column: int
     message: str
-    severity: str = "error"
 
     def render(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 class ParseError(Exception):

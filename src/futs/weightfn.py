@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional, Union
 
 from .monoid import (
     SEPARATORS,
     Monoid,
     Weight,
     add,
-    add_all,
     check_weight,
     format_weight,
     quote_id,
@@ -94,19 +93,8 @@ def zero_term(stack) -> Node:
     return node(stack, ())
 
 
-def singleton(stack, key: Term, w: Weight) -> Node:
-    return node(stack, [(key, w)])
-
-
 def term_depth(t: Term) -> int:
     return len(t.stack) if isinstance(t, Node) else 0
-
-
-def support(t: Node) -> tuple[Term, ...]:
-    """The keys with non-zero weight."""
-    if not isinstance(t, Node):
-        raise TypeError("support is only defined on nodes")
-    return tuple(k for k, _ in t.entries)
 
 
 def leaves(t: Term) -> set[str]:
@@ -151,23 +139,3 @@ def pushforward(f: Union[Mapping[str, str], Callable[[str], str]], t: Term) -> T
 def quotient_term(t: Term, kappa: Mapping[str, str]) -> Term:
     """Pushforward along a partition's quotient map (leaf -> block id)."""
     return pushforward(kappa, t)
-
-
-def term_equal(t: Term, t2: Term) -> bool:
-    """Structural equality of canonical forms.
-
-    Requires both terms to live over the same depth and monoid stack;
-    anything else is a usage bug and raises.
-    """
-    d1, d2 = term_depth(t), term_depth(t2)
-    if d1 != d2:
-        raise ValueError(f"depth mismatch: {d1} vs {d2}")
-    if d1 > 0 and t.stack != t2.stack:
-        raise ValueError("monoid stack mismatch")
-    return t == t2
-
-
-def class_sum(t: Node, members: Iterable[Term]) -> Weight:
-    """Monoid sum of the weights of entries whose key lies in ``members``."""
-    wanted = set(members)
-    return add_all(t.stack[0], (w for k, w in t.entries if k in wanted))

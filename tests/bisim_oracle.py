@@ -4,13 +4,81 @@ Every round re-quotients every transition term of every state under the
 current partition and splits each block by the canonical serialisation
 of the results.  Slow, but a direct transcription of the definition of
 bisimulation, and independent of ``futs.bisim``'s compiled-graph engine.
+
+Beside it live the routes the library replaced: the term-level
+extension ``ext_related`` (superseded by ``Graph.classifier``), and
+carrier maps with the homomorphism check that the kernel
+characterisation reads.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from futs.bisim import Partition
-from futs.system import CarrierMap, Futs, is_homomorphism
-from futs.weightfn import format_term, quotient_term
+from futs.system import Futs
+from futs.weightfn import Term, format_term, leaves, pushforward, quotient_term
+
+from conftest import systems_equal, term_equal
+
+
+@dataclass(frozen=True)
+class CarrierMap:
+    """A total map between the carriers of two systems."""
+
+    source: Futs
+    target: Futs
+    mapping: dict
+
+    def __post_init__(self):
+        missing = [x for x in self.source.states if x not in self.mapping]
+        if missing:
+            raise ValueError(f"carrier map is not total: missing {missing}")
+        bad = [y for y in self.mapping.values() if y not in set(self.target.states)]
+        if bad:
+            raise ValueError(f"carrier map hits unknown target states {bad}")
+
+    def __call__(self, state: str) -> str:
+        return self.mapping[state]
+
+    @property
+    def injective(self) -> bool:
+        img = [self.mapping[x] for x in self.source.states]
+        return len(set(img)) == len(img)
+
+
+def identity_map(s: Futs) -> CarrierMap:
+    return CarrierMap(s, s, {x: x for x in s.states})
+
+
+def compose_maps(first: CarrierMap, second: CarrierMap) -> CarrierMap:
+    if first.target is not second.source and not systems_equal(first.target, second.source):
+        raise ValueError("carrier maps do not compose")
+    return CarrierMap(first.source, second.target,
+                      {x: second.mapping[first.mapping[x]] for x in first.source.states})
+
+
+def is_homomorphism(f: CarrierMap) -> bool:
+    """True iff the target transition of f(x) is the pushforward of x's."""
+    if f.source.sig != f.target.sig:
+        raise ValueError("homomorphism check needs systems of the same signature")
+    for i, comp in enumerate(f.source.sig.components):
+        for x in f.source.states:
+            for a in comp.labels:
+                image = pushforward(f.mapping, f.source.transition(i, x, a))
+                if image != f.target.transition(i, f.mapping[x], a):
+                    return False
+    return True
+
+
+def ext_related(p: Partition, t: Term, t2: Term) -> bool:
+    """Extension of the partition to behaviours: equal quotiented terms."""
+    carrier = set(p.carrier)
+    for term in (t, t2):
+        extra = leaves(term) - carrier
+        if extra:
+            raise ValueError(f"term mentions states outside the carrier: {sorted(extra)}")
+    return term_equal(quotient_term(t, p.kappa), quotient_term(t2, p.kappa))
 
 
 def _state_signature(s: Futs, p: Partition, x: str) -> tuple[str, ...]:

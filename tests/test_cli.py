@@ -242,6 +242,25 @@ def test_missing_file(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "<tmp>", "--formula", "T"),
+    ("bisim", "<tmp>"),
+    ("check", FIG1, "--formula-file", "<tmp>"),
+    ("reduce", FIG1, "--to", "wts", "-o", "<tmp>"),
+    ("bisim", W3, "--quotient", "<tmp>"),
+    ("bisim", W3, "--quotient", "<tmp>/no-such-dir/q.futs"),
+    ("reduce", FIG1, "--to", "wts", "-o", f"{FIG1}/out.futs"),
+], ids=["check", "bisim", "formula-file", "output", "quotient", "quotient-missing-dir",
+        "not-a-directory"])
+def test_unusable_path_exit_2(capsys, tmp_path, argv):
+    """A path that names a directory, or runs through a missing directory
+    or a file, is one error line and exit 2, with nothing on stdout (no
+    partition either, when the quotient cannot be written)."""
+    code, out, err = run(capsys, *(a.replace("<tmp>", str(tmp_path)) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
 def test_usage_error(capsys):
     assert main(["reduce", FIG1]) == 2  # missing --to/-o
 

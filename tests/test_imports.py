@@ -85,3 +85,22 @@ def test_star_import_and_unknown_names():
         futs.no_such_name
     with pytest.raises(ImportError):
         exec("from futs import no_such_name", {})
+
+
+# test-only and superseded names, now in tests/bisim_oracle.py and tests/conftest.py
+MOVED = {
+    "system": "CarrierMap dirac_embed is_homomorphism project_component systems_equal",
+    "bisim": "ext_related",
+    "weightfn": "class_sum singleton support term_equal",
+}
+
+
+def test_moved_names_are_not_library_api():
+    for module, names in MOVED.items():
+        for name in names.split():
+            assert name not in futs.__all__
+            assert not hasattr(importlib.import_module(f"futs.{module}"), name), name
+            with pytest.raises(ImportError):
+                exec(f"from futs import {name}", {})
+    assert not hasattr(futs.bisim.Partition, "restrict")
+    assert not hasattr(futs.reduce.Reduction, "carrier_map")

@@ -28,6 +28,7 @@ from futs.reduce import (
 from futs.system import Component, Futs, Signature, validate
 from futs.weightfn import Leaf, node, term_depth
 
+from bisim_oracle import CarrierMap
 from conftest import (
     CORPUS_SIGS,
     GOLDEN,
@@ -139,7 +140,7 @@ def test_flatten_tiny_example():
     assert r.target.states == (t_id, "x")
     assert r.target.transition(0, "x", "u") == node((NAT_PLUS,), [(Leaf(t_id), 2)])
     assert r.target.transition(0, t_id, "u") == node((NAT_PLUS,), [(Leaf("x"), 3)])
-    assert not r.full and r.carrier_map.injective
+    assert not r.full and CarrierMap(r.source, r.target, r.state_map).injective
 
 
 def test_flatten_fig1_pipeline_states(fig1):
@@ -345,7 +346,7 @@ def test_full_flags_on_corpus():
     for s in corpus_systems()[:8]:
         assert unlabel(s).full and tabularize(s).full and homogenize(s).full
         r = to_wts(s)
-        assert r.carrier_map.injective
+        assert CarrierMap(r.source, r.target, r.state_map).injective
 
 
 def test_largest_bisimulation_transport_every_stage():
@@ -399,7 +400,7 @@ def test_composite_extends_like_stage_folding(fig1, w3):
 def test_unlabel_verifies_componentwise():
     # coherent-family decomposition: the product reduction's verdicts agree
     # with the per-component ones on the shared carrier
-    from futs.system import project_component
+    from conftest import project_component
     rng = random.Random(12)
     s = random_futs(rng, TWO_COMP, 4)
     whole = unlabel(s)

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 import reduce_oracle
 from futs import reduce as rd
 from futs.bisim import all_partitions, is_bisimulation
-from futs.system import Graph, systems_equal
+from futs.system import Graph
 
-from conftest import CORPUS_SIGS, corpus_systems, random_futs
+from conftest import CORPUS_SIGS, corpus_systems, random_futs, systems_equal
 
 
 @st.composite

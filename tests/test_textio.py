@@ -5,7 +5,6 @@ import pytest
 
 from futs.logic import TOP, And, Diamond
 from futs.reduce import to_wts
-from futs.system import systems_equal
 from futs.textio import (
     Diagnostic,
     ParseError,
@@ -23,6 +22,7 @@ from conftest import (
     WLTS_PROD,
     random_formula,
     random_futs,
+    systems_equal,
 )
 
 

@@ -1,5 +1,6 @@
 """The one-match tokenizer and the direct term parser against the old code
-(``textio_oracle``), and totality of the text entry points."""
+(``textio_oracle``), the write/parse round trip, and totality of the text
+entry points."""
 
 import random
 import re
@@ -7,11 +8,19 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from futs.system import Signature, systems_equal, validate
-from futs.textio import ParseError, parse_formula, parse_system, tokenize, write_system
+from futs.system import Signature, validate
+from futs.textio import (
+    ParseError,
+    parse_formula,
+    parse_system,
+    tokenize,
+    write_formula,
+    write_system,
+)
 
 import textio_oracle as oracle
 from conftest import (
+    CORPUS_SIGS,
     DATA,
     GOLDEN,
     NESTED3,
@@ -20,7 +29,9 @@ from conftest import (
     WLTS_NAT,
     WLTS_PROD,
     WLTS_RAT,
+    random_formula,
     random_futs,
+    systems_equal,
 )
 
 FIXTURES = [p.read_text() for p in sorted(DATA.glob("*.futs")) + sorted(GOLDEN.glob("*.futs"))]
@@ -70,18 +81,31 @@ def test_generated_systems_agree_with_oracle(sig, n, rng):
     assert_same_as_oracle(vary(rng, text))
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.sampled_from(FIXTURES), st.integers(0, 10**6), st.sampled_from("delete insert replace"),
-       st.sampled_from(ALPHABET))
-def test_fixture_mutations_agree_with_oracle(text, where, op, char):
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([sig for sig in CORPUS_SIGS if len(sig.components) > 1]),
+       st.integers(1, 6), st.randoms(use_true_random=False))
+def test_multi_component_round_trip(sig, n, rng):
+    s = random_futs(rng, sig, n)
+    assert systems_equal(parse_system(write_system(s)), s)
+
+
+def mutate(text: str, where: int, op: str, char: str) -> str:
     i = where % (len(text) + 1)
     if op == "delete":
-        text = text[:i] + text[i + 1:]
-    elif op == "insert":
-        text = text[:i] + char + text[i:]
-    else:
-        text = text[:i] + char + text[i + 1:]
-    assert_same_as_oracle(text)
+        return text[:i] + text[i + 1:]
+    if op == "insert":
+        return text[:i] + char + text[i:]
+    return text[:i] + char + text[i + 1:]
+
+
+EDITS = (st.integers(0, 10**6), st.sampled_from("delete insert replace"),
+         st.sampled_from(ALPHABET))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(FIXTURES), *EDITS)
+def test_fixture_mutations_agree_with_oracle(text, where, op, char):
+    assert_same_as_oracle(mutate(text, where, op, char))
 
 
 @pytest.mark.parametrize("term", [
@@ -110,7 +134,7 @@ TRANS = ["trans {i} x a -> {{ y: 1, x: 2 }}", "trans {i} y b -> {{ {{ x: 1/2 }}:
 
 
 @st.composite
-def system_lines(draw):
+def system_lines(draw, max_trans: int = 3):
     """Directive lines in a plausible order, any of which may be missing."""
     lines = ["futs"]
     for i in range(draw(st.integers(0, 2))):
@@ -119,7 +143,7 @@ def system_lines(draw):
         if draw(st.booleans()):
             lines.append(f"monoids M{i} = [ {draw(st.sampled_from(MONOIDS))} ]")
     lines.append(draw(st.sampled_from(["states { x, y }", "states { }", "states { x, x }", ""])))
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, max_trans))):
         lines.append(draw(st.sampled_from(TRANS)).format(i=draw(st.integers(0, 2))))
     return "\n".join(lines)
 
@@ -151,6 +175,43 @@ def test_tokenize_and_parse_system_are_total(text):
 @settings(deadline=None, max_examples=300)
 @given(st.sampled_from(FORMULA_SIGS + [TWO_COMP, NESTED3]), TEXTS)
 def test_parse_formula_is_total(sig: Signature, text):
+    value_or_parse_error(parse_formula, text, sig)
+
+
+# texts of 60 to 400 characters: long enough for several lines, diamonds
+# and nested terms, where the short texts above stop
+LONG_TEXTS = st.one_of(
+    st.text(min_size=60, max_size=400),
+    st.text(ALPHABET, min_size=60, max_size=400),
+    st.lists(st.sampled_from(PIECES), min_size=60, max_size=200).map("".join),
+    st.tuples(system_lines(max_trans=12), st.lists(st.sampled_from(PIECES), max_size=60))
+    .map(lambda t: t[0] + "\n" + "".join(t[1])),
+).map(lambda text: text[:400]).filter(lambda text: len(text) >= 60)
+
+
+@st.composite
+def long_formula_texts(draw, sig: Signature):
+    """Written random formulas joined by ``&`` up to 60 characters or
+    more, with one character edited."""
+    rng = draw(st.randoms(use_true_random=False))
+    text = write_formula(random_formula(rng, sig, 4), sig)
+    while len(text) < 61:  # a deleted character leaves 60
+        text += " & " + write_formula(random_formula(rng, sig, 4), sig)
+    return mutate(text, *(draw(e) for e in EDITS))[:400]
+
+
+@settings(deadline=None, max_examples=200)
+@given(LONG_TEXTS)
+def test_parse_system_is_total_on_long_texts(text):
+    assert 60 <= len(text) <= 400
+    value_or_parse_error(parse_system, text)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(FORMULA_SIGS + [TWO_COMP, NESTED3]), st.data())
+def test_parse_formula_is_total_on_long_texts(sig: Signature, data):
+    text = data.draw(st.one_of(LONG_TEXTS, long_formula_texts(sig)))
+    assert 60 <= len(text) <= 400
     value_or_parse_error(parse_formula, text, sig)
 
 

@@ -10,16 +10,12 @@ from futs.monoid import BOOL_OR, NAT_PLUS, RAT_PLUS, Power, format_weight
 from futs.weightfn import (
     Leaf,
     Node,
-    class_sum,
     format_term,
     leaves,
     node,
     pushforward,
     quotient_term,
-    singleton,
-    support,
     term_depth,
-    term_equal,
     zero_term,
 )
 
@@ -31,8 +27,12 @@ from conftest import (
     ULTRAS_RAT,
     WLTS_PROD,
     Hashed,
+    class_sum,
     load_from_other_process,
     random_term,
+    singleton,
+    support,
+    term_equal,
     weight_of,
 )
 
