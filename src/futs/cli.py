@@ -10,6 +10,7 @@ take an explicit ``--seed``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # Library modules are imported by the commands that use them, so a launch
@@ -56,12 +57,16 @@ def _run_reduction(s, stage: str):
 def cmd_reduce(args) -> int:
     from . import textio
     r = _run_reduction(_load_system(args.file), args.to)
+    target = textio.write_system(r.target)
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(textio.write_system(r.target))
+        fh.write(target)
     if args.map:
-        with open(args.map, "w", encoding="utf-8") as fh:
-            for x in r.source.states:
-                fh.write(f"{x} -> {r.state_map[x]}\n")
+        try:
+            with open(args.map, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{x} -> {r.state_map[x]}\n" for x in r.source.states)
+        except OSError:  # a failed command leaves no result file behind
+            os.remove(args.output)
+            raise
     return OK
 
 
@@ -69,21 +74,28 @@ def cmd_check(args) -> int:
     from . import logic, textio
     s = _load_system(args.file)
     if args.formula is not None:
-        texts = [args.formula]
+        texts = [(args.formula, 1, 0)]  # (text, its first line, its indent)
     else:
         with open(args.formula_file, encoding="utf-8") as fh:
-            texts = [line for line in (raw.strip() for raw in fh) if line]
+            texts = [(raw.strip(), n, len(raw) - len(raw.lstrip()))
+                     for n, raw in enumerate(fh, start=1) if raw.strip()]
         if not texts:
             print("error: no formulas in file", file=sys.stderr)
             return USAGE
     if args.state is not None and args.state not in set(s.states):
         print(f"error: unknown state {args.state!r}", file=sys.stderr)
         return USAGE
+    formulas = []  # all read before any is checked, so a bad one prints nothing
+    for text, first, indent in texts:
+        try:
+            formulas.append((text, textio.parse_formula(text, s.sig)))
+        except textio.ParseError as e:  # positioned in the file's raw lines
+            raise textio.ParseError(textio.Diagnostic(first + d.line - 1, d.column + indent,
+                                                      d.message) for d in e.diagnostics) from e
     all_hold = True
-    for text in texts:
-        phi = textio.parse_formula(text, s.sig)
+    for text, phi in formulas:
         sat = logic.sat_set(s, phi)
-        if len(texts) > 1:
+        if len(formulas) > 1:
             print(f"formula: {text}")
         if args.state is not None:
             holds = args.state in sat

@@ -22,7 +22,9 @@ system.
 
 from __future__ import annotations
 
+import itertools
 import re
+import string
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +33,7 @@ from typing import TYPE_CHECKING
 from . import monoid as mo
 from .monoid import Monoid, quote_id
 from .system import Component, Futs, Signature
-from .weightfn import Leaf, Node, Term, format_term, node
+from .weightfn import Leaf, Node, format_term, node
 
 if TYPE_CHECKING:  # formulas are imported where they are read or written
     from .logic import Formula
@@ -57,95 +59,137 @@ def _fail(line: int, column: int, message: str):
     raise ParseError([Diagnostic(line, column, message)])
 
 
-def _int(tok: Token, digits: str | None = None) -> int:
-    """The natural written by ``digits`` (default: the token's value)."""
-    digits = tok.value if digits is None else digits
-    try:
-        return int(digits)
-    except ValueError:  # more digits than int() converts from text
-        _fail(tok.line, tok.column, f"number too long ({len(digits)} digits)")
+class _At(Exception):
+    """A diagnostic at token ``index`` of the token list being read, or
+    ``shift`` columns past that token's start (``None``: column 1 of its
+    line).  Tokens are plain strings without positions; ``_raise_at``
+    finds the line and column again from the text."""
+
+    def __init__(self, index: int, message: str, shift: int | None = 0):
+        super().__init__(message)
+        self.index, self.message, self.shift = index, message, shift
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str
-    value: str
-    line: int
-    column: int
-
-
-# one match per token: leading blanks are part of the match, and a
-# character no token can start with falls through to ``bad``
+# one match per token, which is the group: leading blanks are skipped, and
+# a character no token can start with is a (bad) token of its own
 _TOKEN_RE = re.compile(
     r"""
     [ \t]*
-    (?:
-      (?P<comment>\#[^\n]*)
-    | (?P<btick>`[^`\n]*`)
-    | (?P<arrow>->)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-(?!>)[A-Za-z0-9_]+)*)
-    | (?P<star>\*)
-    | (?P<nat>[0-9]+)
-    | (?P<punct>[{}\[\](),:|<>&/=])
-    | (?P<bad>[^ \t])
+    ( \#[^\n]*                                      # a comment
+    | `[^`\n]*`                                     # a quoted identifier
+    | ->
+    | [A-Za-z_][A-Za-z0-9_]*(?:-(?!>)[A-Za-z0-9_]+)*
+    | \*
+    | [0-9]+
+    | [{}\[\](),:|<>&/=]
+    | [^ \t]
     )
     """,
     re.VERBOSE,
 )
+# a token's kind is read off its first character; a bad token is one
+# character, and no other one-character token
+_IDENT_START = frozenset(string.ascii_letters + "_*`")
+_DIGITS = frozenset(string.digits)
+_ONE_CHAR = frozenset(string.ascii_letters + string.digits + "_*{}[](),:|<>&/=")
 
 
-def tokenize(text: str, first_line: int = 1) -> list[Token]:
-    out: list[Token] = []
-    for lineno, raw in enumerate(text.split("\n"), start=first_line):
+def _tokens(raw: str) -> list[str]:
+    """The tokens of one line, its comment dropped, then ``""`` for its end."""
+    toks = _TOKEN_RE.findall(raw)
+    if toks and toks[-1][0] == "#":
+        toks[-1] = ""
+    else:
+        toks.append("")
+    return toks
+
+
+def _value(tok: str) -> str:
+    """A token as diagnostics quote it: identifiers without backticks."""
+    return tok[1:-1] if tok[:1] == "`" else tok
+
+
+def _name(tok: str) -> str | None:
+    """The identifier a token spells, or None if it is not an identifier."""
+    return _value(tok) if tok[:1] in _IDENT_START and tok != "`" else None
+
+
+def _scan(lines, first_line: int):
+    """(line, column, token) for each token of ``lines``, comments dropped."""
+    for lineno, raw in enumerate(lines, start=first_line):
         for m in _TOKEN_RE.finditer(raw):
-            kind = m.lastgroup
-            value = m[kind]
-            column = m.start(kind) + 1
-            if kind == "btick":
-                out.append(Token("ident", value[1:-1], lineno, column))
-            elif kind == "star":
-                out.append(Token("ident", value, lineno, column))
-            elif kind == "bad":
-                _fail(lineno, column, f"unexpected character {value!r}")
-            elif kind != "comment":
-                out.append(Token(kind, value, lineno, column))
-    return out
+            if m[1][0] != "#":
+                yield lineno, m.start(1) + 1, m[1]
 
 
-class _Cursor:
-    def __init__(self, tokens: list[Token], end_line: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.end_line = end_line
+def _raise_at(e: _At, toks: list[str], lines: list[str], first_line: int):
+    """Report ``e``, raised reading ``toks``, the tokens of ``lines`` from
+    their first.  As if every line were tokenized before any is read, an
+    unexpected character anywhere in ``lines`` is reported instead."""
+    for lineno, column, tok in _scan(lines, first_line):
+        if len(tok) == 1 and tok not in _ONE_CHAR:
+            _fail(lineno, column, f"unexpected character {tok!r}")
+    index, shift = e.index, e.shift
+    if not toks[index]:  # the end of input: just past the last token
+        if index == 0:
+            _fail(first_line, 1, e.message)
+        index, shift = index - 1, len(_value(toks[index - 1]))
+    lineno, column, _ = next(itertools.islice(_scan(lines, first_line), index, None))
+    _fail(lineno, 1 if shift is None else column + shift, e.message)
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self, kind=None, value=None, what="token") -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else self.end_line
-            col = last.column + len(last.value) if last else 1
-            _fail(line, col, f"expected {what}, found end of input")
-        if kind is not None and tok.kind != kind:
-            _fail(tok.line, tok.column, f"expected {what}, found {tok.value!r}")
-        if value is not None and tok.value != value:
-            _fail(tok.line, tok.column, f"expected {value!r}, found {tok.value!r}")
-        self.pos += 1
-        return tok
+def _expected(toks: list[str], i: int, what: str):
+    found = repr(_value(toks[i])) if toks[i] else "end of input"
+    raise _At(i, f"expected {what}, found {found}")
 
-    def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.value == value and tok.kind != "ident"
 
-    def expect_done(self):
-        tok = self.peek()
-        if tok is not None:
-            _fail(tok.line, tok.column, f"unexpected trailing {tok.value!r}")
+def _skip(toks: list[str], i: int, value: str) -> int:
+    """The index past token ``i``, which must spell ``value``."""
+    tok = toks[i]
+    if tok != value and _value(tok) != value:
+        _expected(toks, i, repr(value) if tok else "token")
+    return i + 1
+
+
+def _done(toks: list[str], i: int):
+    if toks[i]:
+        raise _At(i, f"unexpected trailing {_value(toks[i])!r}")
+
+
+def _ident(toks: list[str], i: int, what: str) -> str:
+    name = _name(toks[i])
+    if name is None:
+        _expected(toks, i, what)
+    return name
+
+
+def _idents(toks: list[str], i: int, what: str) -> tuple[list[str], int]:
+    """Identifiers separated by ``,`` from token ``i``, and the index past them."""
+    names = [_ident(toks, i, what)]
+    while toks[i + 1] == ",":
+        i += 2
+        names.append(_ident(toks, i, what))
+    return names, i + 1
+
+
+def _int(toks: list[str], i: int, digits: str | None = None) -> int:
+    """The natural written by ``digits`` (default: token ``i``)."""
+    digits = toks[i] if digits is None else digits
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts from text
+        raise _At(i, f"number too long ({len(digits)} digits)") from None
+
+
+def _nat(toks: list[str], i: int, what: str) -> int:
+    if toks[i][:1] not in _DIGITS:
+        _expected(toks, i, what)
+    return _int(toks, i)
 
 
 # --- monoid and weight parsing ----------------------------------------------
+# Each reader takes the token list and the index of its first token, and
+# returns what it read and the index past it.
 
 _MONOID_NAMES = {
     "bool-or": mo.BOOL_OR,
@@ -160,256 +204,205 @@ _MONOID_NAMES = {
 MAX_NESTING = 100
 
 
-def _parse_monoid(cur: _Cursor, nesting: int = 0) -> Monoid:
-    tok = cur.next("ident", what="monoid")
-    if tok.value in _MONOID_NAMES:
-        return _MONOID_NAMES[tok.value]
-    if tok.value in ("prod", "pow") and nesting == MAX_NESTING:
-        _fail(tok.line, tok.column, f"monoid type nested more than {MAX_NESTING} deep")
-    if tok.value == "prod":
-        cur.next(value="(")
-        factors = [_parse_monoid(cur, nesting + 1)]
-        while cur.at(","):
-            cur.next()
-            factors.append(_parse_monoid(cur, nesting + 1))
-        cur.next(value=")")
-        return mo.Product(tuple(factors))
-    if tok.value == "pow":
-        cur.next(value="(")
-        cur.next(value="{")
-        labels = [cur.next("ident", what="label").value]
-        while cur.at(","):
-            cur.next()
-            labels.append(cur.next("ident", what="label").value)
-        cur.next(value="}")
-        cur.next(value=",")
-        base = _parse_monoid(cur, nesting + 1)
-        cur.next(value=")")
-        return mo.Power(tuple(labels), base)
-    _fail(tok.line, tok.column, f"unknown monoid {tok.value!r}")
+def _parse_monoid(toks: list[str], i: int, nesting: int = 0) -> tuple[Monoid, int]:
+    name = _ident(toks, i, "monoid")
+    if name in _MONOID_NAMES:
+        return _MONOID_NAMES[name], i + 1
+    if name in ("prod", "pow") and nesting == MAX_NESTING:
+        raise _At(i, f"monoid type nested more than {MAX_NESTING} deep")
+    if name == "prod":
+        m, j = _parse_monoid(toks, _skip(toks, i + 1, "("), nesting + 1)
+        factors = [m]
+        while toks[j] == ",":
+            m, j = _parse_monoid(toks, j + 1, nesting + 1)
+            factors.append(m)
+        return mo.Product(tuple(factors)), _skip(toks, j, ")")
+    if name == "pow":
+        labels, j = _idents(toks, _skip(toks, _skip(toks, i + 1, "("), "{"), "label")
+        base, j = _parse_monoid(toks, _skip(toks, _skip(toks, j, "}"), ","), nesting + 1)
+        return mo.Power(tuple(labels), base), _skip(toks, j, ")")
+    raise _At(i, f"unknown monoid {name!r}")
 
 
-def _parse_weight(cur: _Cursor, m: Monoid):
-    tok = cur.peek()
-    if isinstance(m, mo.BoolOr):
-        t = cur.next("ident", what="tt or ff")
-        if t.value not in ("tt", "ff"):
-            _fail(t.line, t.column, f"expected tt or ff, found {t.value!r}")
-        return t.value == "tt"
+def _parse_weight(toks: list[str], i: int, m: Monoid):
     if isinstance(m, (mo.NatPlus, mo.NatMax)):
-        return _int(cur.next("nat", what="natural number"))
+        return _nat(toks, i, "natural number"), i + 1
+    if isinstance(m, mo.BoolOr):
+        name = _ident(toks, i, "tt or ff")
+        if name != "tt" and name != "ff":
+            raise _At(i, f"expected tt or ff, found {name!r}")
+        return name == "tt", i + 1
     if isinstance(m, mo.RatPlus):
-        t = cur.next("nat", what="rational number")
-        num = _int(t)
-        if cur.at("/"):
-            cur.next()
-            den = _int(cur.next("nat", what="denominator"))
-            if den == 0:
-                _fail(t.line, t.column, "zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
+        num = _nat(toks, i, "rational number")
+        if toks[i + 1] != "/":
+            return Fraction(num), i + 1
+        den = _nat(toks, i + 2, "denominator")
+        if den == 0:
+            raise _At(i, "zero denominator")
+        return Fraction(num, den), i + 3
     if isinstance(m, mo.Product):
-        open_tok = cur.next(value="(")
-        values = [_parse_weight(cur, m.factors[0])]
-        i = 1
-        while cur.at(","):
-            cur.next()
-            if i >= len(m.factors):
-                _fail(open_tok.line, open_tok.column,
-                      f"product weight has more than {len(m.factors)} components")
-            values.append(_parse_weight(cur, m.factors[i]))
-            i += 1
-        if i != len(m.factors):
-            _fail(open_tok.line, open_tok.column,
-                  f"product weight needs {len(m.factors)} components, got {i}")
-        cur.next(value=")")
-        return tuple(values)
+        n = len(m.factors)
+        w, j = _parse_weight(toks, _skip(toks, i, "("), m.factors[0])
+        values = [w]
+        while toks[j] == ",":
+            if len(values) >= n:
+                raise _At(i, f"product weight has more than {n} components")
+            w, j = _parse_weight(toks, j + 1, m.factors[len(values)])
+            values.append(w)
+        if len(values) != n:
+            raise _At(i, f"product weight needs {n} components, got {len(values)}")
+        return tuple(values), _skip(toks, j, ")")
     if isinstance(m, mo.Power):
-        open_tok = cur.next(value="{")
-        items = []
-        if not cur.at("}"):
+        j, items = _skip(toks, i, "{"), []
+        if toks[j] != "}":
             while True:
-                lab = cur.next("ident", what="label")
-                if lab.value not in m.labels:
-                    _fail(lab.line, lab.column,
-                          f"label {lab.value!r} not in power label set")
-                cur.next(value=":")
-                items.append((lab.value, _parse_weight(cur, m.base)))
-                if not cur.at(","):
+                label = _ident(toks, j, "label")
+                if label not in m.labels:
+                    raise _At(j, f"label {label!r} not in power label set")
+                w, j = _parse_weight(toks, _skip(toks, j + 1, ":"), m.base)
+                items.append((label, w))
+                if toks[j] != ",":
                     break
-                cur.next()
-        cur.next(value="}")
+                j += 1
+        j = _skip(toks, j, "}")
         try:
-            return mo.check_weight(m, tuple(items))
+            return mo.check_weight(m, tuple(items)), j
         except mo.WeightError as e:
-            _fail(open_tok.line, open_tok.column, str(e))
-    assert tok is not None
-    _fail(tok.line, tok.column, f"cannot parse weight for {mo.format_monoid(m)}")
+            raise _At(i, str(e)) from None
+    raise _At(i, f"cannot parse weight for {mo.format_monoid(m)}")
 
 
-# weights written as one token: (token kind, its value -> weight or None)
-_ONE_TOKEN_WEIGHTS = {
-    mo.NatPlus: ("nat", int),
-    mo.NatMax: ("nat", int),
-    mo.RatPlus: ("nat", lambda v: Fraction(int(v))),
-    mo.BoolOr: ("ident", {"tt": True, "ff": False}.get),
-}
+def _state(toks: list[str], i: int, leaves: dict[str, Leaf], what: str = "state id") -> Leaf:
+    leaf = leaves.get(toks[i])
+    if leaf is None:
+        raise _At(i, f"unknown state {_ident(toks, i, what)!r}")
+    return leaf
 
 
-def _parse_term(cur: _Cursor, stack: tuple[Monoid, ...], leaves: dict[str, Leaf]) -> Term:
-    """A weight term over ``stack``; ``leaves`` holds the one leaf of each state.
-
-    An entry of the usual shape, a state, ``:``, a one-token weight and
-    ``,`` or ``}``, is read straight from the token list; anything else
-    goes through the cursor, whose checks give every diagnostic.
-    """
-    if not stack:
-        tok = cur.next("ident", what="state id")
-        if tok.value not in leaves:
-            _fail(tok.line, tok.column, f"unknown state {tok.value!r}")
-        return leaves[tok.value]
-    cur.next(value="{")
+def _parse_term(toks: list[str], i: int, stack: tuple[Monoid, ...],
+                leaves: dict[str, Leaf]) -> tuple[Node, int]:
+    """A weight term over ``stack``; ``leaves`` maps each spelling of a
+    state (quoted, and bare where that is one identifier) to its one leaf."""
+    j = _skip(toks, i, "{")
     outer, rest = stack[0], stack[1:]
-    quick = None if rest else _ONE_TOKEN_WEIGHTS.get(type(outer))
-    toks, entries = cur.tokens, []
-    if not cur.at("}"):
+    entries = []
+    if toks[j] != "}":
         while True:
-            pos = cur.pos
-            if quick and pos + 3 < len(toks):
-                key, colon, w, sep = toks[pos:pos + 4]
-                try:
-                    weight = (quick[1](w.value) if key.kind == "ident" and key.value in leaves
-                              and colon.value == ":" and w.kind == quick[0]
-                              and sep.kind == "punct" and sep.value in ",}" else None)
-                except ValueError:  # too many digits: the cursor path reports it
-                    weight = None
-                if weight is not None:
-                    entries.append((leaves[key.value], weight))
-                    cur.pos = pos + 4
-                    if sep.value == "}":
-                        return node(stack, entries)
-                    continue
-            key = _parse_term(cur, rest, leaves)
-            cur.next(value=":")
-            entries.append((key, _parse_weight(cur, outer)))
-            if not cur.at(","):
+            if rest:
+                key, j = _parse_term(toks, j, rest, leaves)
+            else:
+                key, j = leaves.get(toks[j]) or _state(toks, j, leaves), j + 1
+            w, j = _parse_weight(toks, j + 1 if toks[j] == ":" else _skip(toks, j, ":"), outer)
+            entries.append((key, w))
+            if toks[j] != ",":
                 break
-            cur.next()
-    cur.next(value="}")
-    return node(stack, entries)
+            j += 1
+    return node(stack, entries), _skip(toks, j, "}")
 
 
 # --- system files ------------------------------------------------------------
 
-def parse_system(text: str) -> Futs:
-    """Parse a system file; raises ParseError with positioned diagnostics."""
-    lines = text.split("\n")
-    rows: list[tuple[int, list[Token]]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        toks = tokenize(raw, lineno)
-        if toks:
-            rows.append((lineno, toks))
-    if not rows:
-        _fail(1, 1, "empty input, expected a futs header")
-    header_line, header = rows[0]
-    if not (header[0].kind == "ident" and header[0].value == "futs"):
-        _fail(header[0].line, header[0].column, "expected 'futs' header")
-    if len(header) > 1:
-        _fail(header[1].line, header[1].column, "unexpected token after header")
+def _comp_index(toks: list[str], prefix: str) -> int:
+    name = _ident(toks, 1, f"{prefix}<index>")
+    m = re.fullmatch(prefix + r"([0-9]+)", name)
+    if not m:
+        raise _At(1, f"expected {prefix}<index>, found {name!r}")
+    return _int(toks, 1, m.group(1))
 
+
+def parse_system(text: str) -> Futs:
+    """Parse a system file; raises ParseError with positioned diagnostics.
+    Each line is tokenized and read in turn."""
+    lines = text.split("\n")
+    header = False
     labels: dict[int, tuple[str, ...]] = {}
     monoids: dict[int, tuple[Monoid, ...]] = {}
     states: list[str] | None = None
-    leaves: dict[str, Leaf] = {}   # one leaf per state, also the known-state check
+    leaves: dict[str, Leaf] = {}   # see _parse_term; also the known-state check
     trans: dict[tuple[int, str, str], Node] = {}
     trans_lines: dict[tuple[int, str, str], int] = {}
 
-    def comp_index(tok: Token, prefix: str) -> int:
-        m = re.fullmatch(prefix + r"([0-9]+)", tok.value)
-        if not m:
-            _fail(tok.line, tok.column, f"expected {prefix}<index>, found {tok.value!r}")
-        return _int(tok, m.group(1))
+    for lineno, raw in enumerate(lines, start=1):
+        toks = _tokens(raw)
+        if not toks[0]:
+            continue
+        try:
+            if not header:
+                if _name(toks[0]) != "futs":
+                    raise _At(0, "expected 'futs' header")
+                if toks[1]:
+                    raise _At(1, "unexpected token after header")
+                header = True
+                continue
+            head = _ident(toks, 0, "directive")
+            if head == "trans":
+                if states is None:
+                    raise _At(0, "trans line before states line")
+                i = _nat(toks, 1, "component index")
+                if i not in labels:
+                    raise _At(1, f"unknown component {i}")
+                if i not in monoids:
+                    raise _At(1, f"missing monoids line for component {i}")
+                x = _state(toks, 2, leaves, "source state").state
+                label = _ident(toks, 3, "label")
+                if label not in labels[i]:
+                    raise _At(3, f"unknown label {label!r}")
+                if toks[4] != "->":
+                    _expected(toks, 4, "->")
+                term, j = _parse_term(toks, 5, monoids[i], leaves)
+                _done(toks, j)
+                key = (i, x, label)
+                if key in trans_lines:
+                    raise _At(0, f"duplicate transition for component {i}, state {x!r}, "
+                                 f"label {label!r} (first at line {trans_lines[key]})")
+                trans_lines[key] = lineno
+                trans[key] = term
+            elif head == "labels":
+                if states is not None:
+                    raise _At(0, "labels line after states line")
+                i = _comp_index(toks, "A")
+                labs, j = _idents(toks, _skip(toks, _skip(toks, 2, "="), "{"), "label")
+                _done(toks, _skip(toks, j, "}"))
+                if i in labels:
+                    raise _At(0, f"duplicate labels line for component {i}")
+                labels[i] = tuple(labs)
+            elif head == "monoids":
+                if states is not None:
+                    raise _At(0, "monoids line after states line")
+                i = _comp_index(toks, "M")
+                m, j = _parse_monoid(toks, _skip(toks, _skip(toks, 2, "="), "["))
+                ms = [m]
+                while toks[j] == ",":
+                    m, k = _parse_monoid(toks, j + 1)
+                    ms.append(m)
+                    if len(ms) > MAX_NESTING:
+                        raise _At(j + 1, f"more than {MAX_NESTING} monoids in a stack")
+                    j = k
+                _done(toks, _skip(toks, j, "]"))
+                if i in monoids:
+                    raise _At(0, f"duplicate monoids line for component {i}")
+                monoids[i] = tuple(ms)
+            elif head == "states":
+                if states is not None:
+                    raise _At(0, "duplicate states line")
+                j, found = _skip(toks, 1, "{"), []
+                if toks[j] != "}":
+                    found, j = _idents(toks, j, "state id")
+                _done(toks, _skip(toks, j, "}"))
+                if not found:
+                    raise _At(1, "empty carrier")
+                states = found
+                for x in found:
+                    leaves[f"`{x}`"] = leaf = Leaf(x)
+                    if _TOKEN_RE.findall(x) == [x] and x[0] in _IDENT_START:
+                        leaves[x] = leaf
+            else:
+                raise _At(0, f"unknown directive {head!r}")
+        except _At as e:
+            _raise_at(e, toks, lines[lineno - 1:], lineno)
 
-    for lineno, toks in rows[1:]:
-        cur = _Cursor(toks, lineno)
-        head = cur.next("ident", what="directive")
-        if head.value == "labels":
-            if states is not None:
-                _fail(head.line, head.column, "labels line after states line")
-            i = comp_index(cur.next("ident", what="A<index>"), "A")
-            cur.next(value="=")
-            cur.next(value="{")
-            labs = [cur.next("ident", what="label").value]
-            while cur.at(","):
-                cur.next()
-                labs.append(cur.next("ident", what="label").value)
-            cur.next(value="}")
-            cur.expect_done()
-            if i in labels:
-                _fail(head.line, head.column, f"duplicate labels line for component {i}")
-            labels[i] = tuple(labs)
-        elif head.value == "monoids":
-            if states is not None:
-                _fail(head.line, head.column, "monoids line after states line")
-            i = comp_index(cur.next("ident", what="M<index>"), "M")
-            cur.next(value="=")
-            cur.next(value="[")
-            ms = [_parse_monoid(cur)]
-            while cur.at(","):
-                cur.next()
-                tok = cur.peek()
-                ms.append(_parse_monoid(cur))
-                if len(ms) > MAX_NESTING:
-                    _fail(tok.line, tok.column, f"more than {MAX_NESTING} monoids in a stack")
-            cur.next(value="]")
-            cur.expect_done()
-            if i in monoids:
-                _fail(head.line, head.column, f"duplicate monoids line for component {i}")
-            monoids[i] = tuple(ms)
-        elif head.value == "states":
-            if states is not None:
-                _fail(head.line, head.column, "duplicate states line")
-            open_tok = cur.next(value="{")
-            found = []
-            if not cur.at("}"):
-                while True:
-                    found.append(cur.next("ident", what="state id").value)
-                    if not cur.at(","):
-                        break
-                    cur.next()
-            cur.next(value="}")
-            cur.expect_done()
-            if not found:
-                _fail(open_tok.line, open_tok.column, "empty carrier")
-            states, leaves = found, {x: Leaf(x) for x in found}
-        elif head.value == "trans":
-            if states is None:
-                _fail(head.line, head.column, "trans line before states line")
-            itok = cur.next("nat", what="component index")
-            i = _int(itok)
-            if i not in labels:
-                _fail(itok.line, itok.column, f"unknown component {i}")
-            if i not in monoids:
-                _fail(itok.line, itok.column, f"missing monoids line for component {i}")
-            xtok = cur.next("ident", what="source state")
-            if xtok.value not in leaves:
-                _fail(xtok.line, xtok.column, f"unknown state {xtok.value!r}")
-            atok = cur.next("ident", what="label")
-            if atok.value not in labels[i]:
-                _fail(atok.line, atok.column, f"unknown label {atok.value!r}")
-            cur.next("arrow", what="->")
-            term = _parse_term(cur, monoids[i], leaves)
-            cur.expect_done()
-            key = (i, xtok.value, atok.value)
-            if key in trans_lines:
-                _fail(head.line, head.column,
-                      f"duplicate transition for component {i}, state {xtok.value!r}, "
-                      f"label {atok.value!r} (first at line {trans_lines[key]})")
-            trans_lines[key] = lineno
-            trans[key] = term
-        else:
-            _fail(head.line, head.column, f"unknown directive {head.value!r}")
-
+    if not header:
+        _fail(1, 1, "empty input, expected a futs header")
     if states is None:
         _fail(len(lines), 1, "missing states line")
     indices = sorted(set(labels) | set(monoids))
@@ -454,118 +447,110 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse a formula against a signature; raises ParseError.  Diamond
     chains and parentheses are read with a stack, so they nest to any depth."""
     from . import logic
-    cur = _Cursor(tokenize(text), 1)
+    lines = text.split("\n")
+    toks = [tok for raw in lines for tok in _tokens(raw)[:-1]] + [""]
     outer = []          # per open parenthesis: the enclosing (conjunction, diamond heads)
-    phi, heads = None, []
-    while True:
-        tok = cur.peek()
-        if tok is None:
-            cur.next(what="formula")
-        if tok.kind == "ident" and tok.value == "T":
-            cur.next()
-            unary = logic.TOP
-        elif cur.at("("):
-            cur.next()
-            outer.append((phi, heads))
-            phi, heads = None, []
-            continue
-        elif cur.at("<"):
-            heads.append(_parse_modality(cur, sig))
-            continue
-        else:
-            _fail(tok.line, tok.column, f"expected a formula, found {tok.value!r}")
-        while True:  # the unary is complete: wrap it in its diamonds and conjoin
-            for i, label, bounds in reversed(heads):
-                unary = logic.Diamond(i, label, bounds, unary)
-            phi = unary if phi is None else logic.And(phi, unary)
-            if cur.at("&"):
-                cur.next()
-                heads = []
-                break
-            if not outer:
-                cur.expect_done()
-                try:
-                    return logic.check_formula(phi, sig)
-                except logic.FormulaError as e:
-                    raise ParseError([Diagnostic(1, 1, str(e))]) from e
-            cur.next(value=")")
-            unary = phi
-            phi, heads = outer.pop()
+    phi, heads, i = None, [], 0
+    try:
+        while True:
+            if _name(toks[i]) == "T":
+                unary, i = logic.TOP, i + 1
+            elif toks[i] == "(":
+                outer.append((phi, heads))
+                phi, heads, i = None, [], i + 1
+                continue
+            elif toks[i] == "<":
+                head, i = _parse_modality(toks, i, sig)
+                heads.append(head)
+                continue
+            else:
+                _expected(toks, i, "a formula" if toks[i] else "formula")
+            while True:  # the unary is complete: wrap it in its diamonds and conjoin
+                for c, label, bounds in reversed(heads):
+                    unary = logic.Diamond(c, label, bounds, unary)
+                phi = unary if phi is None else logic.And(phi, unary)
+                if toks[i] == "&":
+                    heads, i = [], i + 1
+                    break
+                if not outer:
+                    _done(toks, i)
+                    try:
+                        return logic.check_formula(phi, sig)
+                    except logic.FormulaError as e:
+                        raise ParseError([Diagnostic(1, 1, str(e))]) from e
+                unary, i = phi, _skip(toks, i, ")")
+                phi, heads = outer.pop()
+    except _At as e:
+        _raise_at(e, toks, lines, 1)
 
 
-def _parse_modality(cur: _Cursor, sig: Signature):
-    """``<`` ... ``>``: the component index, label and bounds of a diamond."""
-    open_tok = cur.next()
-    segments: list[list[Token]] = [[]]
-    depth = 0
-    while True:
-        t = cur.peek()
-        if t is None:
-            _fail(open_tok.line, open_tok.column, "unterminated modality")
-        if t.kind == "punct" and t.value in "{([":
+def _parse_modality(toks: list[str], i: int, sig: Signature):
+    """``<`` ... ``>`` from token ``i``: the component index, label and
+    bounds of a diamond, and the index past it."""
+    cuts, depth = [i], 0  # the '<', each '|' outside brackets, then the '>'
+    while toks[cuts[-1]] != ">":
+        i += 1
+        if not toks[i]:
+            raise _At(cuts[0], "unterminated modality")
+        if toks[i] in ("{", "(", "["):
             depth += 1
-        elif t.kind == "punct" and t.value in "})]":
+        elif toks[i] in ("}", ")", "]"):
             depth -= 1
-        elif t.kind == "punct" and t.value == ">" and depth == 0:
-            cur.next()
-            break
-        elif t.kind == "punct" and t.value == "|" and depth == 0:
-            cur.next()
-            segments.append([])
-            continue
-        segments[-1].append(cur.next())
-    i, label, bound_toks = _resolve_modality(segments, sig, open_tok)
-    comp = sig.components[i]
-    bcur = _Cursor(bound_toks, open_tok.line)
-    bounds = [_parse_weight(bcur, comp.monoids[0])]
-    j = 1
-    while bcur.at(","):
-        bcur.next()
-        if j >= comp.depth:
-            _fail(open_tok.line, open_tok.column,
-                  f"too many bounds for component {i} (row length {comp.depth})")
-        bounds.append(_parse_weight(bcur, comp.monoids[j]))
-        j += 1
-    bcur.expect_done()
-    if j != comp.depth:
-        _fail(open_tok.line, open_tok.column,
-              f"expected {comp.depth} bounds for component {i}, got {j}")
-    return i, label, tuple(bounds)
+        elif depth == 0 and toks[i] in ("|", ">"):
+            cuts.append(i)
+    start, segments = cuts[0], [(a + 1, b) for a, b in zip(cuts, cuts[1:])]
+    c, label, (a, b) = _resolve_modality(toks, segments, sig, start)
+    comp = sig.components[c]
+    bound = toks[a:b] + [""]
+    try:  # positions in ``bound``: the '<' is at start - a
+        w, j = _parse_weight(bound, 0, comp.monoids[0])
+        bounds = [w]
+        while bound[j] == ",":
+            if len(bounds) >= comp.depth:
+                raise _At(start - a, f"too many bounds for component {c} "
+                                     f"(row length {comp.depth})")
+            w, j = _parse_weight(bound, j + 1, comp.monoids[len(bounds)])
+            bounds.append(w)
+        _done(bound, j)
+    except _At as e:  # back to positions in ``toks``; the end of the bounds is just
+        if e.index < b - a:  # past their last token, or column 1 when there is none
+            e.index += a
+        elif b > a:
+            e.index, e.shift = b - 1, len(_value(toks[b - 1]))
+        else:
+            e.index, e.shift = start, None
+        raise
+    if len(bounds) != comp.depth:
+        raise _At(start, f"expected {comp.depth} bounds for component {c}, got {len(bounds)}")
+    return (c, label, tuple(bounds)), i + 1
 
 
-def _resolve_modality(segments, sig: Signature, open_tok: Token):
-    def single_ident(seg, what):
-        if len(seg) != 1 or seg[0].kind != "ident":
-            where = seg[0] if seg else open_tok
-            _fail(where.line, where.column, f"expected {what}")
-        return seg[0]
-
-    if len(segments) == 3:
-        itok = segments[0]
-        if len(itok) != 1 or itok[0].kind != "nat":
-            where = itok[0] if itok else open_tok
-            _fail(where.line, where.column, "expected a component index")
-        i = _int(itok[0])
-        if not 0 <= i < len(sig.components):
-            _fail(itok[0].line, itok[0].column, f"component index {i} out of range")
-        lab = single_ident(segments[1], "a label")
-        if lab.value not in sig.components[i].labels:
-            _fail(lab.line, lab.column, f"unknown label {lab.value!r}")
-        return i, lab.value, segments[2]
-    if len(segments) == 2:
-        if len(sig.components) != 1:
-            _fail(open_tok.line, open_tok.column,
-                  "component index required for multi-component signatures")
-        lab = single_ident(segments[0], "a label")
-        if lab.value not in sig.components[0].labels:
-            _fail(lab.line, lab.column, f"unknown label {lab.value!r}")
-        return 0, lab.value, segments[1]
+def _resolve_modality(toks: list[str], segments, sig: Signature, start: int):
+    """The component, label and bounds segment of the diamond whose ``<`` is
+    token ``start``; ``segments`` are the index ranges between its ``|``s."""
+    if len(segments) > 3:
+        raise _At(start, "too many '|' separators in modality")
     if len(segments) == 1:
         if len(sig.components) != 1 or len(sig.components[0].labels) != 1:
-            _fail(open_tok.line, open_tok.column,
-                  "label required unless the signature is unlabelled and nested")
+            raise _At(start, "label required unless the signature is unlabelled and nested")
         return 0, sig.components[0].labels[0], segments[0]
-    _fail(open_tok.line, open_tok.column, "too many '|' separators in modality")
+    c = 0
+    if len(segments) == 3:
+        a, b = segments[0]
+        if b - a != 1 or toks[a][:1] not in _DIGITS:
+            raise _At(a if b > a else start, "expected a component index")
+        c = _int(toks, a)
+        if not 0 <= c < len(sig.components):
+            raise _At(a, f"component index {c} out of range")
+    elif len(sig.components) != 1:
+        raise _At(start, "component index required for multi-component signatures")
+    a, b = segments[-2]
+    label = _name(toks[a]) if b - a == 1 else None
+    if label is None:
+        raise _At(a if b > a else start, "expected a label")
+    if label not in sig.components[c].labels:
+        raise _At(a, f"unknown label {label!r}")
+    return c, label, segments[-1]
 
 
 def write_formula(phi: Formula, sig: Signature) -> str:

@@ -11,10 +11,11 @@ loop of ``bounded_logical_equiv`` and ``witness_formula``, and
 ``distinguishing_formula`` runs its own copy of it; both take their
 bounds from this module's ``realizable_grid``, which walks the terms
 itself and sums every subset of a term's weights with
-``itertools.combinations``.  The formula classes, ``conj``,
-``_split_formula`` and the text cursor are shared with the library;
-``parse_formula`` and ``write_formula`` pass ``futs.logic`` for its
-formula classes and call this module's ``check_formula``.
+``itertools.combinations``.  The formula classes, ``conj`` and
+``_split_formula`` are shared with the library, and the text cursor with
+``textio_oracle``; ``parse_formula`` and ``write_formula`` pass
+``futs.logic`` for its formula classes and call this module's
+``check_formula``.
 """
 
 from __future__ import annotations
@@ -51,17 +52,9 @@ from futs.monoid import (
     zero,
 )
 from futs.system import Futs, Signature
-from futs.textio import (
-    Diagnostic,
-    ParseError,
-    Token,
-    _Cursor,
-    _fail,
-    _parse_weight,
-    _resolve_modality,
-    tokenize,
-)
+from futs.textio import Diagnostic, ParseError, _fail
 from futs.weightfn import Leaf, Node
+from textio_oracle import Token, _Cursor, _parse_weight, _resolve_modality, tokenize
 
 
 def check_formula(phi: Formula, sig: Signature) -> Formula:

@@ -104,6 +104,19 @@ def test_check_formula_file_multiple(capsys, tmp_path):
     assert out.count("formula:") == 2
 
 
+@pytest.mark.parametrize("lines, diagnostic", [
+    (["T", "<0|b|tt, 1/2> T", "<<< bad"], "3:1: error: unterminated modality"),
+    (["T", "", "  \t<0|b|tt, 1/2> T &"], "3:21: error: expected formula, found end of input"),
+], ids=["unterminated", "indented"])
+def test_check_formula_file_bad_formula(capsys, tmp_path, lines, diagnostic):
+    """Every formula is read before any is checked: a bad one prints no
+    table, and its diagnostic gives the file's line and counts columns
+    from the start of that line."""
+    f = tmp_path / "props.fcl"
+    f.write_text("\n".join(lines) + "\n")
+    assert run(capsys, "check", FIG1, "--formula-file", str(f)) == (2, "", diagnostic + "\n")
+
+
 # the deeper cases run on a short chain beside a cycle; see test_logic.DEEP_CASES.
 # "1500-conj" conjoins two equal, separately parsed chains, which compare equal
 @pytest.mark.parametrize("depth, chain, ring, twice", [
@@ -250,15 +263,18 @@ def test_missing_file(capsys):
     ("bisim", W3, "--quotient", "<tmp>"),
     ("bisim", W3, "--quotient", "<tmp>/no-such-dir/q.futs"),
     ("reduce", FIG1, "--to", "wts", "-o", f"{FIG1}/out.futs"),
+    ("reduce", FIG1, "--to", "wts", "-o", "<tmp>/out.futs", "--map", "<tmp>"),
 ], ids=["check", "bisim", "formula-file", "output", "quotient", "quotient-missing-dir",
-        "not-a-directory"])
+        "not-a-directory", "map"])
 def test_unusable_path_exit_2(capsys, tmp_path, argv):
     """A path that names a directory, or runs through a missing directory
     or a file, is one error line and exit 2, with nothing on stdout (no
-    partition either, when the quotient cannot be written)."""
+    partition either, when the quotient cannot be written) and no output
+    file left behind (none when the map cannot be written)."""
     code, out, err = run(capsys, *(a.replace("<tmp>", str(tmp_path)) for a in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error: [Errno ") and err.count("\n") == 1
+    assert not (tmp_path / "out.futs").exists()
 
 
 def test_usage_error(capsys):

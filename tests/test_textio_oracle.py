@@ -1,6 +1,6 @@
-"""The one-match tokenizer and the direct term parser against the old code
-(``textio_oracle``), the write/parse round trip, and totality of the text
-entry points."""
+"""The string-token reader against the token-object reader it replaced
+(``textio_oracle``) on systems and formulas, the write/parse round trip,
+and totality of the text entry points."""
 
 import random
 import re
@@ -13,7 +13,6 @@ from futs.textio import (
     ParseError,
     parse_formula,
     parse_system,
-    tokenize,
     write_formula,
     write_system,
 )
@@ -47,8 +46,6 @@ def outcome(fn, text):
 
 
 def assert_same_as_oracle(text):
-    kind, toks = outcome(tokenize, text)
-    assert (kind, toks) == outcome(oracle.tokenize, text)
     new, old = outcome(parse_system, text), outcome(oracle.parse_system, text)
     assert new[0] == old[0]
     if new[0] == "value":
@@ -121,6 +118,65 @@ def test_odd_terms_agree_with_oracle(term, monoid):
                           f"states {{ x, y }}\ntrans 0 x a -> {term}\n")
 
 
+ODD_HEAD = "futs\nlabels A0 = { a, b }\nmonoids M0 = [ nat-plus ]\nstates { x, y }\n"
+
+
+@pytest.mark.parametrize("text", [
+    ODD_HEAD + "trans 0 x a -> { `x`",
+    ODD_HEAD.replace("x, y", "x, a-b, `*`") + "trans 0 a-b a -> { a-b: 1, `a-b`: 2, *: 3 }\n",
+    ODD_HEAD.replace("x, y", "x, `"),
+    ODD_HEAD.replace("x, y", "x, ``") + "trans 0 x a -> { ``: 1 }\n",
+], ids=["end-after-quoted", "state-spellings", "lone-backtick", "empty-name"])
+def test_odd_systems_agree_with_oracle(text):
+    """End of input just past a quoted identifier, states spelled bare
+    and quoted, and backticks that quote nothing or an empty name."""
+    assert_same_as_oracle(text)
+
+
+@pytest.mark.parametrize("text", [
+    "T &  <a|> T", "<a|1/  > T", "<a|(1,  > T", "<1/  > T", "<a|(1> T", "<`a`|1> T",
+    "<a|1 2> T", "<a|1", "<a", "(T & <b|2> T", "T\n  & <a|`x`> T", "<a|b|1> T", "<0|a|1> T",
+    "", " # T",
+], ids=["empty-bounds", "bounds-end", "product-end", "unlabelled-end", "paren-bound",
+        "quoted-label", "trailing-bound", "unterminated", "unterminated-label",
+        "unclosed-paren", "two-lines", "too-many-bars", "index-on-one-component", "empty",
+        "comment"])
+@pytest.mark.parametrize("sig", [WLTS_NAT, WLTS_RAT, WLTS_PROD], ids=["nat", "rat", "prod"])
+def test_odd_formulas_agree_with_oracle(text, sig):
+    """Diagnostics inside and at the end of a diamond's bounds, and at the
+    end of input, against the oracle."""
+    assert_formula_same_as_oracle(text, sig)
+
+
+def test_bad_character_is_reported_before_an_earlier_directive_error():
+    """An unexpected character anywhere in the file is reported first, as
+    if every line were tokenized before any is read."""
+    text = ("futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\nstates { x }\n"
+            "nonsense 1\ntrans 0 x a -> { x: 1 }\n\n# a comment: é\n"
+            "trans 0 x a -> { x: 2 } é\n")
+    expected = ("error", ["9:25: error: unexpected character 'é'"])
+    assert outcome(parse_system, text) == outcome(oracle.parse_system, text) == expected
+
+
+def assert_formula_same_as_oracle(text, sig):
+    new = outcome(lambda t: parse_formula(t, sig), text)
+    assert new == outcome(lambda t: oracle.parse_formula(t, sig), text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(CORPUS_SIGS), st.randoms(use_true_random=False),
+       st.lists(st.tuples(*EDITS), min_size=1, max_size=3))
+def test_formulas_agree_with_oracle(sig, rng, edits):
+    """Written random formulas, then the same text with one to three
+    characters deleted, inserted or replaced from ``ALPHABET``: equal
+    formulas, or byte-identical diagnostics."""
+    text = write_formula(random_formula(rng, sig, 4), sig)
+    assert_formula_same_as_oracle(text, sig)
+    for edit in edits:
+        text = mutate(text, *edit)
+    assert_formula_same_as_oracle(text, sig)
+
+
 # --- totality: a value or a ParseError, nothing else ---------------------------
 
 PIECES = ["futs", "labels", "monoids", "states", "trans", "A0", "A1", "M0", "M1", "=",
@@ -167,8 +223,7 @@ def value_or_parse_error(fn, *args):
 
 @settings(deadline=None, max_examples=300)
 @given(TEXTS)
-def test_tokenize_and_parse_system_are_total(text):
-    value_or_parse_error(tokenize, text)
+def test_parse_system_is_total(text):
     value_or_parse_error(parse_system, text)
 
 
