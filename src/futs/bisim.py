@@ -13,18 +13,16 @@ groups flatten's term-states when a partition is extended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
+from .monoid import Value
 from .system import Futs
 from .weightfn import quotient_term
 
 
-@dataclass(frozen=True)
-class Partition:
-    carrier: tuple[str, ...]
-    blocks: tuple[tuple[str, ...], ...]
+class Partition(Value):
+    __slots__ = ("carrier", "blocks", "__dict__")  # kappa is cached in __dict__
 
     @staticmethod
     def of_blocks(carrier: Iterable[str], blocks: Iterable[Iterable[str]]) -> "Partition":

@@ -22,10 +22,10 @@ from __future__ import annotations
 import functools
 import itertools
 import sys
-from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional, Union
 
 from .monoid import (
+    Value,
     Weight,
     add,
     add_all,
@@ -45,21 +45,18 @@ if TYPE_CHECKING:
     from .bisim import Partition
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
+class Top(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-    # set once from the children's cached hashes: shared subformulas make
-    # the expanded tree exponential, so hashing must not walk it
-    _hash: int = field(init=False, compare=False, repr=False)
+class And(Value):
+    # ``_hash`` is set once from the children's cached hashes: shared subformulas
+    # make the expanded tree exponential, so hashing must not walk it
+    __slots__ = ("left", "right", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+    def __init__(self, left: "Formula", right: "Formula"):
+        Value.__init__(self, left, right)
+        object.__setattr__(self, "_hash", hash(self._values))
 
     def __hash__(self):
         return self._hash
@@ -85,22 +82,15 @@ class And:
                 stack.append((f.body, g.body))
         return True
 
-    def __reduce__(self):  # pickle by fields, so the loading process rehashes its strs
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
+class Diamond(Value):
+    __slots__ = ("component", "label", "bounds", "body", "_hash")
 
-@dataclass(frozen=True)
-class Diamond:
-    component: int
-    label: str
-    bounds: tuple[Weight, ...]
-    body: "Formula"
-    _hash: int = field(init=False, compare=False, repr=False)
+    def __init__(self, component: int, label: str, bounds: tuple[Weight, ...], body: "Formula"):
+        Value.__init__(self, component, label, bounds, body)
+        object.__setattr__(self, "_hash", hash(self._values))
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.component, self.label, self.bounds, self.body)))
-
-    __hash__, __eq__, __reduce__ = And.__hash__, And.__eq__, And.__reduce__
+    __hash__, __eq__ = And.__hash__, And.__eq__
 
 
 Formula = Union[Top, And, Diamond]

@@ -28,7 +28,6 @@ without building it again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -37,55 +36,97 @@ class WeightError(ValueError):
     """A weight payload does not match its monoid descriptor."""
 
 
-@dataclass(frozen=True)
-class BoolOr:
+class Value:
+    """An immutable value, the base of descriptors, terms, signatures,
+    formulas and partitions.  ``__slots__`` names the constructor's
+    arguments (``_fields``), then private caches.  The constructor sets each
+    once and keeps the compared fields as the tuple ``_values``: values of
+    one class are equal iff their tuples are, and hash as ``hash(_values)``.
+    ``repr`` shows ``Name(field=value, ...)``, pickling calls the constructor
+    (so the loader rehashes its strs), and assigning or deleting raises
+    ``dataclasses.FrozenInstanceError``, imported only then."""
+
+    __slots__ = ("_values",)
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes ({', '.join(self._fields)})")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value, verb="assign to"):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None, "delete")
+
+
+class BoolOr(Value):
+    __slots__ = ()
     _zero = False
     _payload = bool
 
 
-@dataclass(frozen=True)
-class NatPlus:
+class NatPlus(Value):
+    __slots__ = ()
     _zero = 0
     _payload = int
 
 
-@dataclass(frozen=True)
-class NatMax:
+class NatMax(Value):
+    __slots__ = ()
     _zero = 0
     _payload = int
 
 
-@dataclass(frozen=True)
-class RatPlus:
+class RatPlus(Value):
+    __slots__ = ()
     _zero = Fraction(0)
     _payload = Fraction
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple["Monoid", ...]
-    _zero: tuple = field(init=False, compare=False, repr=False)
+class Product(Value):
+    __slots__ = ("factors", "_zero")
     _payload = tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
+    def __init__(self, factors: tuple["Monoid", ...]):
+        factors = tuple(factors)
+        if not factors:
             raise ValueError("product monoid needs at least one factor")
-        object.__setattr__(self, "_zero", tuple(f._zero for f in self.factors))
+        Value.__init__(self, factors)
+        object.__setattr__(self, "_zero", tuple(f._zero for f in factors))
 
 
-@dataclass(frozen=True)
-class Power:
-    labels: tuple[str, ...]
-    base: "Monoid"
+class Power(Value):
+    __slots__ = ("labels", "base")
     _zero = ()
     _payload = tuple
 
-    def __post_init__(self):
-        labels = tuple(sorted(set(self.labels)))
+    def __init__(self, labels: tuple[str, ...], base: "Monoid"):
+        labels = tuple(sorted(set(labels)))
         if not labels:
             raise ValueError("power monoid needs a non-empty label set")
-        object.__setattr__(self, "labels", labels)
+        Value.__init__(self, labels, base)
 
 
 Monoid = Union[BoolOr, NatPlus, NatMax, RatPlus, Product, Power]
@@ -250,20 +291,21 @@ def cancellative(m: Monoid) -> bool:
 
 # --- homomorphisms ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hom:
+class Hom(Value):
     """A monoid homomorphism with explicit source/target descriptors.
 
     Only injective homomorphisms are constructed by this module (identity,
     product sections, dirac embeddings and their compositions); weight
     relabelling of systems relies on that to preserve bisimilarity.
+    Equality and hashing ignore ``fn``; ``repr`` shows it.
     """
 
-    source: Monoid
-    target: Monoid
-    fn: Callable[[Weight], Weight] = field(compare=False)
-    injective: bool = True
-    name: str = ""
+    __slots__ = ("source", "target", "fn", "injective", "name")
+
+    def __init__(self, source: Monoid, target: Monoid, fn: Callable[[Weight], Weight],
+                 injective: bool = True, name: str = ""):
+        Value.__init__(self, source, target, fn, injective, name)
+        object.__setattr__(self, "_values", (source, target, injective, name))
 
     def __call__(self, w: Weight) -> Weight:
         return self.fn(w)

@@ -33,7 +33,6 @@ relations on the source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .monoid import NAT_PLUS, Hom, Power, Product, monoid_section, power_dirac
@@ -50,15 +49,11 @@ def fused_label(i: int, a: str) -> str:
     return f"{i}:{a}"
 
 
-@dataclass
 class Reduction:
-    kind: str
-    source: Futs
-    target: Futs
-    state_map: dict[str, str]
-    full: bool
-    stages: tuple["Reduction", ...] = ()
-    intermediates: tuple[tuple[str, Term], ...] = ()
+    def __init__(self, kind: str, source: Futs, target: Futs, state_map: dict[str, str],
+                 full: bool, stages: tuple = (), intermediates: tuple = ()):
+        self.kind, self.source, self.target, self.state_map = kind, source, target, state_map
+        self.full, self.stages, self.intermediates = full, stages, intermediates
 
 
 # --- signature transforms (single source of truth, shared with logic) ------
@@ -306,11 +301,13 @@ def _extend(r: Reduction, p: Partition) -> Partition:
     )
 
 
-@dataclass
 class Report:
-    relations_checked: int
-    bisimulations: int
-    violations: list[str] = field(default_factory=list)
+    def __init__(self, relations_checked: int, bisimulations: int):
+        self.relations_checked, self.bisimulations = relations_checked, bisimulations
+        self.violations: list[str] = []
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is Report else NotImplemented
 
     @property
     def ok(self) -> bool:

@@ -9,43 +9,39 @@ construction and all operations here are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
 from . import monoid as mo
-from .monoid import Hom, Monoid
+from .monoid import Hom, Monoid, Value
 from .weightfn import Leaf, Node, Term, leaves, node, term_depth, zero_term
 
 
-@dataclass(frozen=True)
-class Component:
-    labels: tuple[str, ...]
-    monoids: tuple[Monoid, ...]
+class Component(Value):
+    __slots__ = ("labels", "monoids")
 
-    def __post_init__(self):
-        labels = tuple(sorted(set(self.labels)))
+    def __init__(self, labels: tuple[str, ...], monoids: tuple[Monoid, ...]):
+        labels = tuple(sorted(set(labels)))
         if not labels:
             raise ValueError("component needs a non-empty label set")
-        monoids = tuple(self.monoids)
+        monoids = tuple(monoids)
         if not monoids:
             raise ValueError("component needs a non-empty monoid stack")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "monoids", monoids)
+        Value.__init__(self, labels, monoids)
 
     @property
     def depth(self) -> int:
         return len(self.monoids)
 
 
-@dataclass(frozen=True)
-class Signature:
-    components: tuple[Component, ...]
+class Signature(Value):
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+    def __init__(self, components: tuple[Component, ...]):
+        components = tuple(components)
+        if not components:
             raise ValueError("signature needs at least one component")
+        Value.__init__(self, components)
 
     @property
     def is_nested(self) -> bool:

@@ -26,7 +26,6 @@ import itertools
 import re
 import string
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -39,11 +38,9 @@ if TYPE_CHECKING:  # formulas are imported where they are read or written
     from .logic import Formula
 
 
-@dataclass
 class Diagnostic:
-    line: int
-    column: int
-    message: str
+    def __init__(self, line: int, column: int, message: str):
+        self.line, self.column, self.message = line, column, message
 
     def render(self) -> str:
         return f"{self.line}:{self.column}: error: {self.message}"

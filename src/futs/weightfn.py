@@ -14,12 +14,12 @@ use and keeps them.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from .monoid import (
     SEPARATORS,
     Monoid,
+    Value,
     Weight,
     add,
     check_weight,
@@ -29,30 +29,35 @@ from .monoid import (
 )
 
 
-@dataclass(frozen=True)
-class Leaf:
-    state: str
+_set = object.__setattr__  # terms are built often: their constructors set each slot directly
 
 
-@dataclass(frozen=True)
-class Node:
-    stack: tuple[Monoid, ...]
-    entries: tuple[tuple["Term", Weight], ...]
-    # the dataclass's hash and the canonical compact key, each computed on
-    # first use and kept: both would otherwise walk the whole subtree on
-    # every dict lookup and every sort, and most terms are never hashed
-    _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
-    _key: Optional[str] = field(default=None, init=False, compare=False, repr=False)
+class Leaf(Value):
+    __slots__ = ("state",)
+
+    def __init__(self, state: str):
+        _set(self, "state", state)
+        _set(self, "_values", (state,))
+
+
+class Node(Value):
+    # the hash and the canonical compact key are computed on first use and kept: both
+    # would otherwise walk the whole subtree on every dict lookup and every sort
+    __slots__ = ("stack", "entries", "_hash", "_key")
+
+    def __init__(self, stack: tuple[Monoid, ...], entries: tuple[tuple["Term", Weight], ...]):
+        _set(self, "stack", stack)
+        _set(self, "entries", entries)
+        _set(self, "_values", (stack, entries))
+        _set(self, "_hash", None)
+        _set(self, "_key", None)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.stack, self.entries))
-            object.__setattr__(self, "_hash", h)
+            h = hash(self._values)
+            _set(self, "_hash", h)
         return h
-
-    def __reduce__(self):  # pickle by fields, so the loading process rehashes its strs
-        return Node, (self.stack, self.entries)
 
 
 Term = Union[Leaf, Node]
@@ -119,7 +124,7 @@ def format_term(t: Term, compact: bool = False) -> str:
     text = lb + sep.join(f"{format_term(k, compact)}{colon}{format_weight(outer, w, compact)}"
                          for k, w in t.entries) + rb if t.entries else "{}"
     if compact:
-        object.__setattr__(t, "_key", text)
+        _set(t, "_key", text)
     return text
 
 

@@ -1,5 +1,6 @@
 """Import budget: a CLI launch loads only the modules its subcommand runs,
-and the lazy package namespace resolves to the submodules' objects."""
+no costly stdlib module, and the lazy package namespace resolves to the
+submodules' objects."""
 
 import importlib
 import json
@@ -17,21 +18,31 @@ from conftest import DATA
 FIG1 = str(DATA / "fig1.futs")
 W3 = str(DATA / "w3.futs")
 
-# run main in a fresh interpreter and print the futs modules it loaded
+# run main in a fresh interpreter and print the futs modules it loaded, then
+# the stdlib modules it loaded beyond those the interpreter had at start
 PROBE = """
-import contextlib, io, json, sys
+import sys
+before = set(sys.modules)
+import contextlib, io, json
 import futs.cli
 with contextlib.redirect_stdout(io.StringIO()):
     futs.cli.main(sys.argv[1:])
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "futs")))
+print(json.dumps(sorted(m for m in set(sys.modules) - before if m.split(".")[0] != "futs")))
 """
 
 
-def loaded_modules(*argv) -> set[str]:
+def probe(*argv) -> tuple[set[str], set[str]]:
+    """The futs modules and the newly loaded stdlib modules of one launch."""
     env = dict(os.environ, PYTHONPATH=str(Path(futs.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return set(json.loads(out))
+    ours, stdlib = out.splitlines()
+    return set(json.loads(ours)), set(json.loads(stdlib))
+
+
+def loaded_modules(*argv) -> set[str]:
+    return probe(*argv)[0]
 
 
 def test_help_loads_no_library_module():
@@ -58,6 +69,28 @@ def test_equiv_logic_and_reduce_load_what_they_run(tmp_path):
     loaded = loaded_modules("reduce", FIG1, "--to", "wts", "-o", str(tmp_path / "out.futs"))
     assert "futs.reduce" in loaded
     assert not loaded & {"futs.logic", "futs.bisim"}
+
+
+# dataclasses alone loads inspect, ast, dis and tokenize: 9-14 ms of every launch
+COSTLY_STDLIB = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bisim", FIG1],
+    ["bisim", FIG1, "--quotient", "{tmp}/q.futs"],
+    ["equiv", W3, "x", "y"],
+    ["equiv", W3, "x", "y", "--logic"],
+    ["equiv", FIG1, "s0", "s1", "--logic"],
+    ["check", FIG1, "--formula", "<0|b|tt, 1/2> T"],
+    ["reduce", FIG1, "--to", "wts", "-o", "{tmp}/out.futs"],
+    ["verify", FIG1, "--to", "wts"],
+    ["translate", "--formula", "<0|b|tt, 1/2> T", "--sig", FIG1, "--to", "wts"],
+], ids=["bisim", "bisim-quotient", "equiv", "equiv-logic", "equiv-logic-nonsimple",
+        "check", "reduce", "verify", "translate"])
+def test_launch_loads_no_costly_stdlib_module(argv, tmp_path):
+    ours, stdlib = probe(*(a.format(tmp=tmp_path) for a in argv))
+    assert len(ours) > 2  # the subcommand ran, not a usage error
+    assert not stdlib & COSTLY_STDLIB
 
 
 SUBMODULES = ("bisim", "logic", "monoid", "reduce", "system", "textio", "weightfn")
