@@ -34,11 +34,12 @@ def _load_system(path: str):
 
 
 def cmd_bisim(args) -> int:
-    from . import bisim, textio
+    from .bisim import largest_bisimulation, quotient_system
+    from .textio import write_system
     s = _load_system(args.file)
-    part = bisim.largest_bisimulation(s)
+    part = largest_bisimulation(s)
     if args.quotient:  # written before the partition is printed, so a failure prints nothing
-        quotient = textio.write_system(bisim.quotient_system(s, part))
+        quotient = write_system(quotient_system(s, part))
         with open(args.quotient, "w", encoding="utf-8") as fh:
             fh.write(quotient)
     print(part.render())
@@ -46,8 +47,8 @@ def cmd_bisim(args) -> int:
 
 
 def _run_reduction(s, stage: str):
-    from . import reduce as rd
-    run = rd.to_wts if STAGE_BY_NAME[stage] is None else rd.STAGE_FUNCS[STAGE_BY_NAME[stage]]
+    from .reduce import STAGE_FUNCS, to_wts
+    run = to_wts if STAGE_BY_NAME[stage] is None else STAGE_FUNCS[STAGE_BY_NAME[stage]]
     try:
         return run(s)
     except ValueError as e:  # main reports it as a usage error
@@ -55,23 +56,31 @@ def _run_reduction(s, stage: str):
 
 
 def cmd_reduce(args) -> int:
-    from . import textio
+    from .textio import write_system
+    paths = [args.output] + ([args.map] if args.map else [])
+    if len({os.path.realpath(p) for p in paths}) < len(paths):
+        print("error: -o and --map name the same file", file=sys.stderr)
+        return USAGE
     r = _run_reduction(_load_system(args.file), args.to)
-    target = textio.write_system(r.target)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(target)
-    if args.map:
-        try:
-            with open(args.map, "w", encoding="utf-8") as fh:
-                fh.writelines(f"{x} -> {r.state_map[x]}\n" for x in r.source.states)
-        except OSError:  # a failed command leaves no result file behind
-            os.remove(args.output)
-            raise
+    texts = [write_system(r.target),
+             "".join(f"{x} -> {r.state_map[x]}\n" for x in r.source.states)]
+    created = [path for path in paths if not os.path.exists(path)]
+    try:  # every path is opened, which changes no file, before any is written
+        for path in paths:
+            open(path, "a", encoding="utf-8").close()
+    except OSError:  # a failed command leaves no file it made behind
+        for path in filter(os.path.exists, created):
+            os.remove(path)
+        raise
+    for path, text in zip(paths, texts):  # without --map, zip drops the map's text
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return OK
 
 
 def cmd_check(args) -> int:
-    from . import logic, textio
+    from .logic import sat_set
+    from . import textio
     s = _load_system(args.file)
     if args.formula is not None:
         texts = [(args.formula, 1, 0)]  # (text, its first line, its indent)
@@ -94,7 +103,7 @@ def cmd_check(args) -> int:
                                                       d.message) for d in e.diagnostics) from e
     all_hold = True
     for text, phi in formulas:
-        sat = logic.sat_set(s, phi)
+        sat = sat_set(s, phi)
         if len(formulas) > 1:
             print(f"formula: {text}")
         if args.state is not None:
@@ -117,19 +126,19 @@ def cmd_equiv(args) -> int:
     if args.logic:
         # the logic is sound, so on a simple system the witness search gives the
         # verdict; other systems ask the oracle, then seek the witness on the WTS
-        from . import logic, textio
+        from .logic import bounded_logical_equiv, distinguishing_formula, witness_formula
         from .monoid import cancellative, positive
+        from .textio import write_formula
         target, tx, ty, depth = s, x, y, args.depth
         if not s.sig.is_simple:
-            if logic.bounded_logical_equiv(s, depth=depth).same_block(x, y):
+            if bounded_logical_equiv(s, depth=depth).same_block(x, y):
                 print(f"{x} and {y} are logically equivalent")
                 return OK
             from .reduce import to_wts
             r = to_wts(s)
             target, tx, ty, depth = r.target, r.state_map[x], r.state_map[y], None
         m = target.sig.components[0].monoids[0]
-        find = (logic.distinguishing_formula if positive(m) and cancellative(m)
-                else logic.witness_formula)
+        find = distinguishing_formula if positive(m) and cancellative(m) else witness_formula
         phi = find(target, tx, ty, depth)
         if phi is None and target is s:
             print(f"{x} and {y} are logically equivalent")
@@ -137,11 +146,10 @@ def cmd_equiv(args) -> int:
         print(f"{x} and {y} are distinguished")
         where = "" if target is s else " (over the reduced weighted system)"
         print("no distinguishing formula found on the reduced system" if phi is None
-              else f"distinguishing formula{where}: {textio.write_formula(phi, target.sig)}")
+              else f"distinguishing formula{where}: {write_formula(phi, target.sig)}")
         return FAIL
-    from . import bisim
-    part = bisim.largest_bisimulation(s)
-    if part.same_block(x, y):
+    from .bisim import largest_bisimulation
+    if largest_bisimulation(s).same_block(x, y):
         print(f"{x} and {y} are bisimilar")
         return OK
     print(f"{x} and {y} are not bisimilar")
@@ -149,16 +157,15 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import reduce as rd
+    from .reduce import EXHAUSTIVE_LIMIT, verify_reduction
     s = _load_system(args.file)
     r = _run_reduction(s, args.to)
-    if args.exhaustive and len(s.states) > rd.EXHAUSTIVE_LIMIT:
-        print(f"error: --exhaustive is limited to {rd.EXHAUSTIVE_LIMIT} states "
+    if args.exhaustive and len(s.states) > EXHAUSTIVE_LIMIT:
+        print(f"error: --exhaustive is limited to {EXHAUSTIVE_LIMIT} states "
               f"({len(s.states)} given); drop the flag to sample instead",
               file=sys.stderr)
         return USAGE
-    report = rd.verify_reduction(r, exhaustive=args.exhaustive,
-                                 samples=args.samples, seed=args.seed)
+    report = verify_reduction(r, exhaustive=args.exhaustive, samples=args.samples, seed=args.seed)
     print(report.render())
     for v in report.violations:
         print(f"violation: {v}")
@@ -166,16 +173,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    from . import logic, reduce as rd, textio
+    from .logic import translate, translate_to_wts
+    from .reduce import SIG_FUNCS
+    from .textio import parse_formula, write_formula
     s = _load_system(args.sig)
-    phi = textio.parse_formula(args.formula, s.sig)
+    phi = parse_formula(args.formula, s.sig)
     if args.to == "wts":
-        out, out_sig = logic.translate_to_wts(s.sig, phi)
+        out, out_sig = translate_to_wts(s.sig, phi)
     else:
         stage = STAGE_BY_NAME[args.to]  # main reports a ValueError
-        out = logic.translate(stage, s.sig, phi)
-        out_sig = rd.SIG_FUNCS[stage](s.sig)
-    print(textio.write_formula(out, out_sig))
+        out, out_sig = translate(stage, s.sig, phi), SIG_FUNCS[stage](s.sig)
+    print(write_formula(out, out_sig))
     return OK
 
 

@@ -27,17 +27,14 @@ from typing import TYPE_CHECKING, Optional, Union
 from .monoid import (
     Value,
     Weight,
-    add,
     add_all,
     cancellative,
     check_weight,
-    format_weight,
     hom_apply,
     is_zero,
     nat_leq,
     positive,
     power_dirac,
-    zero,
 )
 from .system import Futs, Signature
 
@@ -184,12 +181,12 @@ class Evaluator:
         monoids = s.sig.components[f.component].monoids
         passed = {g.ids[x] for x in body}
         for nodes, m, bound in reversed(list(zip(g.levels[k], monoids, f.bounds))):
-            below, passed = passed, set()
+            below, passed, plus = passed, set(), m._add
             for t in nodes:
-                acc = zero(m)
+                acc = m._zero
                 for c, w in g.out[t]:
                     if c in below:
-                        acc = add(m, acc, w)
+                        acc = plus(acc, w)
                 if nat_leq(m, bound, acc):
                     passed.add(t)
         return frozenset(x for v, x in enumerate(s.states) if g.out[v][k] in passed)
@@ -213,13 +210,13 @@ def translate(stage: str, sig: Signature, phi: Formula) -> Formula:
     Satisfaction is preserved: a state satisfies the original formula iff
     its image satisfies the translated one on the reduced system.
     """
-    from . import reduce as rd
+    from .reduce import UNLABEL_LABEL, fused_label, homog_sections, sig_flatten, sig_nest
     phi = check_formula(phi, sig)
     if stage == "unlabel":
         def diamond(f, body):
             comp = sig.components[f.component]
             folded = power_dirac(f.label, f.bounds[0], comp.labels, comp.monoids[0])
-            return Diamond(f.component, rd.UNLABEL_LABEL, (folded,) + f.bounds[1:], body)
+            return Diamond(f.component, UNLABEL_LABEL, (folded,) + f.bounds[1:], body)
     elif stage == "tabularize":
         depth = max(c.depth for c in sig.components)
 
@@ -227,18 +224,18 @@ def translate(stage: str, sig: Signature, phi: Formula) -> Formula:
             pad = depth - sig.components[f.component].depth
             return Diamond(f.component, f.label, (1,) * pad + f.bounds, body)
     elif stage == "homogenize":
-        rows = rd.homog_sections(sig)
+        rows = homog_sections(sig)
 
         def diamond(f, body):
             bounds = tuple(hom_apply(h, b) for h, b in zip(rows[f.component], f.bounds))
             return Diamond(f.component, f.label, bounds, body)
     elif stage == "nest":
-        rd.sig_nest(sig)  # precondition check
+        sig_nest(sig)  # precondition check
 
         def diamond(f, body):
-            return Diamond(0, rd.fused_label(f.component, f.label), f.bounds, body)
+            return Diamond(0, fused_label(f.component, f.label), f.bounds, body)
     elif stage == "flatten":
-        rd.sig_flatten(sig)  # precondition check
+        sig_flatten(sig)  # precondition check
         lab = sig.components[0].labels[0]
 
         def diamond(f, body):
@@ -252,11 +249,11 @@ def translate(stage: str, sig: Signature, phi: Formula) -> Formula:
 
 def translate_to_wts(sig: Signature, phi: Formula) -> tuple[Formula, Signature]:
     """Composite translation mirroring the to_wts stage plan."""
-    from . import reduce as rd
+    from .reduce import SIG_FUNCS, plan_wts_stages
     cur = sig
-    for stage in rd.plan_wts_stages(sig):
+    for stage in plan_wts_stages(sig):
         phi = translate(stage, cur, phi)
-        cur = rd.SIG_FUNCS[stage](cur)
+        cur = SIG_FUNCS[stage](cur)
     return check_formula(phi, cur), cur
 
 
@@ -278,15 +275,15 @@ def realizable_grid(s: Futs) -> dict[tuple[int, int], list[Weight]]:
     g, grid = s.graph, {}
     for i, comp in enumerate(s.sig.components):
         for j, m in enumerate(comp.monoids):
-            sums = {zero(m)}
+            z, plus, fmt = m._zero, m._add, m._format
+            sums = {z}
             for t in set().union(*(g.levels[g.slots[(i, a)]][j] for a in comp.labels)):
-                found = {zero(m)}  # the subset sums of this term's weights
+                found = {z}  # the subset sums of this term's weights
                 for _c, w in g.out[t]:
-                    found |= {add(m, total, w) for total in found}
+                    found |= {plus(total, w) for total in found}
                 sums |= found
             try:
-                grid[(i, j)] = [zero(m)] + sorted(sums - {zero(m)},
-                                                  key=lambda w: format_weight(m, w, True))
+                grid[(i, j)] = [z] + sorted(sums - {z}, key=lambda w: fmt(w, True))
             except ValueError:  # str() refuses integers longer than sys.get_int_max_str_digits()
                 raise ValueError(f"a sum of weights has more than {sys.get_int_max_str_digits()} "
                                  "digits, too many to write") from None

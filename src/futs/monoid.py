@@ -21,12 +21,17 @@ Product         tuple of payloads, one per factor
 Power           tuple of (label, payload) pairs, sorted, zeros elided
 ==============  =======================================================
 
-Descriptors are frozen and hold their zero, which ``zero`` returns
-without building it again.
+Descriptors are frozen and carry their zero, text form and flags
+(``_zero``, ``_name``, ``_cancellative``) and their operations as methods
+(``_canon``, ``_check``, ``_add``, ``_leq``, ``_format``).  The functions
+below look the method up and raise TypeError for anything else than a
+descriptor; hot loops look it up once per monoid.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from fractions import Fraction
 from typing import Callable, Union
@@ -81,33 +86,77 @@ class Value:
         self.__setattr__(name, None, "delete")
 
 
-class BoolOr(Value):
+class _Scalar(Value):
+    """Numbers of type ``_payload`` with a nonnegative numerator (default: naturals)."""
     __slots__ = ()
-    _zero = False
-    _payload = bool
+    _zero, _payload, _sum, _leq = 0, int, operator.add, operator.le
+    _cancellative = True
+
+    def _canon(self, w) -> bool:
+        return type(w) is self._payload and w.numerator >= 0
+
+    def _check(self, w):
+        if isinstance(w, bool) or not isinstance(w, int) or w < 0:
+            raise WeightError(f"natural weight expected, got {w!r}")
+        return w
+
+    def _add(self, w1, w2):
+        if type(w1) is bool or type(w2) is bool:
+            raise WeightError(f"numeric operands expected, got {w1!r}, {w2!r}")
+        return self._sum(w1, w2)
+
+    def _format(self, w, compact=False) -> str:
+        return str(w)
 
 
-class NatPlus(Value):
+class BoolOr(_Scalar):
     __slots__ = ()
-    _zero = 0
-    _payload = int
+    _zero, _payload, _name, _cancellative = False, bool, "bool-or", False
+
+    def _check(self, w):
+        if type(w) is not bool:
+            raise WeightError(f"bool-or weight expected, got {w!r}")
+        return w
+
+    def _add(self, w1, w2):
+        if type(w1) is not bool or type(w2) is not bool:
+            raise WeightError(f"bool-or operands expected, got {w1!r}, {w2!r}")
+        return w1 or w2
+
+    def _leq(self, w1, w2) -> bool:
+        return (not w1) or w2
+
+    def _format(self, w, compact=False) -> str:
+        return "tt" if w else "ff"
 
 
-class NatMax(Value):
+class NatPlus(_Scalar):
     __slots__ = ()
-    _zero = 0
-    _payload = int
+    _name = "nat-plus"
 
 
-class RatPlus(Value):
+class NatMax(_Scalar):
     __slots__ = ()
-    _zero = Fraction(0)
-    _payload = Fraction
+    _sum, _name, _cancellative = max, "nat-max", False
+
+
+class RatPlus(_Scalar):
+    __slots__ = ()
+    _zero, _payload, _name = Fraction(0), Fraction, "rat-plus"
+
+    def _check(self, w):
+        if type(w) is Fraction and w.numerator >= 0:  # a Fraction comparison costs far more
+            return w
+        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+            raise WeightError(f"rational weight expected, got {w!r}")
+        w = Fraction(w)
+        if w < 0:
+            raise WeightError(f"rational weight must be nonnegative, got {w!r}")
+        return w
 
 
 class Product(Value):
-    __slots__ = ("factors", "_zero")
-    _payload = tuple
+    __slots__ = ("factors", "_zero", "_name", "_cancellative")
 
     def __init__(self, factors: tuple["Monoid", ...]):
         factors = tuple(factors)
@@ -115,18 +164,94 @@ class Product(Value):
             raise ValueError("product monoid needs at least one factor")
         Value.__init__(self, factors)
         object.__setattr__(self, "_zero", tuple(f._zero for f in factors))
+        object.__setattr__(self, "_name", "prod(" + ", ".join(f._name for f in factors) + ")")
+        object.__setattr__(self, "_cancellative", all(f._cancellative for f in factors))
+
+    def _canon(self, w) -> bool:
+        return (type(w) is tuple and len(w) == len(self.factors)
+                and all([f._canon(x) for f, x in zip(self.factors, w)]))
+
+    def _check(self, w):
+        if self._canon(w):
+            return w
+        if not isinstance(w, tuple) or len(w) != len(self.factors):
+            raise WeightError(f"{len(self.factors)}-tuple expected, got {w!r}")
+        return tuple([f._check(x) for f, x in zip(self.factors, w)])
+
+    def _add(self, w1, w2):
+        if len(w1) != len(self.factors) or len(w2) != len(self.factors):
+            raise WeightError(f"{len(self.factors)}-tuples expected, got {w1!r}, {w2!r}")
+        return tuple([f._add(a, b) for f, a, b in zip(self.factors, w1, w2)])
+
+    def _leq(self, w1, w2) -> bool:
+        return all(f._leq(a, b) for f, a, b in zip(self.factors, w1, w2))
+
+    def _format(self, w, compact=False) -> str:
+        sep = SEPARATORS[compact][0]
+        return "(" + sep.join([f._format(x, compact) for f, x in zip(self.factors, w)]) + ")"
 
 
 class Power(Value):
-    __slots__ = ("labels", "base")
+    __slots__ = ("labels", "base", "_name", "_cancellative")
     _zero = ()
-    _payload = tuple
 
     def __init__(self, labels: tuple[str, ...], base: "Monoid"):
         labels = tuple(sorted(set(labels)))
         if not labels:
             raise ValueError("power monoid needs a non-empty label set")
         Value.__init__(self, labels, base)
+        names = ", ".join(map(quote_id, labels))
+        object.__setattr__(self, "_name", "pow({" + names + "}, " + base._name + ")")
+        object.__setattr__(self, "_cancellative", base._cancellative)
+
+    def _canon(self, w) -> bool:
+        if type(w) is not tuple:
+            return False
+        prev, base = "", self.base
+        for pair in w:
+            if type(pair) is not tuple or len(pair) != 2:
+                return False
+            lab, val = pair
+            if not (type(lab) is str and prev < lab and lab in self.labels
+                    and base._canon(val) and val != base._zero):
+                return False
+            prev = lab
+        return True
+
+    def _check(self, w):
+        if self._canon(w):
+            return w
+        if not isinstance(w, tuple):
+            raise WeightError(f"power map expected, got {w!r}")
+        items = {}
+        for pair in w:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise WeightError(f"power map entries must be (label, weight) pairs, got {pair!r}")
+            lab, val = pair
+            if lab not in self.labels:
+                raise WeightError(f"label {lab!r} not in power label set {self.labels}")
+            if lab in items:
+                raise WeightError(f"duplicate label {lab!r} in power map")
+            items[lab] = self.base._check(val)
+        return tuple(sorted((l, v) for l, v in items.items() if v != self.base._zero))
+
+    def _add(self, w1, w2):
+        merged, plus = dict(w1), self.base._add
+        for lab, v in w2:
+            merged[lab] = plus(merged[lab], v) if lab in merged else v
+        return tuple(sorted((l, v) for l, v in merged.items() if v != self.base._zero))
+
+    def _leq(self, w1, w2) -> bool:
+        d1, d2 = dict(w1), dict(w2)
+        z, leq = self.base._zero, self.base._leq
+        return all(leq(d1.get(l, z), d2.get(l, z)) for l in set(d1) | set(d2))
+
+    def _format(self, w, compact=False) -> str:
+        if not w:
+            return "{}"
+        sep, colon, lb, rb = SEPARATORS[compact]
+        return lb + sep.join(f"{l if compact else quote_id(l)}{colon}"
+                             f"{self.base._format(v, compact)}" for l, v in w) + rb
 
 
 Monoid = Union[BoolOr, NatPlus, NatMax, RatPlus, Product, Power]
@@ -138,39 +263,20 @@ NAT_MAX = NatMax()
 RAT_PLUS = RatPlus()
 
 
-def zero(m: Monoid) -> Weight:
-    """The unit of the monoid (computed once per descriptor)."""
+def _op(m: Monoid, name: str):
     try:
-        return m._zero
+        return getattr(m, name)
     except AttributeError:
         raise TypeError(f"unknown monoid {m!r}") from None
 
 
+def zero(m: Monoid) -> Weight:
+    """The unit of the monoid (computed once per descriptor)."""
+    return _op(m, "_zero")
+
+
 def is_zero(m: Monoid, w: Weight) -> bool:
     return w == zero(m)
-
-
-def _canonical(m: Monoid, w: Weight) -> bool:
-    """True when ``w`` already is the canonical payload ``check_weight`` returns."""
-    kind = type(w)
-    if kind is not getattr(m, "_payload", None):
-        return False
-    if kind is Fraction:
-        return w.numerator >= 0  # a Fraction comparison costs far more
-    if kind is not tuple:
-        return w >= 0
-    if isinstance(m, Product):
-        return len(w) == len(m.factors) and all(map(_canonical, m.factors, w))
-    prev = ""
-    for pair in w:
-        if type(pair) is not tuple or len(pair) != 2:
-            return False
-        lab, val = pair
-        if not (type(lab) is str and prev < lab and lab in m.labels
-                and _canonical(m.base, val) and val != m.base._zero):
-            return False
-        prev = lab
-    return True
 
 
 def check_weight(m: Monoid, w: Weight) -> Weight:
@@ -181,112 +287,31 @@ def check_weight(m: Monoid, w: Weight) -> Weight:
     payload that is canonical already is returned as it is, after a check
     of its exact types that builds nothing.
     """
-    if _canonical(m, w):
-        return w
-    if isinstance(m, BoolOr):
-        if not isinstance(w, bool):
-            raise WeightError(f"bool-or weight expected, got {w!r}")
-        return w
-    if isinstance(m, (NatPlus, NatMax)):
-        if isinstance(w, bool) or not isinstance(w, int) or w < 0:
-            raise WeightError(f"natural weight expected, got {w!r}")
-        return w
-    if isinstance(m, RatPlus):
-        if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
-            raise WeightError(f"rational weight expected, got {w!r}")
-        w = Fraction(w)
-        if w < 0:
-            raise WeightError(f"rational weight must be nonnegative, got {w!r}")
-        return w
-    if isinstance(m, Product):
-        if not isinstance(w, tuple) or len(w) != len(m.factors):
-            raise WeightError(f"{len(m.factors)}-tuple expected, got {w!r}")
-        return tuple(check_weight(f, x) for f, x in zip(m.factors, w))
-    if isinstance(m, Power):
-        if not isinstance(w, tuple):
-            raise WeightError(f"power map expected, got {w!r}")
-        items = {}
-        for pair in w:
-            if not isinstance(pair, tuple) or len(pair) != 2:
-                raise WeightError(f"power map entries must be (label, weight) pairs, got {pair!r}")
-            lab, val = pair
-            if lab not in m.labels:
-                raise WeightError(f"label {lab!r} not in power label set {m.labels}")
-            if lab in items:
-                raise WeightError(f"duplicate label {lab!r} in power map")
-            items[lab] = check_weight(m.base, val)
-        return tuple(sorted((l, v) for l, v in items.items() if not is_zero(m.base, v)))
-    raise TypeError(f"unknown monoid {m!r}")
+    return _op(m, "_check")(w)
 
 
 def add(m: Monoid, w1: Weight, w2: Weight) -> Weight:
     """Monoid sum of two payloads (commutative, associative, unit zero)."""
-    if isinstance(m, BoolOr):
-        if not (isinstance(w1, bool) and isinstance(w2, bool)):
-            raise WeightError(f"bool-or operands expected, got {w1!r}, {w2!r}")
-        return w1 or w2
-    if isinstance(m, (NatPlus, RatPlus)):
-        if isinstance(w1, bool) or isinstance(w2, bool):
-            raise WeightError(f"numeric operands expected, got {w1!r}, {w2!r}")
-        return w1 + w2
-    if isinstance(m, NatMax):
-        if isinstance(w1, bool) or isinstance(w2, bool):
-            raise WeightError(f"numeric operands expected, got {w1!r}, {w2!r}")
-        return max(w1, w2)
-    if isinstance(m, Product):
-        if len(w1) != len(m.factors) or len(w2) != len(m.factors):
-            raise WeightError(f"{len(m.factors)}-tuples expected, got {w1!r}, {w2!r}")
-        return tuple(add(f, a, b) for f, a, b in zip(m.factors, w1, w2))
-    if isinstance(m, Power):
-        merged = dict(w1)
-        for lab, v in w2:
-            merged[lab] = add(m.base, merged[lab], v) if lab in merged else v
-        return tuple(sorted((l, v) for l, v in merged.items() if not is_zero(m.base, v)))
-    raise TypeError(f"unknown monoid {m!r}")
+    return _op(m, "_add")(w1, w2)
 
 
 def add_all(m: Monoid, weights) -> Weight:
-    total = zero(m)
-    for w in weights:
-        total = add(m, total, w)
-    return total
+    return functools.reduce(_op(m, "_add"), weights, zero(m))
 
 
 def nat_leq(m: Monoid, w1: Weight, w2: Weight) -> bool:
     """The natural order: true iff some w'' has w1 + w'' = w2."""
-    if isinstance(m, BoolOr):
-        return (not w1) or w2
-    if isinstance(m, (NatPlus, NatMax, RatPlus)):
-        return w1 <= w2
-    if isinstance(m, Product):
-        return all(nat_leq(f, a, b) for f, a, b in zip(m.factors, w1, w2))
-    if isinstance(m, Power):
-        d1, d2 = dict(w1), dict(w2)
-        z = zero(m.base)
-        return all(nat_leq(m.base, d1.get(l, z), d2.get(l, z)) for l in set(d1) | set(d2))
-    raise TypeError(f"unknown monoid {m!r}")
+    return _op(m, "_leq")(w1, w2)
 
 
 def positive(m: Monoid) -> bool:
     """Zerosumfree flag; true for every catalog monoid."""
-    if isinstance(m, Product):
-        return all(positive(f) for f in m.factors)
-    if isinstance(m, Power):
-        return positive(m.base)
-    return isinstance(m, (BoolOr, NatPlus, NatMax, RatPlus))
+    return isinstance(m, (_Scalar, Product, Power))
 
 
 def cancellative(m: Monoid) -> bool:
     """True when a + b = a + c forces b = c (nat-plus, rat-plus, closures)."""
-    if isinstance(m, (NatPlus, RatPlus)):
-        return True
-    if isinstance(m, (BoolOr, NatMax)):
-        return False
-    if isinstance(m, Product):
-        return all(cancellative(f) for f in m.factors)
-    if isinstance(m, Power):
-        return cancellative(m.base)
-    raise TypeError(f"unknown monoid {m!r}")
+    return _op(m, "_cancellative")
 
 
 # --- homomorphisms ---------------------------------------------------------
@@ -355,20 +380,7 @@ def quote_id(name: str) -> str:
 
 
 def format_monoid(m: Monoid) -> str:
-    if isinstance(m, BoolOr):
-        return "bool-or"
-    if isinstance(m, NatPlus):
-        return "nat-plus"
-    if isinstance(m, NatMax):
-        return "nat-max"
-    if isinstance(m, RatPlus):
-        return "rat-plus"
-    if isinstance(m, Product):
-        return "prod(" + ", ".join(format_monoid(f) for f in m.factors) + ")"
-    if isinstance(m, Power):
-        labels = ", ".join(quote_id(l) for l in m.labels)
-        return "pow({" + labels + "}, " + format_monoid(m.base) + ")"
-    raise TypeError(f"unknown monoid {m!r}")
+    return _op(m, "_name")
 
 
 # item, key-value and brace separators of the display and the compact text forms
@@ -379,18 +391,4 @@ def format_weight(m: Monoid, w: Weight, compact: bool = False) -> str:
     """Display form of a weight (the system writer and formulas), or with
     ``compact`` the canonical key that orders term entries: no blanks and
     power labels unquoted."""
-    if isinstance(m, BoolOr):
-        return "tt" if w else "ff"
-    if isinstance(m, (NatPlus, NatMax)):
-        return str(w)
-    if isinstance(m, RatPlus):
-        return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
-    sep, colon, lb, rb = SEPARATORS[compact]
-    if isinstance(m, Product):
-        return "(" + sep.join(format_weight(f, x, compact) for f, x in zip(m.factors, w)) + ")"
-    if isinstance(m, Power):
-        if not w:
-            return "{}"
-        return lb + sep.join(f"{l if compact else quote_id(l)}{colon}"
-                             f"{format_weight(m.base, v, compact)}" for l, v in w) + rb
-    raise TypeError(f"unknown monoid {m!r}")
+    return _op(m, "_format")(w, compact)

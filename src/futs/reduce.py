@@ -118,10 +118,8 @@ def unlabel(s: Futs) -> Reduction:
     for i, comp in enumerate(s.sig.components):
         stack2 = sig2.components[i].monoids
         for x in s.states:
-            entries = []
-            for a in comp.labels:
-                for k, w in s.transition(i, x, a).entries:
-                    entries.append((k, power_dirac(a, w, comp.labels, comp.monoids[0])))
+            entries = [(k, power_dirac(a, w, comp.labels, comp.monoids[0]))
+                       for a in comp.labels for k, w in s.transition(i, x, a).entries]
             trans[(i, x, UNLABEL_LABEL)] = node(stack2, entries)
     target = Futs(sig2, s.states, trans)
     return Reduction("unlabel", s, target, {x: x for x in s.states}, full=True)
@@ -156,9 +154,7 @@ def homogenize(s: Futs) -> Reduction:
 def nest(s: Futs) -> Reduction:
     """Merge the components of a tabular homogeneous system into one."""
     sig2 = sig_nest(s.sig)
-    trans = {}
-    for (i, x, a), term in s.trans.items():
-        trans[(0, x, fused_label(i, a))] = term
+    trans = {(0, x, fused_label(i, a)): term for (i, x, a), term in s.trans.items()}
     target = Futs(sig2, s.states, trans)
     return Reduction("nest", s, target, {x: x for x in s.states}, full=True)
 
@@ -200,21 +196,9 @@ def flatten(s: Futs) -> Reduction:
                      full=not names, intermediates=pairs)
 
 
-STAGE_FUNCS = {
-    "unlabel": unlabel,
-    "tabularize": tabularize,
-    "homogenize": homogenize,
-    "nest": nest,
-    "flatten": flatten,
-}
-
-SIG_FUNCS = {
-    "unlabel": sig_unlabel,
-    "tabularize": sig_tabularize,
-    "homogenize": sig_homogenize,
-    "nest": sig_nest,
-    "flatten": sig_flatten,
-}
+STAGE_FUNCS = {f.__name__: f for f in (unlabel, tabularize, homogenize, nest, flatten)}
+SIG_FUNCS = dict(zip(STAGE_FUNCS, (sig_unlabel, sig_tabularize, sig_homogenize, sig_nest,
+                                   sig_flatten)))
 
 
 def plan_wts_stages(sig: Signature) -> list[str]:
@@ -336,11 +320,7 @@ def _sampled_partitions(source: Futs, samples: int, seed: int):
             yield p
     for _ in range(samples):
         k = rng.randint(1, len(items))
-        assignment = tuple(rng.randrange(k) for _ in items)
-        groups: dict[int, list[str]] = {}
-        for x, g in zip(items, assignment):
-            groups.setdefault(g, []).append(x)
-        p = Partition.of_blocks(items, groups.values())
+        p = Partition.group_by(items, lambda x: rng.randrange(k))
         if p not in seen:
             seen.add(p)
             yield p

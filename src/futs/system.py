@@ -12,8 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from types import MappingProxyType
 
-from . import monoid as mo
-from .monoid import Hom, Monoid, Value
+from .monoid import Hom, Monoid, Value, format_monoid
 from .weightfn import Leaf, Node, Term, leaves, node, term_depth, zero_term
 
 
@@ -84,9 +83,6 @@ class Futs:
     def transition(self, i: int, state: str, label: str) -> Node:
         return self.trans.get((i, state, label), self._zeros[i])
 
-    def nonzero_items(self):
-        return sorted(self.trans.items(), key=lambda kv: kv[0])
-
     @cached_property
     def graph(self) -> "Graph":
         """The system compiled to integer ids, built on first use."""
@@ -152,11 +148,11 @@ class Graph:
         """A state's slot blocks, or a term's weights summed per child block."""
         if v < self.n:
             return tuple(block[t] for t in self.out[v])
-        m = self.term[v].stack[0]
+        plus = self.term[v].stack[0]._add
         sums: dict = {}
         for c, w in self.out[v]:
             b = block[c]
-            sums[b] = mo.add(m, sums[b], w) if b in sums else w
+            sums[b] = plus(sums[b], w) if b in sums else w
         return frozenset(sums.items())
 
     def classifier(self, state_blocks):
@@ -228,13 +224,12 @@ def relabel_weights(s: Futs, homs) -> Futs:
             raise ValueError("one homomorphism per monoid stack level expected")
         for h, m in zip(row, comp.monoids):
             if h.source != m:
-                raise ValueError(f"homomorphism source {mo.format_monoid(h.source)} "
-                                 f"does not match level monoid {mo.format_monoid(m)}")
+                raise ValueError(f"homomorphism source {format_monoid(h.source)} "
+                                 f"does not match level monoid {format_monoid(m)}")
             if not h.injective:
                 raise ValueError("relabel_weights requires injective homomorphisms")
         new_comps.append(Component(comp.labels, tuple(h.target for h in row)))
     sig = Signature(tuple(new_comps))
-    trans = {}
-    for (i, x, a), term in s.trans.items():
-        trans[(i, x, a)] = _map_term(term, rows[i], new_comps[i].monoids)
+    trans = {(i, x, a): _map_term(term, rows[i], new_comps[i].monoids)
+             for (i, x, a), term in s.trans.items()}
     return Futs(sig, s.states, trans)

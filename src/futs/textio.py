@@ -29,8 +29,8 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import monoid as mo
 from .monoid import Monoid, quote_id
+from . import monoid as mo
 from .system import Component, Futs, Signature
 from .weightfn import Leaf, Node, format_term, node
 
@@ -188,12 +188,7 @@ def _nat(toks: list[str], i: int, what: str) -> int:
 # Each reader takes the token list and the index of its first token, and
 # returns what it read and the index past it.
 
-_MONOID_NAMES = {
-    "bool-or": mo.BOOL_OR,
-    "nat-plus": mo.NAT_PLUS,
-    "nat-max": mo.NAT_MAX,
-    "rat-plus": mo.RAT_PLUS,
-}
+_MONOID_NAMES = {m._name: m for m in (mo.BOOL_OR, mo.NAT_PLUS, mo.NAT_MAX, mo.RAT_PLUS)}
 
 
 # the most prod(/pow( levels a monoid type nests, and the most monoids in
@@ -221,52 +216,67 @@ def _parse_monoid(toks: list[str], i: int, nesting: int = 0) -> tuple[Monoid, in
     raise _At(i, f"unknown monoid {name!r}")
 
 
+def _nat_weight(toks: list[str], i: int, m: Monoid):
+    return _nat(toks, i, "natural number"), i + 1
+
+
+def _bool_weight(toks: list[str], i: int, m: Monoid):
+    name = _ident(toks, i, "tt or ff")
+    if name != "tt" and name != "ff":
+        raise _At(i, f"expected tt or ff, found {name!r}")
+    return name == "tt", i + 1
+
+
+def _rat_weight(toks: list[str], i: int, m: Monoid):
+    num = _nat(toks, i, "rational number")
+    if toks[i + 1] != "/":
+        return Fraction(num), i + 1
+    den = _nat(toks, i + 2, "denominator")
+    if den == 0:
+        raise _At(i, "zero denominator")
+    return Fraction(num, den), i + 3
+
+
+def _product_weight(toks: list[str], i: int, m: Monoid):
+    n = len(m.factors)
+    w, j = _parse_weight(toks, _skip(toks, i, "("), m.factors[0])
+    values = [w]
+    while toks[j] == ",":
+        if len(values) >= n:
+            raise _At(i, f"product weight has more than {n} components")
+        w, j = _parse_weight(toks, j + 1, m.factors[len(values)])
+        values.append(w)
+    if len(values) != n:
+        raise _At(i, f"product weight needs {n} components, got {len(values)}")
+    return tuple(values), _skip(toks, j, ")")
+
+
+def _power_weight(toks: list[str], i: int, m: Monoid):
+    j, items = _skip(toks, i, "{"), []
+    if toks[j] != "}":
+        while True:
+            label = _ident(toks, j, "label")
+            if label not in m.labels:
+                raise _At(j, f"label {label!r} not in power label set")
+            w, j = _parse_weight(toks, _skip(toks, j + 1, ":"), m.base)
+            items.append((label, w))
+            if toks[j] != ",":
+                break
+            j += 1
+    j = _skip(toks, j, "}")
+    try:
+        return mo.check_weight(m, tuple(items)), j
+    except mo.WeightError as e:
+        raise _At(i, str(e)) from None
+
+
+# the weight reader of each descriptor class: (toks, i, m) -> (weight, index past it)
+_WEIGHT_READERS = {mo.NatPlus: _nat_weight, mo.NatMax: _nat_weight, mo.BoolOr: _bool_weight,
+                   mo.RatPlus: _rat_weight, mo.Product: _product_weight, mo.Power: _power_weight}
+
+
 def _parse_weight(toks: list[str], i: int, m: Monoid):
-    if isinstance(m, (mo.NatPlus, mo.NatMax)):
-        return _nat(toks, i, "natural number"), i + 1
-    if isinstance(m, mo.BoolOr):
-        name = _ident(toks, i, "tt or ff")
-        if name != "tt" and name != "ff":
-            raise _At(i, f"expected tt or ff, found {name!r}")
-        return name == "tt", i + 1
-    if isinstance(m, mo.RatPlus):
-        num = _nat(toks, i, "rational number")
-        if toks[i + 1] != "/":
-            return Fraction(num), i + 1
-        den = _nat(toks, i + 2, "denominator")
-        if den == 0:
-            raise _At(i, "zero denominator")
-        return Fraction(num, den), i + 3
-    if isinstance(m, mo.Product):
-        n = len(m.factors)
-        w, j = _parse_weight(toks, _skip(toks, i, "("), m.factors[0])
-        values = [w]
-        while toks[j] == ",":
-            if len(values) >= n:
-                raise _At(i, f"product weight has more than {n} components")
-            w, j = _parse_weight(toks, j + 1, m.factors[len(values)])
-            values.append(w)
-        if len(values) != n:
-            raise _At(i, f"product weight needs {n} components, got {len(values)}")
-        return tuple(values), _skip(toks, j, ")")
-    if isinstance(m, mo.Power):
-        j, items = _skip(toks, i, "{"), []
-        if toks[j] != "}":
-            while True:
-                label = _ident(toks, j, "label")
-                if label not in m.labels:
-                    raise _At(j, f"label {label!r} not in power label set")
-                w, j = _parse_weight(toks, _skip(toks, j + 1, ":"), m.base)
-                items.append((label, w))
-                if toks[j] != ",":
-                    break
-                j += 1
-        j = _skip(toks, j, "}")
-        try:
-            return mo.check_weight(m, tuple(items)), j
-        except mo.WeightError as e:
-            raise _At(i, str(e)) from None
-    raise _At(i, f"cannot parse weight for {mo.format_monoid(m)}")
+    return _WEIGHT_READERS[type(m)](toks, i, m)
 
 
 def _state(toks: list[str], i: int, leaves: dict[str, Leaf], what: str = "state id") -> Leaf:
@@ -282,14 +292,14 @@ def _parse_term(toks: list[str], i: int, stack: tuple[Monoid, ...],
     state (quoted, and bare where that is one identifier) to its one leaf."""
     j = _skip(toks, i, "{")
     outer, rest = stack[0], stack[1:]
-    entries = []
+    read, entries = _WEIGHT_READERS[type(outer)], []
     if toks[j] != "}":
         while True:
             if rest:
                 key, j = _parse_term(toks, j, rest, leaves)
             else:
                 key, j = leaves.get(toks[j]) or _state(toks, j, leaves), j + 1
-            w, j = _parse_weight(toks, j + 1 if toks[j] == ":" else _skip(toks, j, ":"), outer)
+            w, j = read(toks, j + 1 if toks[j] == ":" else _skip(toks, j, ":"), outer)
             entries.append((key, w))
             if toks[j] != ",":
                 break
@@ -428,7 +438,7 @@ def write_system(s: Futs) -> str:
         out.append(f"labels A{i} = {{ {labs} }}")
         out.append(f"monoids M{i} = [ {mons} ]")
     out.append("states { " + ", ".join(quote_id(x) for x in s.states) + " }")
-    for (i, x, a), term in s.nonzero_items():
+    for (i, x, a), term in sorted(s.trans.items()):  # keys are unique: no term is compared
         line = f"trans {i} {quote_id(x)} {quote_id(a)}"
         try:
             out.append(f"{line} -> {format_term(term)}")
@@ -443,7 +453,7 @@ def write_system(s: Futs) -> str:
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse a formula against a signature; raises ParseError.  Diamond
     chains and parentheses are read with a stack, so they nest to any depth."""
-    from . import logic
+    from .logic import TOP, And, Diamond, FormulaError, check_formula
     lines = text.split("\n")
     toks = [tok for raw in lines for tok in _tokens(raw)[:-1]] + [""]
     outer = []          # per open parenthesis: the enclosing (conjunction, diamond heads)
@@ -451,7 +461,7 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     try:
         while True:
             if _name(toks[i]) == "T":
-                unary, i = logic.TOP, i + 1
+                unary, i = TOP, i + 1
             elif toks[i] == "(":
                 outer.append((phi, heads))
                 phi, heads, i = None, [], i + 1
@@ -464,16 +474,16 @@ def parse_formula(text: str, sig: Signature) -> Formula:
                 _expected(toks, i, "a formula" if toks[i] else "formula")
             while True:  # the unary is complete: wrap it in its diamonds and conjoin
                 for c, label, bounds in reversed(heads):
-                    unary = logic.Diamond(c, label, bounds, unary)
-                phi = unary if phi is None else logic.And(phi, unary)
+                    unary = Diamond(c, label, bounds, unary)
+                phi = unary if phi is None else And(phi, unary)
                 if toks[i] == "&":
                     heads, i = [], i + 1
                     break
                 if not outer:
                     _done(toks, i)
                     try:
-                        return logic.check_formula(phi, sig)
-                    except logic.FormulaError as e:
+                        return check_formula(phi, sig)
+                    except FormulaError as e:
                         raise ParseError([Diagnostic(1, 1, str(e))]) from e
                 unary, i = phi, _skip(toks, i, ")")
                 phi, heads = outer.pop()
@@ -553,7 +563,7 @@ def _resolve_modality(toks: list[str], segments, sig: Signature, start: int):
 def write_formula(phi: Formula, sig: Signature) -> str:
     """The text ``parse_formula`` reads back; a formula's text is built as a
     tree of pieces shared where the formula is, then joined in one pass."""
-    from . import logic
+    from .logic import And, fold
 
     def diamond(f, body):
         comp = sig.components[f.component]
@@ -564,12 +574,12 @@ def write_formula(phi: Formula, sig: Signature) -> str:
             head = f"<{quote_id(f.label)}|{bounds}> "
         else:
             head = f"<{bounds}> "
-        return (head, ("(", body, ")") if isinstance(f.body, logic.And) else body)
+        return (head, ("(", body, ")") if isinstance(f.body, And) else body)
 
     def conjunction(f, left, right):
-        return (left, " & ", ("(", right, ")") if isinstance(f.right, logic.And) else right)
+        return (left, " & ", ("(", right, ")") if isinstance(f.right, And) else right)
 
-    out, stack = [], [logic.fold(phi, "T", conjunction, diamond)]
+    out, stack = [], [fold(phi, "T", conjunction, diamond)]
     while stack:
         piece = stack.pop()
         if isinstance(piece, str):

@@ -14,6 +14,8 @@ use and keeps them.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Union
 
 from .monoid import (
@@ -21,9 +23,7 @@ from .monoid import (
     Monoid,
     Value,
     Weight,
-    add,
     check_weight,
-    format_weight,
     quote_id,
     zero,
 )
@@ -68,30 +68,42 @@ def node(stack, entries) -> Node:
 
     ``entries`` is an iterable (or mapping) of (term, weight) pairs whose
     keys must all be terms over ``stack[1:]`` (leaves when the stack has a
-    single monoid).  Duplicate keys are merged by addition in ``stack[0]``.
-    Every weight goes through ``check_weight``, which returns a canonical
-    one as it is.
+    single monoid); each weight goes through ``check_weight``.  One stable
+    sort by key text (a leaf's state, a node's cached compact key) makes
+    equal keys neighbours, summed in ``stack[0]`` in input order; zero sums
+    are dropped.  No key is hashed.
     """
     stack = tuple(stack)
     if not stack:
         raise ValueError("a weight term needs a non-empty monoid stack")
     outer, rest = stack[0], stack[1:]
-    if isinstance(entries, Mapping):
+    check = getattr(outer, "_check", None) or partial(check_weight, outer)
+    if hasattr(entries, "items"):
         entries = entries.items()
-    merged: dict[Term, Weight] = {}
+    triples = []
     for key, w in entries:
         if rest:
             if not isinstance(key, Node) or key.stack != rest:
                 raise ValueError(f"child term {key!r} does not match stack {rest}")
+        elif not isinstance(key, Leaf):
+            raise ValueError(f"expected a state leaf at depth 1, got {key!r}")
+        w = check(w)
+        triples.append((key._key or format_term(key, True) if rest else key.state, key, w))
+    triples.sort(key=itemgetter(0))
+    merged: list = []  # [key, weight] per distinct key, in text order
+    for text, key, w in triples:
+        if merged and text == last:  # a leaf's text is its identity; distinct nodes may share one
+            for pair in merged[run:]:
+                if not rest or pair[0] is key or pair[0] == key:
+                    pair[1] = outer._add(pair[1], w)
+                    break
+            else:
+                merged.append([key, w])
         else:
-            if not isinstance(key, Leaf):
-                raise ValueError(f"expected a state leaf at depth 1, got {key!r}")
-        w = check_weight(outer, w)
-        merged[key] = add(outer, merged[key], w) if key in merged else w
+            last, run = text, len(merged)
+            merged.append([key, w])
     z = zero(outer)
-    kept = [(k, w) for k, w in merged.items() if w != z]
-    kept.sort(key=lambda kw: format_term(kw[0], True))
-    return Node(stack, tuple(kept))
+    return Node(stack, tuple([(k, w) for k, w in merged if w != z]))
 
 
 def zero_term(stack) -> Node:
@@ -120,9 +132,9 @@ def format_term(t: Term, compact: bool = False) -> str:
     if compact and t._key is not None:
         return t._key
     sep, colon, lb, rb = SEPARATORS[compact]
-    outer = t.stack[0]
-    text = lb + sep.join(f"{format_term(k, compact)}{colon}{format_weight(outer, w, compact)}"
-                         for k, w in t.entries) + rb if t.entries else "{}"
+    fmt = t.stack[0]._format
+    text = lb + sep.join([f"{format_term(k, compact)}{colon}{fmt(w, compact)}"
+                          for k, w in t.entries]) + rb if t.entries else "{}"
     if compact:
         _set(t, "_key", text)
     return text

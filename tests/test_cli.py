@@ -277,6 +277,30 @@ def test_unusable_path_exit_2(capsys, tmp_path, argv):
     assert not (tmp_path / "out.futs").exists()
 
 
+def test_failed_reduce_changes_no_existing_file(capsys, tmp_path):
+    """The map cannot be written: the input, named as the output too, is
+    left as it was rather than overwritten and then removed."""
+    source = tmp_path / "in.futs"
+    source.write_text(Path(FIG1).read_text())
+    code, out, err = run(capsys, "reduce", str(source), "--to", "wts", "-o", str(source),
+                         "--map", str(tmp_path / "no-such-dir" / "m.map"))
+    assert (code, out) == (2, "") and err.startswith("error: [Errno ")
+    assert source.read_text() == Path(FIG1).read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.futs"]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_reduce_output_and_map_one_file_is_usage_error(capsys, tmp_path, existing):
+    """``-o X --map X`` would leave only the map in X: exit 2, nothing written."""
+    target = tmp_path / "x.futs"
+    if existing:
+        target.write_text("kept\n")
+    spelled = str(tmp_path / "." / "x.futs")
+    code, out, err = run(capsys, "reduce", FIG1, "--to", "wts", "-o", str(target), "--map", spelled)
+    assert (code, out, err) == (2, "", "error: -o and --map name the same file\n")
+    assert target.read_text() == "kept\n" if existing else not target.exists()
+
+
 def test_usage_error(capsys):
     assert main(["reduce", FIG1]) == 2  # missing --to/-o
 

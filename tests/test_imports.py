@@ -93,6 +93,25 @@ def test_launch_loads_no_costly_stdlib_module(argv, tmp_path):
     assert not stdlib & COSTLY_STDLIB
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", FIG1, "--formula", "T"],
+    ["equiv", W3, "x", "y", "--logic"],
+    ["bisim", FIG1],
+], ids=["check", "equiv-logic", "bisim"])
+def test_every_loaded_module_has_an_importtime_row(argv):
+    """A submodule first loaded by ``from . import name`` is imported
+    through a path the interpreter's import timer does not see, so it
+    would have no row in ``python -X importtime`` and its load time would
+    be missing from a launch's breakdown."""
+    env = dict(os.environ, PYTHONPATH=str(Path(futs.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-X", "importtime", "-c", PROBE, *argv], env=env,
+                         check=True, capture_output=True, text=True)
+    loaded = set(json.loads(run.stdout.splitlines()[0]))
+    rows = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+            if line.startswith("import time:") and line.count("|") == 2}
+    assert "futs.monoid" in loaded and not loaded - rows
+
+
 SUBMODULES = ("bisim", "logic", "monoid", "reduce", "system", "textio", "weightfn")
 
 

@@ -1,10 +1,12 @@
 import pickle
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import futs.weightfn
 from futs.bisim import Partition
 from futs.monoid import BOOL_OR, NAT_PLUS, RAT_PLUS, Power, format_weight
 from futs.weightfn import (
@@ -63,6 +65,35 @@ def test_node_merges_and_elides():
     t = node(NAT1, [(Leaf("x"), 1), (Leaf("x"), 2), (Leaf("y"), 0)])
     assert t == node(NAT1, [(Leaf("x"), 3)])
     assert weight_of(t, Leaf("y")) == 0
+
+
+def test_node_hashes_no_key_and_formats_each_child_once(monkeypatch):
+    """k leaf entries, states repeated by distinct leaves, make a node
+    without one ``__hash__`` or ``__eq__`` call on a term, where a dict
+    merge hashes every key; over child nodes that repeat, each child's
+    compact key is formatted once."""
+    k = 12
+    calls = Counter()
+    for cls in (Leaf, Node):
+        for name in ("__hash__", "__eq__"):
+            original = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda *args, _o=original, _c=f"{cls.__name__}.{name}":
+                                calls.update([_c]) or _o(*args))
+    t = node(NAT1, [(Leaf(f"s{j % 5}"), 1) for j in range(k)])
+    assert [w for _, w in t.entries] == [3, 3, 2, 2, 2] and not calls
+    children = [t_dist((f"s{j}", 1, j + 1)) for j in range(4)]
+    formatted = Counter()
+    original = futs.weightfn.format_term
+
+    def format_term_counted(t, compact=False):
+        if isinstance(t, Node):
+            formatted[id(t), compact] += 1
+        return original(t, compact)
+
+    monkeypatch.setattr(futs.weightfn, "format_term", format_term_counted)
+    t = node(BR2, [(c, True) for c in children * 3])
+    assert [c for c, _ in t.entries] == children and not calls
+    assert formatted == {(id(c), True): 1 for c in children}
 
 
 def test_node_rejects_depth_mix():
