@@ -17,13 +17,13 @@ _EXPORTS = {
     "bisim": "Partition all_partitions is_bisimulation largest_bisimulation quotient_system",
     "logic": ("And Diamond Formula Top bounded_logical_equiv distinguishing_formula sat_set "
               "satisfies translate translate_to_wts"),
-    "monoid": ("BOOL_OR NAT_MAX NAT_PLUS RAT_PLUS Hom Monoid Power Product add cancellative "
-               "hom_apply monoid_section nat_leq positive power_dirac zero"),
+    "monoid": ("BOOL_OR NAT_MAX NAT_PLUS RAT_PLUS Monoid Power Product add cancellative nat_leq "
+               "positive power_dirac zero"),
     "reduce": ("Reduction extend_bisim flatten homogenize nest plan_wts_stages restrict_bisim "
                "tabularize to_wts unlabel verify_reduction"),
-    "system": "Component Futs Signature relabel_weights validate",
+    "system": "Component Futs Signature",
     "textio": "ParseError parse_formula parse_system write_formula write_system",
-    "weightfn": "Leaf Node leaves node pushforward quotient_term zero_term",
+    "weightfn": "Leaf Node node pushforward quotient_term zero_term",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

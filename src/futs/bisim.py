@@ -65,13 +65,7 @@ class Partition(Value):
         return tuple(b[0] for b in self.blocks)
 
     def refine_by(self, key: Callable[[str], object]) -> "Partition":
-        new_blocks = []
-        for block in self.blocks:
-            groups: dict[object, list[str]] = {}
-            for x in block:
-                groups.setdefault(key(x), []).append(x)
-            new_blocks.extend(groups.values())
-        return Partition.of_blocks(self.carrier, new_blocks)
+        return Partition.group_by(self.carrier, lambda x: (self.kappa[x], key(x)))
 
     def render(self) -> str:
         inner = ", ".join("{" + ", ".join(b) + "}" for b in self.blocks)

@@ -30,7 +30,6 @@ from .monoid import (
     add_all,
     cancellative,
     check_weight,
-    hom_apply,
     is_zero,
     nat_leq,
     positive,
@@ -227,7 +226,7 @@ def translate(stage: str, sig: Signature, phi: Formula) -> Formula:
         rows = homog_sections(sig)
 
         def diamond(f, body):
-            bounds = tuple(hom_apply(h, b) for h, b in zip(rows[f.component], f.bounds))
+            bounds = tuple(h(b) for h, b in zip(rows[f.component], f.bounds))
             return Diamond(f.component, f.label, bounds, body)
     elif stage == "nest":
         sig_nest(sig)  # precondition check

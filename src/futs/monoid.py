@@ -34,7 +34,7 @@ import functools
 import operator
 import re
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 
 class WeightError(ValueError):
@@ -312,51 +312,6 @@ def positive(m: Monoid) -> bool:
 def cancellative(m: Monoid) -> bool:
     """True when a + b = a + c forces b = c (nat-plus, rat-plus, closures)."""
     return _op(m, "_cancellative")
-
-
-# --- homomorphisms ---------------------------------------------------------
-
-class Hom(Value):
-    """A monoid homomorphism with explicit source/target descriptors.
-
-    Only injective homomorphisms are constructed by this module (identity,
-    product sections, dirac embeddings and their compositions); weight
-    relabelling of systems relies on that to preserve bisimilarity.
-    Equality and hashing ignore ``fn``; ``repr`` shows it.
-    """
-
-    __slots__ = ("source", "target", "fn", "injective", "name")
-
-    def __init__(self, source: Monoid, target: Monoid, fn: Callable[[Weight], Weight],
-                 injective: bool = True, name: str = ""):
-        Value.__init__(self, source, target, fn, injective, name)
-        object.__setattr__(self, "_values", (source, target, injective, name))
-
-    def __call__(self, w: Weight) -> Weight:
-        return self.fn(w)
-
-
-def hom_apply(h: Hom, w: Weight) -> Weight:
-    """Apply ``h`` to a payload of its source monoid."""
-    w = check_weight(h.source, w)
-    return check_weight(h.target, h.fn(w))
-
-
-def monoid_section(index: int, p: Product) -> Hom:
-    """Section of the ``index``-th projection of a product monoid.
-
-    Sends m to the tuple that is m at ``index`` and the unit elsewhere.
-    """
-    if not isinstance(p, Product):
-        raise TypeError("monoid_section needs a product monoid")
-    if not 0 <= index < len(p.factors):
-        raise IndexError(f"product index {index} out of range")
-    zeros = tuple(zero(f) for f in p.factors)
-
-    def fn(w, _i=index, _z=zeros):
-        return _z[:_i] + (w,) + _z[_i + 1:]
-
-    return Hom(p.factors[index], p, fn, injective=True, name=f"sec{index}")
 
 
 def power_dirac(label: str, w: Weight, labels, base: Monoid) -> Weight:

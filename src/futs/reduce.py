@@ -6,8 +6,8 @@ Five stages are provided.  Four are full (they keep the carrier):
                   the outermost weight level,
 * ``tabularize``  left-pads shorter monoid stacks with functional
                   nat-plus levels so all rows have equal depth,
-* ``homogenize``  rewrites every weight into the product of all the
-                  signature's monoids through the product sections,
+* ``homogenize``  puts every weight at its level's factor of the product
+                  of all the signature's monoids, zeros elsewhere,
 * ``nest``        merges the components of a tabular homogeneous system
                   into one component over the fused (i, label) label set.
 
@@ -33,10 +33,11 @@ relations on the source.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING
 
-from .monoid import NAT_PLUS, Hom, Power, Product, monoid_section, power_dirac
-from .system import Component, Futs, Signature, relabel_weights
+from .monoid import NAT_PLUS, Power, Product, power_dirac, zero
+from .system import Component, Futs, Signature
 from .weightfn import Leaf, Node, Term, format_term, node
 
 if TYPE_CHECKING:  # the stages need no bisimulation code; the rest imports it on use
@@ -79,13 +80,13 @@ def flat_monoid_product(sig: Signature) -> Product:
     return Product(tuple(m for c in sig.components for m in c.monoids))
 
 
-def homog_sections(sig: Signature) -> list[tuple[Hom, ...]]:
-    """Per-(component, level) sections into the flat monoid product."""
-    q = flat_monoid_product(sig)
-    rows, offset = [], 0
+def homog_sections(sig: Signature) -> list[tuple]:
+    """Per component, one function per stack level that puts a weight at
+    its factor of the flat monoid product and the product's zeros elsewhere."""
+    z, rows, k = zero(flat_monoid_product(sig)), [], 0
     for c in sig.components:
-        rows.append(tuple(monoid_section(offset + j, q) for j in range(c.depth)))
-        offset += c.depth
+        rows.append(tuple(lambda w, k=k + j: z[:k] + (w,) + z[k + 1:] for j in range(c.depth)))
+        k += c.depth
     return rows
 
 
@@ -145,9 +146,20 @@ def tabularize(s: Futs) -> Reduction:
     return Reduction("tabularize", s, target, {x: x for x in s.states}, full=True)
 
 
+def _embed(t: Term, row: tuple, stack: tuple) -> Term:
+    # every level is rebuilt by node(): child keys change text, so their order may too
+    if isinstance(t, Leaf):
+        return t
+    return node(stack, [(_embed(k, row[1:], stack[1:]), row[0](w)) for k, w in t.entries])
+
+
 def homogenize(s: Futs) -> Reduction:
-    """Embed every weight into the product of all the signature's monoids."""
-    target = relabel_weights(s, homog_sections(s.sig))
+    """Embed every weight into the product of all the signature's monoids
+    through ``homog_sections``."""
+    sig2, rows = sig_homogenize(s.sig), homog_sections(s.sig)
+    trans = {(i, x, a): _embed(t, rows[i], sig2.components[i].monoids)
+             for (i, x, a), t in s.trans.items()}
+    target = Futs(sig2, s.states, trans)
     return Reduction("homogenize", s, target, {x: x for x in s.states}, full=True)
 
 
@@ -175,9 +187,13 @@ def flatten(s: Futs) -> Reduction:
     g = s.graph
     names = {v: f"#{len(t.stack)}:{format_term(t, True)}"
              for v, t in enumerate(g.term) if t is not None and len(t.stack) < comp.depth}
-    clash = set(names.values()) & set(s.states)
+    count = Counter(names.values())
+    clash = set(count) & set(s.states)
     if clash:
         raise ValueError(f"generated state ids collide with carrier: {sorted(clash)}")
+    twins = sorted(name for name, k in count.items() if k > 1)
+    if twins:  # distinct terms whose keys read alike: unquoted names with ',' or ':'
+        raise ValueError(f"generated state ids collide with each other: {twins}")
     leaf = {v: Leaf(name) for v, name in names.items()}
 
     def one_level(v: int) -> Node:

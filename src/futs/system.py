@@ -12,8 +12,8 @@ from __future__ import annotations
 from functools import cached_property
 from types import MappingProxyType
 
-from .monoid import Hom, Monoid, Value, format_monoid
-from .weightfn import Leaf, Node, Term, leaves, node, term_depth, zero_term
+from .monoid import Monoid, Value
+from .weightfn import Leaf, Node, Term, zero_term
 
 
 class Component(Value):
@@ -171,65 +171,3 @@ class Graph:
             return block[v]
 
         return class_of
-
-
-def validate(s: Futs) -> list[str]:
-    """Check every invariant; returns diagnostics rather than raising."""
-    out: list[str] = []
-    if not s.states:
-        out.append("empty carrier")
-    state_set = set(s.states)
-    n = len(s.sig.components)
-    for (i, x, a), term in sorted(s.trans.items()):
-        where = f"component {i}, state {x}, label {a}"
-        if not 0 <= i < n:
-            out.append(f"{where}: component index out of range")
-            continue
-        comp = s.sig.components[i]
-        if x not in state_set:
-            out.append(f"{where}: unknown source state")
-        if a not in comp.labels:
-            out.append(f"{where}: unknown label")
-        if not isinstance(term, Node) or term_depth(term) != comp.depth:
-            out.append(f"{where}: depth mismatch (expected {comp.depth})")
-            continue
-        if term.stack != comp.monoids:
-            out.append(f"{where}: monoid stack mismatch")
-            continue
-        for leaf in sorted(leaves(term)):
-            if leaf not in state_set:
-                out.append(f"{where}: unknown state {leaf!r} in transition term")
-    return out
-
-
-def _map_term(term: Term, homs: tuple[Hom, ...], new_stack: tuple[Monoid, ...]) -> Term:
-    if isinstance(term, Leaf):
-        return term
-    entries = [(_map_term(k, homs[1:], new_stack[1:]), homs[0](w)) for k, w in term.entries]
-    return node(new_stack, entries)
-
-
-def relabel_weights(s: Futs, homs) -> Futs:
-    """Map every weight at level j of component i through homs[i][j].
-
-    All homomorphisms must be injective: that is what guarantees the
-    rewrite preserves and reflects bisimilarity.
-    """
-    rows = [tuple(row) for row in homs]
-    if len(rows) != len(s.sig.components):
-        raise ValueError("one homomorphism row per component expected")
-    new_comps = []
-    for comp, row in zip(s.sig.components, rows):
-        if len(row) != comp.depth:
-            raise ValueError("one homomorphism per monoid stack level expected")
-        for h, m in zip(row, comp.monoids):
-            if h.source != m:
-                raise ValueError(f"homomorphism source {format_monoid(h.source)} "
-                                 f"does not match level monoid {format_monoid(m)}")
-            if not h.injective:
-                raise ValueError("relabel_weights requires injective homomorphisms")
-        new_comps.append(Component(comp.labels, tuple(h.target for h in row)))
-    sig = Signature(tuple(new_comps))
-    trans = {(i, x, a): _map_term(term, rows[i], new_comps[i].monoids)
-             for (i, x, a), term in s.trans.items()}
-    return Futs(sig, s.states, trans)

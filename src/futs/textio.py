@@ -296,7 +296,13 @@ def _parse_term(toks: list[str], i: int, stack: tuple[Monoid, ...],
     if toks[j] != "}":
         while True:
             if rest:
-                key, j = _parse_term(toks, j, rest, leaves)
+                key, k = _parse_term(toks, j, rest, leaves)
+                try:  # the key node() sorts by, kept in the term; str() refuses
+                    format_term(key, True)  # integers longer than sys.get_int_max_str_digits()
+                except ValueError:
+                    raise _At(j, f"a sum of weights has more than {sys.get_int_max_str_digits()} "
+                                 "digits, too many to write") from None
+                j = k
             else:
                 key, j = leaves.get(toks[j]) or _state(toks, j, leaves), j + 1
             w, j = read(toks, j + 1 if toks[j] == ":" else _skip(toks, j, ":"), outer)
@@ -425,7 +431,7 @@ def parse_system(text: str) -> Futs:
     if not comps:
         _fail(1, 1, "at least one component (labels/monoids pair) is required")
 
-    # every check of system.validate was made above, line by line
+    # every check of validate (now in tests/conftest.py) was made above, line by line
     return Futs(Signature(tuple(comps)), states, trans)
 
 

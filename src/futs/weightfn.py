@@ -110,19 +110,6 @@ def zero_term(stack) -> Node:
     return node(stack, ())
 
 
-def term_depth(t: Term) -> int:
-    return len(t.stack) if isinstance(t, Node) else 0
-
-
-def leaves(t: Term) -> set[str]:
-    if isinstance(t, Leaf):
-        return {t.state}
-    acc: set[str] = set()
-    for k, _ in t.entries:
-        acc |= leaves(k)
-    return acc
-
-
 def format_term(t: Term, compact: bool = False) -> str:
     """Display form of a term in the system file syntax, or with
     ``compact`` the canonical key that orders entries and names flatten's

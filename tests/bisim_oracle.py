@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from futs.bisim import Partition
 from futs.system import Futs
-from futs.weightfn import Term, format_term, leaves, pushforward, quotient_term
+from futs.weightfn import Term, format_term, pushforward, quotient_term
 
-from conftest import systems_equal, term_equal
+from conftest import leaves, systems_equal, term_equal
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from futs.monoid import (
     NAT_PLUS,
     RAT_PLUS,
     BoolOr,
-    Hom,
     Monoid,
     NatMax,
     NatPlus,
@@ -34,9 +33,10 @@ from futs.monoid import (
     check_weight,
     zero,
 )
-from futs.system import Component, Futs, Signature, validate
+from futs.system import Component, Futs, Signature
 from futs.textio import parse_system
-from futs.weightfn import Leaf, Node, Term, node, term_depth
+from futs.weightfn import Leaf, Node, Term, node
+from reduce_oracle import Hom
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -140,7 +140,49 @@ def absence_pair() -> Futs:
     )
 
 
-# --- identities, compositions and lookups used only by tests ------------------
+# --- validators, identities, compositions and lookups used only by tests ------
+
+
+def term_depth(t: Term) -> int:
+    return len(t.stack) if isinstance(t, Node) else 0
+
+
+def leaves(t: Term) -> set[str]:
+    if isinstance(t, Leaf):
+        return {t.state}
+    acc: set[str] = set()
+    for k, _ in t.entries:
+        acc |= leaves(k)
+    return acc
+
+
+def validate(s: Futs) -> list[str]:
+    """Check every invariant; returns diagnostics rather than raising."""
+    out: list[str] = []
+    if not s.states:
+        out.append("empty carrier")
+    state_set = set(s.states)
+    n = len(s.sig.components)
+    for (i, x, a), term in sorted(s.trans.items()):
+        where = f"component {i}, state {x}, label {a}"
+        if not 0 <= i < n:
+            out.append(f"{where}: component index out of range")
+            continue
+        comp = s.sig.components[i]
+        if x not in state_set:
+            out.append(f"{where}: unknown source state")
+        if a not in comp.labels:
+            out.append(f"{where}: unknown label")
+        if not isinstance(term, Node) or term_depth(term) != comp.depth:
+            out.append(f"{where}: depth mismatch (expected {comp.depth})")
+            continue
+        if term.stack != comp.monoids:
+            out.append(f"{where}: monoid stack mismatch")
+            continue
+        for leaf in sorted(leaves(term)):
+            if leaf not in state_set:
+                out.append(f"{where}: unknown state {leaf!r} in transition term")
+    return out
 
 
 def identity_hom(m: Monoid) -> Hom:

@@ -43,7 +43,6 @@ from futs.monoid import (
     cancellative,
     check_weight,
     format_weight,
-    hom_apply,
     is_zero,
     nat_leq,
     positive,
@@ -54,6 +53,7 @@ from futs.monoid import (
 from futs.system import Futs, Signature
 from futs.textio import Diagnostic, ParseError, _fail
 from futs.weightfn import Leaf, Node
+from reduce_oracle import hom_apply, homog_sections
 from textio_oracle import Token, _Cursor, _parse_weight, _resolve_modality, tokenize
 
 
@@ -152,7 +152,7 @@ def translate(stage: str, sig: Signature, phi: Formula) -> Formula:
             pad = depth - sig.components[f.component].depth
             return Diamond(f.component, f.label, (1,) * pad + f.bounds, go(f.body))
     elif stage == "homogenize":
-        rows = rd.homog_sections(sig)
+        rows = homog_sections(sig)
 
         def go(f):
             if isinstance(f, Top):

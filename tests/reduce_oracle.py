@@ -8,15 +8,24 @@ names them by their canonical keys, and ``_extend`` groups flatten's
 term-states by the canonical key of each term quotiented under the
 partition.  Stages other than flatten and the composite are transported
 as in ``futs.reduce``.
+
+Next to them is the homogenize the library ran before its direct product
+embedding: the monoid homomorphism layer (``Hom``, ``hom_apply``,
+``monoid_section``) and ``relabel_weights``, which maps every weight of a
+system through one homomorphism per (component, level).
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
+import conftest  # conftest imports Hom from here, so its helpers are looked up on use
 from futs import monoid as mo
 from futs.bisim import Partition
-from futs.reduce import Reduction, sig_flatten
-from futs.system import Futs
-from futs.weightfn import Leaf, Node, Term, format_term, node, quotient_term, term_depth
+from futs.monoid import Monoid, Product, Value, Weight, check_weight, format_monoid, zero
+from futs.reduce import Reduction, flat_monoid_product, sig_flatten
+from futs.system import Component, Futs, Signature
+from futs.weightfn import Leaf, Node, Term, format_term, node, quotient_term
 
 
 def term_key(t: Term) -> str:
@@ -78,7 +87,7 @@ def subterms_at_depths(t: Term, lo: int = 1) -> set[Term]:
 
     def walk(sub: Term):
         if isinstance(sub, Node):
-            if term_depth(sub) >= lo:
+            if conftest.term_depth(sub) >= lo:
                 found.add(sub)
             for k, _ in sub.entries:
                 walk(k)
@@ -90,7 +99,7 @@ def subterms_at_depths(t: Term, lo: int = 1) -> set[Term]:
 
 
 def intermediate_id(term: Term) -> str:
-    return f"#{term_depth(term)}:{term_key(term)}"
+    return f"#{conftest.term_depth(term)}:{term_key(term)}"
 
 
 def flatten(s: Futs) -> Reduction:
@@ -144,7 +153,7 @@ def _extend(r: Reduction, p: Partition) -> Partition:
         blocks = [tuple(b) for b in p.blocks]
         groups: dict[tuple[int, str], list[str]] = {}
         for name, term in r.intermediates:
-            key = (term_depth(term), term_key(quotient_term(term, p.kappa)))
+            key = (conftest.term_depth(term), term_key(quotient_term(term, p.kappa)))
             groups.setdefault(key, []).append(name)
         blocks.extend(tuple(g) for g in groups.values())
         return Partition.of_blocks(r.target.states, blocks)
@@ -152,3 +161,97 @@ def _extend(r: Reduction, p: Partition) -> Partition:
         r.target.states,
         [tuple(r.state_map[x] for x in b) for b in p.blocks],
     )
+
+
+# --- homomorphisms ---------------------------------------------------------
+
+class Hom(Value):
+    """A monoid homomorphism with explicit source/target descriptors.
+
+    Only injective homomorphisms are constructed by this module (identity,
+    product sections, dirac embeddings and their compositions); weight
+    relabelling of systems relies on that to preserve bisimilarity.
+    Equality and hashing ignore ``fn``; ``repr`` shows it.
+    """
+
+    __slots__ = ("source", "target", "fn", "injective", "name")
+
+    def __init__(self, source: Monoid, target: Monoid, fn: Callable[[Weight], Weight],
+                 injective: bool = True, name: str = ""):
+        Value.__init__(self, source, target, fn, injective, name)
+        object.__setattr__(self, "_values", (source, target, injective, name))
+
+    def __call__(self, w: Weight) -> Weight:
+        return self.fn(w)
+
+
+def hom_apply(h: Hom, w: Weight) -> Weight:
+    """Apply ``h`` to a payload of its source monoid."""
+    w = check_weight(h.source, w)
+    return check_weight(h.target, h.fn(w))
+
+
+def monoid_section(index: int, p: Product) -> Hom:
+    """Section of the ``index``-th projection of a product monoid.
+
+    Sends m to the tuple that is m at ``index`` and the unit elsewhere.
+    """
+    if not isinstance(p, Product):
+        raise TypeError("monoid_section needs a product monoid")
+    if not 0 <= index < len(p.factors):
+        raise IndexError(f"product index {index} out of range")
+    zeros = tuple(zero(f) for f in p.factors)
+
+    def fn(w, _i=index, _z=zeros):
+        return _z[:_i] + (w,) + _z[_i + 1:]
+
+    return Hom(p.factors[index], p, fn, injective=True, name=f"sec{index}")
+
+
+def _map_term(term: Term, homs: tuple[Hom, ...], new_stack: tuple[Monoid, ...]) -> Term:
+    if isinstance(term, Leaf):
+        return term
+    entries = [(_map_term(k, homs[1:], new_stack[1:]), homs[0](w)) for k, w in term.entries]
+    return node(new_stack, entries)
+
+
+def relabel_weights(s: Futs, homs) -> Futs:
+    """Map every weight at level j of component i through homs[i][j].
+
+    All homomorphisms must be injective: that is what guarantees the
+    rewrite preserves and reflects bisimilarity.
+    """
+    rows = [tuple(row) for row in homs]
+    if len(rows) != len(s.sig.components):
+        raise ValueError("one homomorphism row per component expected")
+    new_comps = []
+    for comp, row in zip(s.sig.components, rows):
+        if len(row) != comp.depth:
+            raise ValueError("one homomorphism per monoid stack level expected")
+        for h, m in zip(row, comp.monoids):
+            if h.source != m:
+                raise ValueError(f"homomorphism source {format_monoid(h.source)} "
+                                 f"does not match level monoid {format_monoid(m)}")
+            if not h.injective:
+                raise ValueError("relabel_weights requires injective homomorphisms")
+        new_comps.append(Component(comp.labels, tuple(h.target for h in row)))
+    sig = Signature(tuple(new_comps))
+    trans = {(i, x, a): _map_term(term, rows[i], new_comps[i].monoids)
+             for (i, x, a), term in s.trans.items()}
+    return Futs(sig, s.states, trans)
+
+
+def homog_sections(sig: Signature) -> list[tuple[Hom, ...]]:
+    """Per-(component, level) sections into the flat monoid product."""
+    q = flat_monoid_product(sig)
+    rows, offset = [], 0
+    for c in sig.components:
+        rows.append(tuple(monoid_section(offset + j, q) for j in range(c.depth)))
+        offset += c.depth
+    return rows
+
+
+def homogenize(s: Futs) -> Reduction:
+    """Embed every weight into the product of all the signature's monoids."""
+    target = relabel_weights(s, homog_sections(s.sig))
+    return Reduction("homogenize", s, target, {x: x for x in s.states}, full=True)

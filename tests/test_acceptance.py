@@ -30,8 +30,6 @@ from futs.monoid import (
     Product,
     add,
     add_all,
-    hom_apply,
-    monoid_section,
     nat_leq,
 )
 from futs.reduce import (
@@ -61,6 +59,7 @@ from conftest import (
     restrict,
     systems_equal,
 )
+from reduce_oracle import hom_apply, monoid_section
 
 
 def report(n, ok, detail):

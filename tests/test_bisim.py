@@ -10,13 +10,12 @@ from futs.bisim import (
     quotient_system,
 )
 from futs.monoid import NAT_PLUS
-from futs.system import validate
 from futs.textio import parse_system
 from futs.weightfn import Leaf, node
 
 import bisim_oracle
 from bisim_oracle import ext_related
-from conftest import TWO_COMP, corpus_systems, random_futs, restrict, systems_equal
+from conftest import TWO_COMP, corpus_systems, random_futs, restrict, systems_equal, validate
 
 NAT1 = (NAT_PLUS,)
 
@@ -219,7 +218,8 @@ def test_extension_restriction_law():
 
 
 def test_extension_injective_transformation_law():
-    from futs.monoid import BOOL_OR, Product, monoid_section
+    from futs.monoid import BOOL_OR, Product
+    from reduce_oracle import monoid_section
     rng = random.Random(8)
     states = ["a", "b", "c", "d"]
     parts = list(all_partitions(states))

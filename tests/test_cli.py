@@ -356,6 +356,42 @@ def test_overlong_grid_sum_exit_2(capsys, tmp_path):
     assert err == "error: a sum of weights has more than 4300 digits, too many to write\n"
 
 
+def test_overlong_nested_sum_exit_2(capsys, tmp_path):
+    """An inner term's two 4300-digit weights sum to 4301 digits, too many
+    for the key that orders the outer term's entries: a diagnostic at the
+    inner term's brace, while the same sum in a one-level term parses."""
+    big = "9" * 4300
+    nested, flat = tmp_path / "nested.futs", tmp_path / "flat.futs"
+    nested.write_text("futs\nlabels A0 = { a }\nmonoids M0 = [ bool-or, nat-plus ]\n"
+                      f"states {{ x, y }}\ntrans 0 x a -> {{ {{ y: {big}, y: {big} }}: tt }}\n")
+    flat.write_text("futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\n"
+                    f"states {{ x, y }}\ntrans 0 x a -> {{ y: {big}, y: {big} }}\n")
+    assert run(capsys, "bisim", str(nested)) == (
+        2, "", "5:18: error: a sum of weights has more than 4300 digits, too many to write\n")
+    assert run(capsys, "bisim", str(flat)) == (0, "{ {x}, {y} }\n", "")
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (("reduce", "--to", "wts", "-o", "w.futs"), "reduction to wts failed: "),
+    (("verify", "--to", "wts"), "reduction to wts failed: "),
+    (("equiv", "x", "y", "--logic"), ""),
+], ids=["reduce", "verify", "equiv-logic"])
+def test_colliding_term_state_names_exit_2(capsys, tmp_path, argv, prefix):
+    """A state named like the key of another term (``p:({},1),q``) gives
+    flatten two term-states of one name: one error line, exit 2, no file."""
+    path = tmp_path / "clash.futs"
+    path.write_text("futs\nlabels A0 = { a }\nmonoids M0 = [ bool-or, nat-plus ]\n"
+                    "states { x, y, p, q, `p:({},1),q` }\n"
+                    "trans 0 x a -> { { p: 1, q: 1 }: tt }\n"
+                    "trans 0 y a -> { { `p:({},1),q`: 1 }: tt }\n")
+    command, *rest = argv
+    rest = [str(tmp_path / a) if a.endswith(".futs") else a for a in rest]
+    assert run(capsys, command, str(path), *rest) == (
+        2, "", f"error: {prefix}generated state ids collide with each other: "
+               "['#1:{p:({},1),q:({},1)}']\n")
+    assert not (tmp_path / "w.futs").exists()
+
+
 def nested_system(tmp_path, stack: int, nesting: int):
     """A file whose one stack holds ``stack`` monoids, each nested
     ``nesting`` products deep, in which x steps through every level to y,

@@ -141,9 +141,11 @@ def test_star_import_and_unknown_names():
 
 # test-only and superseded names, now in tests/bisim_oracle.py and tests/conftest.py
 MOVED = {
-    "system": "CarrierMap dirac_embed is_homomorphism project_component systems_equal",
+    "system": ("CarrierMap dirac_embed is_homomorphism project_component relabel_weights "
+               "systems_equal validate"),
     "bisim": "ext_related",
-    "weightfn": "class_sum singleton support term_equal",
+    "monoid": "Hom hom_apply monoid_section",
+    "weightfn": "class_sum leaves singleton support term_depth term_equal",
 }
 
 

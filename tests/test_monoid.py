@@ -22,9 +22,7 @@ from futs.monoid import (
     check_weight,
     format_monoid,
     format_weight,
-    hom_apply,
     is_zero,
-    monoid_section,
     nat_leq,
     positive,
     power_dirac,
@@ -32,6 +30,7 @@ from futs.monoid import (
 )
 
 from conftest import Hashed, compose_hom, identity_hom, load_from_other_process
+from reduce_oracle import hom_apply, monoid_section
 
 PROD_NB = Product((NAT_PLUS, BOOL_OR))
 POW_AB_NAT = Power(("a", "b"), NAT_PLUS)

@@ -25,8 +25,8 @@ from futs.reduce import (
     unlabel,
     verify_reduction,
 )
-from futs.system import Component, Futs, Signature, validate
-from futs.weightfn import Leaf, node, term_depth
+from futs.system import Component, Futs, Signature
+from futs.weightfn import Leaf, node
 
 from bisim_oracle import CarrierMap
 from conftest import (
@@ -38,6 +38,8 @@ from conftest import (
     WLTS_NAT,
     corpus_systems,
     random_futs,
+    term_depth,
+    validate,
 )
 
 

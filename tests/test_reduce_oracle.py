@@ -1,6 +1,9 @@
 """Differential tests: the compiled graph, ``flatten`` and ``_extend`` of
 ``futs.reduce`` against the second-walk versions kept in ``reduce_oracle``,
-on every system that the ``to_wts`` plan passes through."""
+on every system that the ``to_wts`` plan passes through, and
+``homogenize`` against the one built on ``relabel_weights``."""
+
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -8,8 +11,9 @@ import reduce_oracle
 from futs import reduce as rd
 from futs.bisim import all_partitions, is_bisimulation
 from futs.system import Graph
+from futs.textio import write_system
 
-from conftest import CORPUS_SIGS, corpus_systems, random_futs, systems_equal
+from conftest import CORPUS_SIGS, corpus_systems, load, random_futs, systems_equal
 
 
 @st.composite
@@ -62,3 +66,27 @@ def test_matches_oracle_on_corpus():
 @given(corpus_sig_systems())
 def test_matches_oracle_on_generated(s):
     check_system(s)
+
+
+def check_homogenize(s):
+    new, old = rd.homogenize(s).target, reduce_oracle.homogenize(s).target
+    assert systems_equal(new, old)
+    assert write_system(new) == write_system(old)
+
+
+def test_homogenize_matches_oracle():
+    """On both fixtures and random systems over every corpus signature, and
+    on each system that the to_wts plan homogenizes (the second homogenize
+    of a multi-component plan included)."""
+    rng = random.Random(15)
+    systems = [load("fig1.futs"), load("w3.futs")]
+    systems += [random_futs(rng, sig, n, density) for sig in CORPUS_SIGS
+                for n, density in ((1, 0.9), (3, 0.6), (5, 0.8))]
+    stages = 0
+    for s in systems:
+        check_homogenize(s)
+        for stage in rd.to_wts(s).stages:
+            if stage.kind == "homogenize":
+                check_homogenize(stage.source)
+                stages += 1
+    assert stages > len(systems)  # some plans homogenize twice

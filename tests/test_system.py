@@ -8,9 +8,8 @@ from futs.monoid import (
     NAT_PLUS,
     RAT_PLUS,
     Product,
-    monoid_section,
 )
-from futs.system import Component, Futs, Signature, relabel_weights, validate
+from futs.system import Component, Futs, Signature
 from futs.weightfn import Leaf, node, zero_term
 
 from bisim_oracle import CarrierMap, compose_maps, identity_map, is_homomorphism
@@ -22,7 +21,9 @@ from conftest import (
     random_futs,
     singleton,
     systems_equal,
+    validate,
 )
+from reduce_oracle import monoid_section, relabel_weights
 
 
 def test_signature_classification():
@@ -136,7 +137,7 @@ def test_relabel_preserves_bisimilarity(fig1):
 
 
 def test_relabel_rejects_non_injective(fig1):
-    from futs.monoid import Hom
+    from reduce_oracle import Hom
     squash = Hom(BOOL_OR, BOOL_OR, lambda w: False, injective=False)
     homs = [[squash, identity_hom(RAT_PLUS)]]
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from futs.system import Signature, validate
+from futs.system import Signature
 from futs.textio import (
     ParseError,
     parse_formula,
@@ -31,6 +31,7 @@ from conftest import (
     random_formula,
     random_futs,
     systems_equal,
+    validate,
 )
 
 FIXTURES = [p.read_text() for p in sorted(DATA.glob("*.futs")) + sorted(GOLDEN.glob("*.futs"))]

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import values_oracle as O
 from futs.bisim import Partition
-from futs.monoid import Product, monoid_section
+from futs.monoid import Product
 
 from conftest import CORPUS_SIGS, load_from_other_process, random_formula, random_term
+from reduce_oracle import monoid_section
 from test_monoid import monoid_strategy
 
 

@@ -13,11 +13,9 @@ from futs.weightfn import (
     Leaf,
     Node,
     format_term,
-    leaves,
     node,
     pushforward,
     quotient_term,
-    term_depth,
     zero_term,
 )
 
@@ -30,10 +28,12 @@ from conftest import (
     WLTS_PROD,
     Hashed,
     class_sum,
+    leaves,
     load_from_other_process,
     random_term,
     singleton,
     support,
+    term_depth,
     term_equal,
     weight_of,
 )

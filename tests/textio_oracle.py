@@ -7,7 +7,8 @@ character before any line is parsed.  Every reader goes through
 ``_Cursor``, which positions each diagnostic from the token in hand;
 ``_parse_term`` reads every entry through the cursor and checks states
 against the state dict.  ``parse_system`` checks its result with
-``system.validate``, as the parser once did itself.
+``validate`` (now a test helper in ``conftest``), as the parser once
+did itself.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from fractions import Fraction
 
 from futs import logic, monoid as mo
 from futs.monoid import Monoid
-from futs.system import Component, Futs, Signature, validate
+from futs.system import Component, Futs, Signature
 from futs.textio import MAX_NESTING, Diagnostic, ParseError, _fail, _MONOID_NAMES
 from futs.weightfn import Leaf, Node, Term, node
+
+from conftest import validate
 
 
 def _int(tok: Token, digits: str | None = None) -> int:
