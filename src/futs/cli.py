@@ -159,12 +159,12 @@ def cmd_equiv(args) -> int:
 def cmd_verify(args) -> int:
     from .reduce import EXHAUSTIVE_LIMIT, verify_reduction
     s = _load_system(args.file)
-    r = _run_reduction(s, args.to)
-    if args.exhaustive and len(s.states) > EXHAUSTIVE_LIMIT:
+    if args.exhaustive and len(s.states) > EXHAUSTIVE_LIMIT:  # refused before reducing
         print(f"error: --exhaustive is limited to {EXHAUSTIVE_LIMIT} states "
               f"({len(s.states)} given); drop the flag to sample instead",
               file=sys.stderr)
         return USAGE
+    r = _run_reduction(s, args.to)
     report = verify_reduction(r, exhaustive=args.exhaustive, samples=args.samples, seed=args.seed)
     print(report.render())
     for v in report.violations:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import re
 from fractions import Fraction
 from typing import Union
 
@@ -250,8 +249,9 @@ class Power(Value):
         if not w:
             return "{}"
         sep, colon, lb, rb = SEPARATORS[compact]
-        return lb + sep.join(f"{l if compact else quote_id(l)}{colon}"
-                             f"{self.base._format(v, compact)}" for l, v in w) + rb
+        q = QUOTES[compact]
+        return lb + sep.join(f"{quote_id(l, q)}{colon}{self.base._format(v, compact)}"
+                             for l, v in w) + rb
 
 
 Monoid = Union[BoolOr, NatPlus, NatMax, RatPlus, Product, Power]
@@ -326,24 +326,26 @@ def power_dirac(label: str, w: Weight, labels, base: Monoid) -> Weight:
 
 # --- text forms ------------------------------------------------------------
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-def quote_id(name: str) -> str:
-    """Backtick-quote an identifier when it is not plain."""
-    return name if _IDENT_RE.match(name) else f"`{name}`"
+def quote_id(name: str, quote: str = "`") -> str:
+    """A name as the system file writes it: a plain identifier
+    (``[A-Za-z_][A-Za-z0-9_]*``) bare, any other between backticks, or with
+    ``quote="'"`` as the compact key does, each quote inside doubled."""
+    if name.isascii() and name.isidentifier():
+        return name
+    return quote + name.replace(quote, quote + quote) + quote
 
 
 def format_monoid(m: Monoid) -> str:
     return _op(m, "_name")
 
 
-# item, key-value and brace separators of the display and the compact text forms
+# separators (item, key-value, braces) and quotes of the display and the compact text forms
 SEPARATORS = ((", ", ": ", "{ ", " }"), (",", ":", "{", "}"))
+QUOTES = ("`", "'")
 
 
 def format_weight(m: Monoid, w: Weight, compact: bool = False) -> str:
     """Display form of a weight (the system writer and formulas), or with
-    ``compact`` the canonical key that orders term entries: no blanks and
-    power labels unquoted."""
+    ``compact`` the canonical key that orders term entries, injective per
+    monoid: no blanks, and power labels quoted by ``quote_id(l, "'")``."""
     return _op(m, "_format")(w, compact)

@@ -33,7 +33,6 @@ relations on the source.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING
 
 from .monoid import NAT_PLUS, Power, Product, power_dirac, zero
@@ -171,29 +170,31 @@ def nest(s: Futs) -> Reduction:
     return Reduction("nest", s, target, {x: x for x in s.states}, full=True)
 
 
+def _term_states(g, depth: int) -> dict[int, str]:
+    # flatten's added states, one per term node below the top depth
+    return {v: f"#{len(t.stack)}:{format_term(t, True)}"
+            for v, t in enumerate(g.term) if t is not None and len(t.stack) < depth}
+
+
 def flatten(s: Futs) -> Reduction:
     """Split multi-level steps into single-level ones.
 
     Reads the source's compiled graph (``Futs.graph``), which already has
     one node per distinct weight term.  The target carrier is the source
     carrier plus one state ``#<depth>:<canonical key>`` per term node below
-    the top depth; an original state steps to the term-states of its outer
-    transition, and a term-state's single transition is its term read one
-    level down.
+    the top depth (distinct, as the key is injective; one named like a
+    carrier state is refused); an original state steps to the term-states
+    of its outer transition, and a term-state's single transition is its
+    term read one level down.
     """
     sig2 = sig_flatten(s.sig)
     comp = s.sig.components[0]
     lab, base = comp.labels[0], (comp.monoids[0],)
     g = s.graph
-    names = {v: f"#{len(t.stack)}:{format_term(t, True)}"
-             for v, t in enumerate(g.term) if t is not None and len(t.stack) < comp.depth}
-    count = Counter(names.values())
-    clash = set(count) & set(s.states)
+    names = _term_states(g, comp.depth)
+    clash = set(names.values()) & set(s.states)
     if clash:
         raise ValueError(f"generated state ids collide with carrier: {sorted(clash)}")
-    twins = sorted(name for name, k in count.items() if k > 1)
-    if twins:  # distinct terms whose keys read alike: unquoted names with ',' or ':'
-        raise ValueError(f"generated state ids collide with each other: {twins}")
     leaf = {v: Leaf(name) for v, name in names.items()}
 
     def one_level(v: int) -> Node:
@@ -292,8 +293,8 @@ def _extend(r: Reduction, p: Partition) -> Partition:
         g = r.source.graph
         class_of = g.classifier(p.kappa[x] for x in r.source.states)
         groups: dict = {}
-        for name, term in r.intermediates:
-            groups.setdefault(class_of(g.ids[term]), []).append(name)
+        for v, name in _term_states(g, r.source.sig.components[0].depth).items():
+            groups.setdefault(class_of(v), []).append(name)
         return Partition.of_blocks(r.target.states, [*p.blocks, *groups.values()])
     return Partition.of_blocks(
         r.target.states,

@@ -13,7 +13,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .monoid import Monoid, Value
-from .weightfn import Leaf, Node, Term, zero_term
+from .weightfn import Node, zero_term
 
 
 class Component(Value):
@@ -94,8 +94,9 @@ class Graph:
 
     States are nodes ``0..n-1`` in ``s.states`` order; every distinct
     ``Node`` subterm of a transition term, each component's zero term
-    included, is one further node, numbered after its children.  ``ids``
-    maps state names and terms to nodes, ``term`` holds a term node's
+    included, is one further node, numbered after its children and
+    hash-consed on its kind and entries, so no term is hashed or compared.
+    ``ids`` maps state names to nodes, ``term`` holds a term node's
     ``Node``, ``out`` a state's term node per slot (``slots`` maps each
     (component, label) to its index) or a term's (child, weight) entries,
     and ``kind`` is 0 for states and numbers a term's monoid stack from 1.
@@ -104,27 +105,34 @@ class Graph:
 
     def __init__(self, s: Futs):
         self.n = len(s.states)
-        self.ids: dict = {x: v for v, x in enumerate(s.states)}
+        self.ids = {x: v for v, x in enumerate(s.states)}
         self.slots = {(i, a): k for k, (i, a) in enumerate(
             (i, a) for i, comp in enumerate(s.sig.components) for a in comp.labels)}
         self._depths = [s.sig.components[i].depth for i, _a in self.slots]
         self.term, self.out, self.kind = [None] * self.n, [None] * self.n, [0] * self.n
-        kinds: dict = {}
+        stacks: dict = {}  # per component, a provisional kind per level of its stack
+        rows = [[stacks.setdefault(c.monoids[j:], len(stacks) + 1) for j in range(c.depth)]
+                for c in s.sig.components]
+        cons, seen = {}, {}  # (kind, out) -> node, and id() of a term (alive in s) -> node
 
-        def intern(t: Term) -> int:
-            if isinstance(t, Leaf):
-                return self.ids[t.state]
-            v = self.ids.get(t)
+        def intern(t: Node, kinds: list, j: int) -> int:
+            v = seen.get(id(t))
             if v is None:
-                out = tuple((intern(c), w) for c, w in t.entries)
-                v = self.ids[t] = len(self.out)
-                self.term.append(t)
-                self.out.append(out)
-                self.kind.append(kinds.setdefault(t.stack, len(kinds) + 1))
+                if j + 1 < len(kinds):
+                    out = tuple([(intern(c, kinds, j + 1), w) for c, w in t.entries])
+                else:
+                    out = tuple([(self.ids[c.state], w) for c, w in t.entries])
+                v = seen[id(t)] = cons.setdefault((kinds[j], out), len(self.out))
+                if v == len(self.out):
+                    self.term.append(t)
+                    self.out.append(out)
+                    self.kind.append(kinds[j])
             return v
 
         for v, x in enumerate(s.states):
-            self.out[v] = [intern(s.transition(i, x, a)) for i, a in self.slots]
+            self.out[v] = [intern(s.transition(i, x, a), rows[i], 0) for i, a in self.slots]
+        first: dict = {}  # a stack that no term uses leaves no gap in the numbering
+        self.kind = [first.setdefault(k, len(first)) for k in self.kind]
 
     @cached_property
     def levels(self) -> list:

@@ -11,9 +11,9 @@ System files are line oriented::
 Weight terms nest braces to the component's depth; missing transition
 lines denote the zero term.  Weight literals are ``tt``/``ff``, naturals,
 ``p/q`` rationals, ``(w, ..., w)`` product tuples and ``{ label: w, ... }``
-power maps.  Identifiers are ``[A-Za-z_][A-Za-z0-9_]*``; anything else
-(generated ``#level:...`` states, the ``*`` label) is backtick-quoted.
-``#`` outside backticks starts a comment.
+power maps.  Names other than ``[A-Za-z_][A-Za-z0-9_]*`` (``#level:...``
+states, the ``*`` label) are written backtick-quoted; bare ``*`` and
+hyphenated names read too.  ``#`` outside backticks starts a comment.
 
 The writer emits a canonical form (components, states, labels and term
 keys sorted) and ``parse_system(write_system(s))`` returns an identical

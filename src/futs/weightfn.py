@@ -4,11 +4,11 @@ A term of depth 0 is a state (``Leaf``); a term of depth d+1 is a ``Node``
 carrying the monoid stack it is weighted over and a finite map from
 depth-d terms to non-zero weights of the outermost stack monoid.  Nodes
 are canonical by construction: zero entries are dropped, colliding keys
-are merged by monoid addition, and entries are sorted by the canonical
-serialisation of their key, so structural equality coincides with
-extensional equality of the represented functions.  A node computes its
-hash and that serialisation (``format_term(t, compact=True)``) on first
-use and keeps them.
+are merged by monoid addition, and entries are sorted by the text of
+their key, so structural equality coincides with extensional equality of
+the represented functions.  That text is a leaf's state or a node's
+compact key (``format_term(t, compact=True)``), which is injective on the
+terms over one stack; a node computes it on first use and keeps it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from operator import itemgetter
 from typing import Callable, Union
 
 from .monoid import (
+    QUOTES,
     SEPARATORS,
     Monoid,
     Value,
@@ -41,23 +42,15 @@ class Leaf(Value):
 
 
 class Node(Value):
-    # the hash and the canonical compact key are computed on first use and kept: both
-    # would otherwise walk the whole subtree on every dict lookup and every sort
-    __slots__ = ("stack", "entries", "_hash", "_key")
+    # the compact key is computed on first use and kept: it would otherwise
+    # walk the whole subtree on every sort of a parent's entries
+    __slots__ = ("stack", "entries", "_key")
 
     def __init__(self, stack: tuple[Monoid, ...], entries: tuple[tuple["Term", Weight], ...]):
         _set(self, "stack", stack)
         _set(self, "entries", entries)
         _set(self, "_values", (stack, entries))
-        _set(self, "_hash", None)
         _set(self, "_key", None)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self._values)
-            _set(self, "_hash", h)
-        return h
 
 
 Term = Union[Leaf, Node]
@@ -69,9 +62,9 @@ def node(stack, entries) -> Node:
     ``entries`` is an iterable (or mapping) of (term, weight) pairs whose
     keys must all be terms over ``stack[1:]`` (leaves when the stack has a
     single monoid); each weight goes through ``check_weight``.  One stable
-    sort by key text (a leaf's state, a node's cached compact key) makes
-    equal keys neighbours, summed in ``stack[0]`` in input order; zero sums
-    are dropped.  No key is hashed.
+    sort by key text (a leaf's state, a node's cached compact key, both
+    injective) makes equal keys neighbours, summed in ``stack[0]`` in input
+    order; zero sums are dropped.  No key is hashed or compared.
     """
     stack = tuple(stack)
     if not stack:
@@ -90,20 +83,14 @@ def node(stack, entries) -> Node:
         w = check(w)
         triples.append((key._key or format_term(key, True) if rest else key.state, key, w))
     triples.sort(key=itemgetter(0))
-    merged: list = []  # [key, weight] per distinct key, in text order
+    merged: list = []  # [text, key, weight] per distinct key, in text order
     for text, key, w in triples:
-        if merged and text == last:  # a leaf's text is its identity; distinct nodes may share one
-            for pair in merged[run:]:
-                if not rest or pair[0] is key or pair[0] == key:
-                    pair[1] = outer._add(pair[1], w)
-                    break
-            else:
-                merged.append([key, w])
+        if merged and merged[-1][0] == text:
+            merged[-1][2] = outer._add(merged[-1][2], w)
         else:
-            last, run = text, len(merged)
-            merged.append([key, w])
+            merged.append([text, key, w])
     z = zero(outer)
-    return Node(stack, tuple([(k, w) for k, w in merged if w != z]))
+    return Node(stack, tuple([(k, w) for _text, k, w in merged if w != z]))
 
 
 def zero_term(stack) -> Node:
@@ -113,9 +100,10 @@ def zero_term(stack) -> Node:
 def format_term(t: Term, compact: bool = False) -> str:
     """Display form of a term in the system file syntax, or with
     ``compact`` the canonical key that orders entries and names flatten's
-    states.  A node computes its key on first use and keeps it."""
+    states, injective per stack: no blanks, names quoted by ``quote_id(name,
+    "'")``.  A node computes its key on first use and keeps it."""
     if isinstance(t, Leaf):
-        return t.state if compact else quote_id(t.state)
+        return quote_id(t.state, QUOTES[compact])
     if compact and t._key is not None:
         return t._key
     sep, colon, lb, rb = SEPARATORS[compact]

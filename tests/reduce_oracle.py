@@ -39,14 +39,16 @@ class Graph:
     ``Node`` subterm of a transition term, each component's zero term
     included, is one further node, numbered after its children.  ``out``
     holds a state's term node per (component, label) slot, or a term's
-    (child, weight) entries, and ``preds`` the reverse edges.  ``kind`` is
-    0 for states and numbers a term's monoid stack from 1.
+    (child, weight) entries, ``term`` a term node's first ``Node``, and
+    ``preds`` the reverse edges.  ``kind`` is 0 for states and numbers a
+    term's monoid stack from 1.
     """
 
     def __init__(self, s: Futs):
         self.n = len(s.states)
         leaf = {x: v for v, x in enumerate(s.states)}
         self.out, self.kind, self.outer = [None] * self.n, [0] * self.n, [None] * self.n
+        self.term = [None] * self.n
         kinds, nodes = {}, {}
 
         def intern(t: Term) -> int:
@@ -59,6 +61,7 @@ class Graph:
                 self.kind.append(key[0])
                 self.out.append(key[1])
                 self.outer.append(t.stack[0])
+                self.term.append(t)
             return nodes[key]
 
         for v, x in enumerate(s.states):

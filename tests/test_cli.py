@@ -5,9 +5,11 @@ import pytest
 
 from futs import cli
 from futs.cli import main
-from futs.textio import MAX_NESTING, parse_system
+from futs.bisim import largest_bisimulation
+from futs.logic import sat_set
+from futs.textio import MAX_NESTING, parse_formula, parse_system
 
-from conftest import DATA, nat_chain_text
+from conftest import DATA, nat_chain_text, restrict
 
 FIG1 = str(DATA / "fig1.futs")
 W3 = str(DATA / "w3.futs")
@@ -229,6 +231,17 @@ def test_verify_exhaustive_refused_for_big_input(capsys, tmp_path):
     assert code == 2 and "drop the flag" in err
 
 
+@pytest.mark.parametrize("stage", ["wts", "unlabelled"])
+def test_verify_exhaustive_refused_before_reducing(capsys, tmp_path, monkeypatch, stage):
+    big = tmp_path / "big.futs"
+    big.write_text("futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\n"
+                   "states { s0, s1, s2, s3, s4, s5 }\n")
+    monkeypatch.setattr(cli, "_run_reduction", lambda *args: pytest.fail("reduction ran"))
+    assert run(capsys, "verify", str(big), "--to", stage, "--exhaustive") == (
+        2, "", "error: --exhaustive is limited to 5 states (6 given); "
+               "drop the flag to sample instead\n")
+
+
 def test_translate_unlabelled(capsys):
     code, out, _ = run(capsys, "translate", "--formula", "<0|a|tt,1/2> T",
                        "--sig", FIG1, "--to", "unlabelled")
@@ -377,19 +390,49 @@ def test_overlong_nested_sum_exit_2(capsys, tmp_path):
     (("equiv", "x", "y", "--logic"), ""),
 ], ids=["reduce", "verify", "equiv-logic"])
 def test_colliding_term_state_names_exit_2(capsys, tmp_path, argv, prefix):
-    """A state named like the key of another term (``p:({},1),q``) gives
-    flatten two term-states of one name: one error line, exit 2, no file."""
+    """A state named like the term-state flatten generates for another term
+    (``#1:{p:({},1)}``) collides with it: one error line, exit 2, no file."""
     path = tmp_path / "clash.futs"
+    path.write_text("futs\nlabels A0 = { a }\nmonoids M0 = [ bool-or, nat-plus ]\n"
+                    "states { x, y, p, q, `#1:{p:({},1)}` }\n"
+                    "trans 0 x a -> { { p: 1 }: tt }\n"
+                    "trans 0 y a -> { { p: 1, q: 1 }: tt }\n")
+    command, *rest = argv
+    rest = [str(tmp_path / a) if a.endswith(".futs") else a for a in rest]
+    assert run(capsys, command, str(path), *rest) == (
+        2, "", f"error: {prefix}generated state ids collide with carrier: "
+               "['#1:{p:({},1)}']\n")
+    assert not (tmp_path / "w.futs").exists()
+
+
+def test_colliding_term_state_names_answer(capsys, tmp_path):
+    """A state named like the unquoted key of another term (``p:({},1),q``)
+    gets a term-state of its own: the reduced file reads back and has the
+    source's bisimulation, the reduction verifies, and ``equiv --logic``
+    agrees with ``equiv`` on every pair, with a witness that separates."""
+    path, wts = tmp_path / "clash.futs", tmp_path / "w.futs"
     path.write_text("futs\nlabels A0 = { a }\nmonoids M0 = [ bool-or, nat-plus ]\n"
                     "states { x, y, p, q, `p:({},1),q` }\n"
                     "trans 0 x a -> { { p: 1, q: 1 }: tt }\n"
                     "trans 0 y a -> { { `p:({},1),q`: 1 }: tt }\n")
-    command, *rest = argv
-    rest = [str(tmp_path / a) if a.endswith(".futs") else a for a in rest]
-    assert run(capsys, command, str(path), *rest) == (
-        2, "", f"error: {prefix}generated state ids collide with each other: "
-               "['#1:{p:({},1),q:({},1)}']\n")
-    assert not (tmp_path / "w.futs").exists()
+    source = parse_system(path.read_text())
+    assert run(capsys, "reduce", str(path), "--to", "wts", "-o", str(wts)) == (0, "", "")
+    target = parse_system(wts.read_text())
+    assert set(target.states) - set(source.states) == {
+        "#1:{p:({},1),q:({},1)}", "#1:{'p:({},1),q':({},1)}"}
+    assert restrict(largest_bisimulation(target), source.states) == largest_bisimulation(source)
+    assert run(capsys, "bisim", str(wts))[0] == 0
+    code, out, _ = run(capsys, "verify", str(path), "--to", "wts")
+    assert code == 0 and out.endswith(" 0 violations\n")
+    for i, x in enumerate(source.states):
+        for y in source.states[i + 1:]:
+            plain = run(capsys, "equiv", str(path), x, y)
+            logic = run(capsys, "equiv", str(path), x, y, "--logic")
+            assert plain[0] == logic[0] and logic[2] == ""
+            if logic[0] == 1:
+                text = logic[1].split(": ", 1)[1]
+                sat = sat_set(target, parse_formula(text, target.sig))
+                assert (x in sat) != (y in sat)
 
 
 def nested_system(tmp_path, stack: int, nesting: int):

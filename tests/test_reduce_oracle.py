@@ -31,7 +31,9 @@ def check_graph(s):
     pairs = set(zip(old.kind, new.kind))
     assert len(pairs) == len(set(old.kind)) == len(set(new.kind))
     assert new.preds == old.preds
-    assert all(new.ids[t] == v for v, t in enumerate(new.term) if t is not None)
+    assert new.term == old.term
+    terms = [t for t in new.term if t is not None]
+    assert len(set(terms)) == len(terms)  # no two nodes hold equal terms
 
 
 def check_flatten(r):

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import futs.weightfn
-from futs.bisim import Partition
+from futs.bisim import Partition, largest_bisimulation
 from futs.monoid import BOOL_OR, NAT_PLUS, RAT_PLUS, Power, format_weight
+from futs.reduce import flatten
+from futs.system import Component, Futs, Signature
+from futs.textio import parse_system, write_system
 from futs.weightfn import (
     Leaf,
     Node,
@@ -31,6 +34,8 @@ from conftest import (
     leaves,
     load_from_other_process,
     random_term,
+    random_weight,
+    restrict,
     singleton,
     support,
     term_depth,
@@ -71,7 +76,9 @@ def test_node_hashes_no_key_and_formats_each_child_once(monkeypatch):
     """k leaf entries, states repeated by distinct leaves, make a node
     without one ``__hash__`` or ``__eq__`` call on a term, where a dict
     merge hashes every key; over child nodes that repeat, each child's
-    compact key is formatted once."""
+    compact key is formatted once.  Compiling a system whose equal terms
+    are distinct objects makes no such call either: the graph hash-conses
+    terms on their children's node ids."""
     k = 12
     calls = Counter()
     for cls in (Leaf, Node):
@@ -94,6 +101,13 @@ def test_node_hashes_no_key_and_formats_each_child_once(monkeypatch):
     t = node(BR2, [(c, True) for c in children * 3])
     assert [c for c, _ in t.entries] == children and not calls
     assert formatted == {(id(c), True): 1 for c in children}
+    s = parse_system("futs\nlabels A0 = { a, b }\nmonoids M0 = [ bool-or, rat-plus ]\n"
+                     "states { x, y }\ntrans 0 x a -> { { x: 1/2, y: 1/2 }: tt }\n"
+                     "trans 0 y a -> { { x: 1/2, y: 1/2 }: tt }\ntrans 0 y b -> { { y: 1 }: tt }\n")
+    calls.clear()
+    g = s.graph
+    # x and y share their a-term; 2 states, 2 inner terms, 2 outer, 1 zero term
+    assert not calls and g.out[0][0] == g.out[1][0] and len(g.out) == 7
 
 
 def test_node_rejects_depth_mix():
@@ -250,7 +264,7 @@ def test_node_repr_and_immutability():
     format_term(t, True)
     assert repr(t) == ("Node(stack=(BoolOr(), RatPlus()), entries=((Node(stack=(RatPlus(),), "
                        "entries=((Leaf(state='s'), Fraction(1, 2)),)), True),))")
-    for name in ("stack", "entries", "_hash", "_key"):
+    for name in ("stack", "entries", "_key"):
         with pytest.raises(FrozenInstanceError):
             setattr(t, name, ())
 
@@ -267,3 +281,80 @@ def test_unpickled_node_rehashed():
                  [(node((BOOL_OR,), [(Leaf("s"), True)]), (("a", 2),))])
     assert loaded == fresh and hash(loaded) == hash(fresh) and {fresh: 1}[loaded] == 1
     assert loaded._key is None and format_term(loaded, True) == format_term(fresh, True) == "{{s:tt}:{a:2}}"
+
+
+# --- the compact key is injective ---------------------------------------------
+
+# backtick-free names mixing the characters that an unquoted key confuses
+odd_names = st.text(alphabet="pq1,:({}' ", min_size=1, max_size=4)
+
+
+def confusable(rng, stack):
+    """Two distinct terms over ``stack`` whose keys read alike when names
+    are written unquoted: ``{p: w, q: v}`` and ``{`p:w,q`: v}``, each
+    wrapped in the same one-entry terms up to the stack's depth."""
+    inner = stack[-1:]
+    w, v = (random_weight(rng, inner[0], nonzero=True) for _ in range(2))
+    pair = [node(inner, [(Leaf("p"), w), (Leaf("q"), v)]),
+            node(inner, [(Leaf(f"p:{format_weight(inner[0], w, True)},q"), v)])]
+    for j in range(len(stack) - 2, -1, -1):
+        u = random_weight(rng, stack[j], nonzero=True)
+        pair = [node(stack[j:], [(t, u)]) for t in pair]
+    return pair
+
+
+@st.composite
+def odd_stacks(draw):
+    """A stack, with power labels drawn like the state names, and names."""
+    labels = tuple(draw(st.lists(odd_names, min_size=1, max_size=3, unique=True)))
+    stack = draw(st.sampled_from([NAT1, BR2, (Power(labels, NAT_PLUS), NAT_PLUS),
+                                  (BOOL_OR, Power(labels, BOOL_OR), RAT_PLUS)]))
+    return stack, draw(st.lists(odd_names, max_size=3)) + ["p", "q"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(odd_stacks(), st.randoms(use_true_random=False))
+def test_compact_key_is_injective(stack_names, rng):
+    """Over each stack, two terms have equal compact keys iff they are equal."""
+    stack, names = stack_names
+    for j in range(len(stack)):
+        ts = confusable(rng, stack[j:])
+        names += sorted(leaves(ts[1]))
+        ts += [random_term(rng, stack[j:], names) for _ in range(6)]
+        ts += [rebuild(t) for t in ts[:4]]
+        for t in ts:
+            for u in ts:
+                assert (format_term(t, True) == format_term(u, True)) == (t == u)
+
+
+@settings(deadline=None, max_examples=200)
+@given(odd_stacks(), st.randoms(use_true_random=False), st.data())
+def test_node_ignores_entry_order(stack_names, rng, data):
+    stack, names = stack_names
+    children = confusable(rng, stack[1:]) if len(stack) > 1 else []
+    entries = [(c, random_weight(rng, stack[0], nonzero=True)) for c in children * 2]
+    entries += [e for _ in range(3) for e in random_term(rng, stack, names).entries]
+    t = node(stack, entries)
+    shuffled = node(stack, data.draw(st.permutations(entries)))
+    assert shuffled == t and shuffled.entries == t.entries
+
+
+@settings(deadline=None, max_examples=60)
+@given(odd_stacks(), st.randoms(use_true_random=False))
+def test_generated_names_read_back(stack_names, rng):
+    """``flatten`` names each inner term ``#<depth>:<key>``: over states
+    whose names confuse an unquoted key, the names are distinct, the
+    written WTS reads back, and its largest bisimulation restricted to the
+    source states is the source's."""
+    stack, names = stack_names
+    stack = (stack[0],) * max(2, len(stack))  # homogeneous, as flatten needs
+    terms = confusable(rng, stack) + [random_term(rng, stack, names) for _ in names]
+    states = sorted({x for t in terms for x in leaves(t)} | set(names) | {"x", "y"})
+    trans = {(0, x, "a"): t for x, t in zip(["x", "y", *names], terms)}
+    s = Futs(Signature((Component(("a",), stack),)), states, trans)
+    r = flatten(s)
+    added = [x for x in r.target.states if x not in set(s.states)]
+    assert len(added) == len(r.intermediates) and all(x[0] == "#" for x in added)
+    back = parse_system(write_system(r.target))
+    assert back.states == r.target.states and back.trans == r.target.trans
+    assert restrict(largest_bisimulation(back), s.states) == largest_bisimulation(s)

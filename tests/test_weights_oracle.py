@@ -3,8 +3,14 @@ sort-and-merge ``node`` against the ``isinstance`` dispatch and the
 dict-merging ``node`` they replaced (``weights_oracle``).  Each call must
 give an equal result (for terms: equal, with the same entry order, the
 same key objects and the same ``repr``) or the same exception type and
-message, on valid and invalid input alike."""
+message, on valid and invalid input alike.
 
+The oracle writes names unquoted in the compact key, so its key is
+compared only where every name is plain; the library's key is always
+compared with ``key_text``, the documented encoding applied here to the
+oracle's term structure."""
+
+import re
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -14,14 +20,43 @@ import weights_oracle as O
 from futs import monoid as mo
 from futs.weightfn import Leaf, Node, format_term, node
 
-from conftest import CORPUS_SIGS
+from conftest import CORPUS_SIGS, leaves
 from test_monoid import monoid_strategy, weight_strategy
 
-# "p:1,q" makes keys collide: a node over it alone and one over p and q can
-# share their compact key text
+# "p:1,q" makes the oracle's keys collide: a node over it alone and one over
+# p and q share its compact key text
 STATES = ["p", "q", "p:1,q", "r"]
 STACKS = sorted({c.monoids[j:] for sig in CORPUS_SIGS for c in sig.components
                  for j in range(len(c.monoids))}, key=repr)
+
+
+def key_name(name: str) -> str:
+    """A state or power label as the compact key spells it."""
+    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        return name
+    return "'" + name.replace("'", "''") + "'"
+
+
+def key_weight(m, w) -> str:
+    if isinstance(m, mo.Product):
+        return "(" + ",".join(key_weight(f, x) for f, x in zip(m.factors, w)) + ")"
+    if isinstance(m, mo.Power):
+        return "{" + ",".join(f"{key_name(l)}:{key_weight(m.base, v)}" for l, v in w) + "}"
+    return O.format_weight(m, w, True)
+
+
+def entry_order(entry):
+    """Entries sort by a leaf's state or by a child node's key."""
+    k = entry[0]
+    return k.state if isinstance(k, Leaf) else key_text(k)
+
+
+def key_text(t) -> str:
+    """The compact key of a term, its entries put in canonical order."""
+    if isinstance(t, Leaf):
+        return key_name(t.state)
+    return "{" + ",".join(f"{key_text(k)}:{key_weight(t.stack[0], w)}"
+                          for k, w in sorted(t.entries, key=entry_order)) + "}"
 
 
 def outcome(fn, *args):
@@ -67,6 +102,7 @@ def test_format_weight_matches(mw, compact):
     """Formatting takes valid payloads, canonical or not (an int for rat-plus)."""
     m, w = mw
     assert mo.format_weight(m, w, compact) == O.format_weight(m, w, compact)
+    assert mo.format_weight(m, w, True) == key_weight(m, w)
     if m == mo.RAT_PLUS and w.denominator == 1:
         assert mo.format_weight(m, int(w), compact) == O.format_weight(m, int(w), compact)
 
@@ -130,21 +166,28 @@ def test_node_matches_the_dict_merge(call):
         return
     assert got[0] == "ok"
     t, o = got[1], want[1]
-    assert t == o and t.entries == o.entries and repr(t) == repr(o)
-    assert all(k is ok for (k, _), (ok, _) in zip(t.entries, o.entries))
-    assert format_term(t, True) == O.format_term(o, True)
-    assert format_term(t) == O.format_term(o)
+    ordered = Node(o.stack, tuple(sorted(o.entries, key=entry_order)))
+    assert t == ordered and t.entries == ordered.entries and repr(t) == repr(ordered)
+    assert all(k is ok for (k, _), (ok, _) in zip(t.entries, ordered.entries))
+    assert format_term(t, True) == key_text(o)
+    assert format_term(t) == O.format_term(ordered)
+    if all(key_name(x) == x for x in leaves(o)):
+        assert t == o and t.entries == o.entries and repr(t) == repr(o)
+        assert format_term(t, True) == O.format_term(o, True)
 
 
 def test_node_keeps_distinct_children_that_share_a_key_text():
-    """``{p:1,q:1}`` spells a node over p and q and one over the state
-    ``p:1,q``: entries with one text but unequal keys stay apart, in the
-    order of their first appearance, and only equal keys are summed."""
+    """``{p:1,q:1}`` spells, in the oracle's key, a node over p and q and
+    one over the state ``p:1,q``.  The library's keys tell them apart, so
+    its node sorts them apart and sums only equal keys, as the oracle's
+    dict merge does, in whatever order they come."""
     nat = (mo.NAT_PLUS,)
     a = node(nat, [(Leaf("p"), 1), (Leaf("q"), 1)])
     b = node(nat, [(Leaf("p:1,q"), 1)])
-    assert format_term(a, True) == format_term(b, True)
+    assert O.format_term(a, True) == O.format_term(b, True) == "{p:1,q:1}"
+    assert (format_term(a, True), format_term(b, True)) == ("{p:1,q:1}", "{'p:1,q':1}")
     stack = (mo.RAT_PLUS, mo.NAT_PLUS)
     entries = [(b, Fraction(1, 2)), (a, 1), (Node(nat, b.entries), Fraction(1, 3)), (a, 2)]
     t = node(stack, entries)
-    assert t.entries == ((b, Fraction(5, 6)), (a, 3)) == O.node(stack, entries).entries
+    assert t.entries == ((b, Fraction(5, 6)), (a, 3))
+    assert node(stack, entries[::-1]) == t == Node(stack, O.node(stack, entries).entries)
