@@ -75,25 +75,28 @@ class Partition(Value):
 def all_partitions(carrier: Iterable[str]) -> Iterator[Partition]:
     """Enumerate every partition of the carrier (Bell-number many)."""
     items = sorted(set(carrier))
-
-    def go(i: int, blocks: list[list[str]]) -> Iterator[tuple[tuple[str, ...], ...]]:
-        if i == len(items):
-            yield tuple(tuple(b) for b in blocks)
-            return
-        x = items[i]
-        for b in blocks:
-            b.append(x)
-            yield from go(i + 1, blocks)
-            b.pop()
-        blocks.append([x])
-        yield from go(i + 1, blocks)
-        blocks.pop()
-
     if not items:
         yield Partition((), ())
         return
-    for raw in go(0, []):
+    for raw in _grow_blocks(items, 0, []):
         yield Partition.of_blocks(items, raw)
+
+
+def _grow_blocks(items: list[str], i: int, blocks: list[list[str]]
+                 ) -> Iterator[tuple[tuple[str, ...], ...]]:
+    """Every way to place ``items[i:]`` into ``blocks`` or new blocks.  A
+    module function, as a closure calling itself would be a reference cycle."""
+    if i == len(items):
+        yield tuple(tuple(b) for b in blocks)
+        return
+    x = items[i]
+    for b in blocks:
+        b.append(x)
+        yield from _grow_blocks(items, i + 1, blocks)
+        b.pop()
+    blocks.append([x])
+    yield from _grow_blocks(items, i + 1, blocks)
+    blocks.pop()
 
 
 def is_bisimulation(s: Futs, p: Partition) -> bool:

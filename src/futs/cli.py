@@ -5,11 +5,20 @@ states equivalent, 1 property fails / states distinguished / violations
 found, 2 usage or parse errors, 3 internal error (one stderr line, no
 traceback).  All output is deterministic for fixed inputs; sampled modes
 take an explicit ``--seed``.
+
+``main(argv)`` is the in-process entry: it returns the exit code and leaves
+the interpreter as it was.  ``run()`` is the process entry (``python -m
+futs.cli`` and the ``futs`` script).  It turns the cyclic garbage collector
+off, because the library makes no reference cycles, so the collector's
+passes over a loaded system would free nothing.  After flushing the
+standard streams it ends the process with ``os._exit``, skipping the heap
+and module teardown that would only follow the answer.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -271,5 +280,20 @@ def main(argv=None) -> int:
         return INTERNAL
 
 
+def run() -> None:
+    """``main()`` as a process: no cyclic collection, no teardown at exit
+    (see the module docstring).  If flushing a standard stream fails, the
+    ordinary exit reports it and sets the status, as ``sys.exit(main())``."""
+    gc.disable()
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None: the descriptor was closed at start-up
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -195,7 +195,7 @@ class Power(Value):
     _zero = ()
 
     def __init__(self, labels: tuple[str, ...], base: "Monoid"):
-        labels = tuple(sorted(set(labels)))
+        labels = check_names(tuple(sorted(set(labels))), "power label")
         if not labels:
             raise ValueError("power monoid needs a non-empty label set")
         Value.__init__(self, labels, base)
@@ -333,6 +333,16 @@ def quote_id(name: str, quote: str = "`") -> str:
     if name.isascii() and name.isidentifier():
         return name
     return quote + name.replace(quote, quote + quote) + quote
+
+
+def check_names(names: tuple[str, ...], what: str) -> tuple[str, ...]:
+    """``names``, refused with ``ValueError`` if one cannot be written in a
+    system file: a quoted name holds anything but a backtick or a newline."""
+    for name in names:
+        if "`" in name or "\n" in name:
+            raise ValueError(f"{what} {name!r} holds a backtick or a newline, "
+                             "which a system file cannot write")
+    return names
 
 
 def format_monoid(m: Monoid) -> str:

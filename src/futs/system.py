@@ -9,10 +9,10 @@ construction and all operations here are pure.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
 
-from .monoid import Monoid, Value
+from .monoid import Monoid, Value, check_names
 from .weightfn import Node, zero_term
 
 
@@ -20,7 +20,7 @@ class Component(Value):
     __slots__ = ("labels", "monoids")
 
     def __init__(self, labels: tuple[str, ...], monoids: tuple[Monoid, ...]):
-        labels = tuple(sorted(set(labels)))
+        labels = check_names(tuple(sorted(set(labels))), "label")
         if not labels:
             raise ValueError("component needs a non-empty label set")
         monoids = tuple(monoids)
@@ -72,7 +72,7 @@ class Futs:
 
     def __init__(self, sig: Signature, states, trans=None):
         self.sig = sig
-        self.states = tuple(sorted(set(states)))
+        self.states = check_names(tuple(sorted(set(states))), "state")
         stored: dict[tuple[int, str, str], Node] = {}
         for (i, x, a), term in (trans or {}).items():
             if not isinstance(term, Node) or term.entries:
@@ -114,25 +114,27 @@ class Graph:
         rows = [[stacks.setdefault(c.monoids[j:], len(stacks) + 1) for j in range(c.depth)]
                 for c in s.sig.components]
         cons, seen = {}, {}  # (kind, out) -> node, and id() of a term (alive in s) -> node
-
-        def intern(t: Node, kinds: list, j: int) -> int:
-            v = seen.get(id(t))
-            if v is None:
-                if j + 1 < len(kinds):
-                    out = tuple([(intern(c, kinds, j + 1), w) for c, w in t.entries])
-                else:
-                    out = tuple([(self.ids[c.state], w) for c, w in t.entries])
-                v = seen[id(t)] = cons.setdefault((kinds[j], out), len(self.out))
-                if v == len(self.out):
-                    self.term.append(t)
-                    self.out.append(out)
-                    self.kind.append(kinds[j])
-            return v
-
         for v, x in enumerate(s.states):
-            self.out[v] = [intern(s.transition(i, x, a), rows[i], 0) for i, a in self.slots]
+            self.out[v] = [self._intern(s.transition(i, x, a), rows[i], 0, cons, seen)
+                           for i, a in self.slots]
         first: dict = {}  # a stack that no term uses leaves no gap in the numbering
         self.kind = [first.setdefault(k, len(first)) for k in self.kind]
+
+    # The recursive helpers are methods, not closures: a closure that calls
+    # itself is a reference cycle, which only the cyclic collector frees.
+    def _intern(self, t: Node, kinds: list, j: int, cons: dict, seen: dict) -> int:
+        v = seen.get(id(t))
+        if v is None:
+            if j + 1 < len(kinds):
+                out = tuple([(self._intern(c, kinds, j + 1, cons, seen), w) for c, w in t.entries])
+            else:
+                out = tuple([(self.ids[c.state], w) for c, w in t.entries])
+            v = seen[id(t)] = cons.setdefault((kinds[j], out), len(self.out))
+            if v == len(self.out):
+                self.term.append(t)
+                self.out.append(out)
+                self.kind.append(kinds[j])
+        return v
 
     @cached_property
     def levels(self) -> list:
@@ -167,15 +169,11 @@ class Graph:
         """``class_of(v)``: the class of term node ``v`` under a partition
         given as one block per state, computed bottom-up on first use.  Two
         terms share a class iff the partition's extension relates them."""
-        block = list(state_blocks) + [None] * (len(self.out) - self.n)
-        classes: dict = {}
+        return partial(self._class_of, list(state_blocks) + [None] * (len(self.out) - self.n), {})
 
-        def class_of(v: int):
-            if block[v] is None:
-                for c, _ in self.out[v]:
-                    class_of(c)
-                block[v] = classes.setdefault((self.kind[v], self.signature(block, v)),
-                                              len(classes))
-            return block[v]
-
-        return class_of
+    def _class_of(self, block: list, classes: dict, v: int):
+        if block[v] is None:
+            for c, _ in self.out[v]:
+                self._class_of(block, classes, c)
+            block[v] = classes.setdefault((self.kind[v], self.signature(block, v)), len(classes))
+        return block[v]

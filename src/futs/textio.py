@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import string
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -86,9 +85,10 @@ _TOKEN_RE = re.compile(
 )
 # a token's kind is read off its first character; a bad token is one
 # character, and no other one-character token
-_IDENT_START = frozenset(string.ascii_letters + "_*`")
-_DIGITS = frozenset(string.digits)
-_ONE_CHAR = frozenset(string.ascii_letters + string.digits + "_*{}[](),:|<>&/=")
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_IDENT_START = frozenset(_LETTERS + "_*`")
+_DIGITS = frozenset("0123456789")
+_ONE_CHAR = frozenset(_LETTERS + "0123456789_*{}[](),:|<>&/=")
 
 
 def _tokens(raw: str) -> list[str]:

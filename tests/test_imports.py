@@ -71,8 +71,9 @@ def test_equiv_logic_and_reduce_load_what_they_run(tmp_path):
     assert not loaded & {"futs.logic", "futs.bisim"}
 
 
-# dataclasses alone loads inspect, ast, dis and tokenize: 9-14 ms of every launch
-COSTLY_STDLIB = {"dataclasses", "inspect"}
+# dataclasses alone loads inspect, ast, dis and tokenize: 9-14 ms of every launch;
+# string costs 1-1.5 ms for constants a literal spells
+COSTLY_STDLIB = {"dataclasses", "inspect", "string"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from futs.logic import TOP, And, Diamond
+from futs.monoid import BOOL_OR, NAT_PLUS, Power
 from futs.reduce import to_wts
+from futs.system import Component, Futs, Signature
 from futs.textio import (
     Diagnostic,
     ParseError,
@@ -13,6 +15,7 @@ from futs.textio import (
     write_formula,
     write_system,
 )
+from futs.weightfn import Leaf, node
 
 from conftest import (
     NESTED3,
@@ -124,6 +127,38 @@ def test_backtick_ids(w3):
     out = write_system(w3)
     assert "`x'`" in out
     assert systems_equal(parse_system(out), w3)
+
+
+# names a quoted identifier can hold: blanks, comment and key punctuation, none
+ODD_NAMES = ("", " ", " a  b ", "\t", "#", "#x", "'", "it's", "{},:()", "{ p: 1 }", "x")
+
+
+def test_round_trip_odd_names():
+    power = Power(ODD_NAMES, NAT_PLUS)
+    sig = Signature((Component(ODD_NAMES, (power,)),
+                     Component(ODD_NAMES[:2], (BOOL_OR, NAT_PLUS))))
+    trans = {}
+    for k, x in enumerate(ODD_NAMES):
+        trans[(0, x, ODD_NAMES[-1 - k])] = node(
+            (power,), [(Leaf(y), ((lab, 1 + k),)) for y in ODD_NAMES for lab in ODD_NAMES[k:k + 2]])
+        trans[(1, x, ODD_NAMES[k % 2])] = node(
+            (BOOL_OR, NAT_PLUS), [(node((NAT_PLUS,), [(Leaf(y), k + 1)]), True) for y in ODD_NAMES])
+    s = Futs(sig, ODD_NAMES, trans)
+    text = write_system(s)
+    assert systems_equal(parse_system(text), s) and write_system(parse_system(text)) == text
+
+
+@pytest.mark.parametrize("name", ["a`b", "`", "a\nb", "\n"])
+@pytest.mark.parametrize("build", [
+    lambda name: Futs(Signature((Component(("a",), (NAT_PLUS,)),)), ["x", name]),
+    lambda name: Component(("a", name), (NAT_PLUS,)),
+    lambda name: Power(("a", name), NAT_PLUS),
+], ids=["state", "label", "power-label"])
+def test_unwritable_name_refused(build, name):
+    """A quoted name holds anything but a backtick or a newline, so no
+    system, component or power monoid takes one that has either."""
+    with pytest.raises(ValueError, match="backtick or a newline"):
+        build(name)
 
 
 def test_parse_formula_examples(fig1):
