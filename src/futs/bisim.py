@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
-from .monoid import Value
+from .monoid import Value, quote_id
 from .system import Futs
 from .weightfn import quotient_term
 
@@ -68,7 +68,8 @@ class Partition(Value):
         return Partition.group_by(self.carrier, lambda x: (self.kappa[x], key(x)))
 
     def render(self) -> str:
-        inner = ", ".join("{" + ", ".join(b) + "}" for b in self.blocks)
+        """The blocks as text, each name written as a system file writes it."""
+        inner = ", ".join("{" + ", ".join(map(quote_id, b)) + "}" for b in self.blocks)
         return "{ " + inner + " }"
 
 

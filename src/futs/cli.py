@@ -36,6 +36,17 @@ STAGE_BY_NAME = {
 }
 
 
+def _error(line: str) -> None:
+    """Write one error line to stderr.  If stderr is closed (``None``) or
+    cannot be written, the line is lost, but never sent to stdout, and the
+    exit code stays the command's."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+
+
 def _load_system(path: str):
     from . import textio
     with open(path, encoding="utf-8") as fh:
@@ -68,7 +79,7 @@ def cmd_reduce(args) -> int:
     from .textio import write_system
     paths = [args.output] + ([args.map] if args.map else [])
     if len({os.path.realpath(p) for p in paths}) < len(paths):
-        print("error: -o and --map name the same file", file=sys.stderr)
+        _error("error: -o and --map name the same file")
         return USAGE
     r = _run_reduction(_load_system(args.file), args.to)
     texts = [write_system(r.target),
@@ -98,10 +109,10 @@ def cmd_check(args) -> int:
             texts = [(raw.strip(), n, len(raw) - len(raw.lstrip()))
                      for n, raw in enumerate(fh, start=1) if raw.strip()]
         if not texts:
-            print("error: no formulas in file", file=sys.stderr)
+            _error("error: no formulas in file")
             return USAGE
     if args.state is not None and args.state not in set(s.states):
-        print(f"error: unknown state {args.state!r}", file=sys.stderr)
+        _error(f"error: unknown state {args.state!r}")
         return USAGE
     formulas = []  # all read before any is checked, so a bad one prints nothing
     for text, first, indent in texts:
@@ -130,7 +141,7 @@ def cmd_equiv(args) -> int:
     x, y = args.x, args.y
     missing = [z for z in (x, y) if z not in s.states]
     if missing:
-        print(f"error: unknown state(s) {missing}", file=sys.stderr)
+        _error(f"error: unknown state(s) {missing}")
         return USAGE
     if args.logic:
         # the logic is sound, so on a simple system the witness search gives the
@@ -169,9 +180,8 @@ def cmd_verify(args) -> int:
     from .reduce import EXHAUSTIVE_LIMIT, verify_reduction
     s = _load_system(args.file)
     if args.exhaustive and len(s.states) > EXHAUSTIVE_LIMIT:  # refused before reducing
-        print(f"error: --exhaustive is limited to {EXHAUSTIVE_LIMIT} states "
-              f"({len(s.states)} given); drop the flag to sample instead",
-              file=sys.stderr)
+        _error(f"error: --exhaustive is limited to {EXHAUSTIVE_LIMIT} states "
+               f"({len(s.states)} given); drop the flag to sample instead")
         return USAGE
     r = _run_reduction(s, args.to)
     report = verify_reduction(r, exhaustive=args.exhaustive, samples=args.samples, seed=args.seed)
@@ -269,29 +279,34 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ParseError as e:
         for d in e.diagnostics:
-            print(d.render(), file=sys.stderr)
+            _error(d.render())
         return USAGE
     except (OSError, ValueError) as e:  # a file that cannot be read or written, or bad input
-        print(f"error: {e}", file=sys.stderr)
+        _error(f"error: {e}")
         return USAGE
     except Exception as e:  # a bug, never a verdict: exit 1 means "property fails"
         message = str(e).replace("\n", " ")
-        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        _error(f"internal error: {type(e).__name__}: {message}")
         return INTERNAL
 
 
 def run() -> None:
     """``main()`` as a process: no cyclic collection, no teardown at exit
-    (see the module docstring).  If flushing a standard stream fails, the
-    ordinary exit reports it and sets the status, as ``sys.exit(main())``."""
+    (see the module docstring).  If flushing stdout fails, the ordinary exit
+    reports it and sets the status, as ``sys.exit(main())``.  An error line
+    that stderr cannot take stays lost (see ``_error``): the status is kept."""
     gc.disable()
     code = main()
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None: the descriptor was closed at start-up
-                stream.flush()
+        if sys.stdout is not None:  # None: the descriptor was closed at start-up
+            sys.stdout.flush()
     except OSError:
         sys.exit(code)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
     os._exit(code)
 
 

@@ -5,7 +5,10 @@ component index, a label, and one weight lower bound per level of that
 component's monoid stack.  A diamond holds at a state when its transition
 term lies in the nested threshold sets: membership of a depth-d term
 tests whether the class sum of its children that (recursively) qualify
-dominates the level's bound in the natural order.
+dominates the level's bound in the natural order.  Model checking works
+on the state ids of ``Futs.graph`` and keeps one satisfaction cache per
+system, so ``sat_set`` calls on one system evaluate a shared subformula
+once; names appear only where ``sat_set`` returns.
 
 ``translate`` rewrites formulas along each reduction stage so that
 satisfaction is preserved on the reduced system, and
@@ -157,28 +160,32 @@ def conj(parts) -> Formula:
 
 
 class Evaluator:
-    """Model checker with a satisfaction-set cache per system."""
+    """Model checker on state ids: a satisfaction set is a frozenset of the
+    graph's state nodes ``0..n-1`` (``Futs.graph``).  The cache is the
+    system's own (``Graph.sat``), so every evaluator on one system, and every
+    ``sat_set`` and ``satisfies`` call, evaluates a subformula once."""
 
     def __init__(self, s: Futs):
-        self.system = s
-        self._all = frozenset(s.states)
-        self._cache: dict[Formula, frozenset[str]] = {}
+        self.system, self.graph = s, s.graph
+        self._all = frozenset(range(self.graph.n))
+        self._cache: dict[Formula, frozenset[int]] = self.graph.sat
 
-    def sat(self, phi: Formula) -> frozenset[str]:
+    def sat(self, phi: Formula) -> frozenset[int]:
         hit = self._cache.get(phi)
         if hit is not None:
             return hit
         return fold(phi, self._all, lambda f, left, right: left & right, self._diamond,
                     self._cache)
 
-    def _diamond(self, f: Diamond, body: frozenset[str]) -> frozenset[str]:
+    def _diamond(self, f: Diamond, body: frozenset[int]) -> frozenset[int]:
         """Bottom-up over the slot's levels in ``Futs.graph``, each distinct term
         node is tested once: do its weights into passed nodes (``body`` at the
-        bottom) reach the bound?  This evaluates the flatten translation."""
-        s, g = self.system, self.system.graph
+        bottom) reach the bound?  The passing top terms give their states
+        (``Graph.owners``).  This evaluates the flatten translation."""
+        g = self.graph
         k = g.slots[(f.component, f.label)]
-        monoids = s.sig.components[f.component].monoids
-        passed = {g.ids[x] for x in body}
+        monoids = self.system.sig.components[f.component].monoids
+        passed = body
         for nodes, m, bound in reversed(list(zip(g.levels[k], monoids, f.bounds))):
             below, passed, plus = passed, set(), m._add
             for t in nodes:
@@ -188,17 +195,22 @@ class Evaluator:
                         acc = plus(acc, w)
                 if nat_leq(m, bound, acc):
                     passed.add(t)
-        return frozenset(x for v, x in enumerate(s.states) if g.out[v][k] in passed)
+        owners = g.owners[k]
+        return frozenset([v for t in passed for v in owners[t]])
 
 
 def satisfies(s: Futs, x: str, phi: Formula) -> bool:
-    if x not in set(s.states):
+    v = s.graph.ids.get(x)
+    if v is None:
         raise ValueError(f"unknown state {x!r}")
-    return x in Evaluator(s).sat(check_formula(phi, s.sig))
+    return v in Evaluator(s).sat(check_formula(phi, s.sig))
 
 
 def sat_set(s: Futs, phi: Formula) -> frozenset[str]:
-    return Evaluator(s).sat(check_formula(phi, s.sig))
+    """The states satisfying ``phi``; the system keeps every subformula's
+    set, so a later call reuses what an earlier one evaluated."""
+    states = s.states
+    return frozenset([states[v] for v in Evaluator(s).sat(check_formula(phi, s.sig))])
 
 
 # --- translations along the reduction stages --------------------------------
@@ -295,7 +307,8 @@ class _Levels:
     Iterating yields each level's bodies (one characteristic conjunction
     per block over the distinguishers so far) and then refines ``part`` by
     candidate diamonds over labels, then grid bound vectors, then bodies.
-    ``ev`` knows the satisfaction sets of all the ``distinguishers``.
+    ``ev`` knows the satisfaction sets (of state ids) of all the
+    ``distinguishers``.
     At most ``depth`` levels run (default: the carrier size).
     """
 
@@ -315,11 +328,13 @@ class _Levels:
 
     def __iter__(self):
         s, ev, n = self.system, self.ev, len(self.system.states)
+        ids = s.graph.ids
         for _level in range(self.depth if n > 1 else 0):
             bodies: list[Formula] = []
             seen_sets = set()
             for block in self.part.blocks:
-                chi = conj(f for f in self.distinguishers if block[0] in ev.sat(f))
+                v = ids[block[0]]
+                chi = conj(f for f in self.distinguishers if v in ev.sat(f))
                 key = ev.sat(chi)
                 if key not in seen_sets:
                     seen_sets.add(key)
@@ -337,7 +352,8 @@ class _Levels:
                             f = Diamond(i, a, vec, chi)
                             if 0 < len(ev.sat(f)) < n:
                                 useful.append(f)
-            refined = self.part.refine_by(lambda x: tuple(x in ev.sat(f) for f in useful))
+            sats = [ev.sat(f) for f in useful]
+            refined = self.part.refine_by(lambda x: tuple(ids[x] in sat for sat in sats))
             self.distinguishers.update(dict.fromkeys(useful))
             done = refined == self.part or len(refined.blocks) == n
             self.part = refined
@@ -369,9 +385,10 @@ def witness_formula(s: Futs, x: str, y: str,
     levels = _Levels(s, depth).run()
     if levels.part.same_block(x, y):
         return None
+    vx, vy = s.graph.ids[x], s.graph.ids[y]
     for f in levels.distinguishers:
-        if (x in levels.ev.sat(f)) != (y in levels.ev.sat(f)):
-            return _shrink_witness(levels.ev, f, x, y)
+        if (vx in levels.ev.sat(f)) != (vy in levels.ev.sat(f)):
+            return _shrink_witness(levels.ev, f, vx, vy)
     raise RuntimeError("separated states without a separating formula")
 
 
@@ -408,9 +425,9 @@ def _simplifications(phi: Formula):
             stack.append((f.body, (f, 0, path)))
 
 
-def _shrink_witness(ev: Evaluator, phi: Formula, x: str, y: str) -> Formula:
+def _shrink_witness(ev: Evaluator, phi: Formula, x: int, y: int) -> Formula:
     """Greedily simplify subformulas while the whole formula still
-    separates the two states; keeps reported witnesses readable."""
+    separates the two state nodes; keeps reported witnesses readable."""
     while True:
         for smaller in _simplifications(phi):
             if (x in ev.sat(smaller)) != (y in ev.sat(smaller)):
@@ -459,12 +476,12 @@ def _split_formula(s: Futs, ev: Evaluator, x: str, y: str, bodies) -> Optional[F
     satisfaction set, summed off ``Futs.graph``; the larger (or incomparable
     own) sum is the bound."""
     g, m = s.graph, s.sig.components[0].monoids[0]
+    x, y = g.ids[x], g.ids[y]  # state nodes from here on
     for (_i, a), k in g.slots.items():
-        tx, ty = (g.out[g.out[g.ids[z]][k]] for z in (x, y))
+        tx, ty = (g.out[g.out[z][k]] for z in (x, y))
         for chi in bodies:
             target = ev.sat(chi)
-            sum_x, sum_y = (add_all(m, (w for c, w in t if s.states[c] in target))
-                            for t in (tx, ty))
+            sum_x, sum_y = (add_all(m, (w for c, w in t if c in target)) for t in (tx, ty))
             if sum_x == sum_y:
                 continue
             bound = sum_x if not nat_leq(m, sum_x, sum_y) else sum_y

@@ -337,10 +337,11 @@ def quote_id(name: str, quote: str = "`") -> str:
 
 def check_names(names: tuple[str, ...], what: str) -> tuple[str, ...]:
     """``names``, refused with ``ValueError`` if one cannot be written in a
-    system file: a quoted name holds anything but a backtick or a newline."""
+    system file: a quoted name holds anything but a backtick, a newline or a
+    carriage return (which a file read with universal newlines turns into one)."""
     for name in names:
-        if "`" in name or "\n" in name:
-            raise ValueError(f"{what} {name!r} holds a backtick or a newline, "
+        if "`" in name or "\n" in name or "\r" in name:
+            raise ValueError(f"{what} {name!r} holds a backtick or a newline (\\n or \\r), "
                              "which a system file cannot write")
     return names
 

@@ -101,6 +101,8 @@ class Graph:
     (component, label) to its index) or a term's (child, weight) entries,
     and ``kind`` is 0 for states and numbers a term's monoid stack from 1.
     The term nodes below the top depth are the states that flattening adds.
+    ``sat`` is the model checker's cache (``futs.logic.Evaluator``): formula
+    -> the frozenset of state nodes satisfying it, kept as long as the system.
     """
 
     def __init__(self, s: Futs):
@@ -119,6 +121,7 @@ class Graph:
                            for i, a in self.slots]
         first: dict = {}  # a stack that no term uses leaves no gap in the numbering
         self.kind = [first.setdefault(k, len(first)) for k in self.kind]
+        self.sat: dict = {}
 
     # The recursive helpers are methods, not closures: a closure that calls
     # itself is a reference cycle, which only the cyclic collector frees.
@@ -139,11 +142,20 @@ class Graph:
     @cached_property
     def levels(self) -> list:
         """Per slot, a set of distinct term nodes per stack level, top first."""
-        levels = [[{self.out[v][k] for v in range(self.n)}] for k in range(len(self._depths))]
+        levels = [[set(per_slot)] for per_slot in self.owners]
         for per_slot, depth in zip(levels, self._depths):
             while len(per_slot) < depth:
                 per_slot.append({c for t in per_slot[-1] for c, _w in self.out[t]})
         return levels
+
+    @cached_property
+    def owners(self) -> list:
+        """Per slot, each top term node -> the states whose term it is."""
+        owners: list = [{} for _ in self._depths]
+        for v in range(self.n):
+            for per_slot, t in zip(owners, self.out[v]):
+                per_slot.setdefault(t, []).append(v)
+        return owners
 
     @cached_property
     def preds(self) -> list:

@@ -72,7 +72,7 @@ _TOKEN_RE = re.compile(
     r"""
     [ \t]*
     ( \#[^\n]*                                      # a comment
-    | `[^`\n]*`                                     # a quoted identifier
+    | `[^`\n\r]*`                                   # a quoted identifier
     | ->
     | [A-Za-z_][A-Za-z0-9_]*(?:-(?!>)[A-Za-z0-9_]+)*
     | \*

@@ -11,9 +11,11 @@ loop of ``bounded_logical_equiv`` and ``witness_formula``, and
 ``distinguishing_formula`` runs its own copy of it; both take their
 bounds from this module's ``realizable_grid``, which walks the terms
 itself and sums every subset of a term's weights with
-``itertools.combinations``.  The formula classes, ``conj`` and
-``_split_formula`` are shared with the library, and the text cursor with
-``textio_oracle``; ``parse_formula`` and ``write_formula`` pass
+``itertools.combinations``.  Its ``Evaluator`` and ``_split_formula``
+read satisfaction sets of state names, one cache per evaluator; the
+library's work on state ids with one cache per system.  The formula
+classes and ``conj`` are shared with the library, and the text cursor
+with ``textio_oracle``; ``parse_formula`` and ``write_formula`` pass
 ``futs.logic`` for its formula classes and call this module's
 ``check_formula``.
 """
@@ -33,7 +35,6 @@ from futs.logic import (
     Formula,
     FormulaError,
     Top,
-    _split_formula,
     conj,
 )
 from futs.monoid import (
@@ -412,6 +413,26 @@ def distinguishing_formula(s: Futs, x: str, y: str) -> Optional[Formula]:
     raise RuntimeError(
         f"states {x!r} and {y!r} are not bisimilar but no distinguishing formula "
         f"was found; the bounded family is incomplete here")
+
+
+def _split_formula(s: Futs, ev: Evaluator, x: str, y: str, bodies) -> Optional[Formula]:
+    """Scan (label, body) pairs for differing class sums over the body's
+    satisfaction set of names; the larger (or incomparable own) sum is the
+    bound."""
+    m = s.sig.components[0].monoids[0]
+    for a in s.sig.components[0].labels:
+        tx, ty = (s.transition(0, z, a).entries for z in (x, y))
+        for chi in bodies:
+            target = ev.sat(chi)
+            sum_x, sum_y = (add_all(m, (w for c, w in t if c.state in target))
+                            for t in (tx, ty))
+            if sum_x == sum_y:
+                continue
+            bound = sum_x if not nat_leq(m, sum_x, sum_y) else sum_y
+            f = Diamond(0, a, (bound,), chi)
+            if (x in ev.sat(f)) != (y in ev.sat(f)):
+                return f
+    return None
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:

@@ -31,6 +31,15 @@ def test_partition_canonical_form():
         Partition.of_blocks(["a"], [["a"], ["a"]])
 
 
+def test_partition_render_quotes_names():
+    """Names print as a system file writes them, so a name holding ', ' or
+    braces cannot read as two names or as a block's end."""
+    one = Partition.of_blocks(["p, q", "x"], [["p, q", "x"]])
+    two = Partition.of_blocks(["p", "q", "x"], [["p", "q", "x"]])
+    assert one.render() == "{ {`p, q`, x} }" and two.render() == "{ {p, q, x} }"
+    assert Partition.identity(["a}", "b"]).render() == "{ {`a}`}, {b} }"
+
+
 def test_all_partitions_counts():
     assert sum(1 for _ in all_partitions(["a"])) == 1
     assert sum(1 for _ in all_partitions(["a", "b", "c"])) == 5

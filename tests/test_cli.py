@@ -31,7 +31,7 @@ def test_bisim_w3_and_quotient(capsys, tmp_path, w3):
     quot = tmp_path / "q.futs"
     code, out, _ = run(capsys, "bisim", W3, "--quotient", str(quot))
     assert code == 0
-    assert out.strip() == "{ {x, x'}, {y, z} }"
+    assert out.strip() == "{ {x, `x'`}, {y, z} }"  # x' is no plain identifier
     q = parse_system(quot.read_text())
     assert q.states == ("x", "y")
 
@@ -104,6 +104,24 @@ def test_check_formula_file_multiple(capsys, tmp_path):
                        "--state", "s0")
     assert code == 1  # first formula is false at s0
     assert out.count("formula:") == 2
+
+
+def test_check_formula_file_evaluates_each_diamond_once(capsys, tmp_path, monkeypatch):
+    """Each line extends one ladder, and the last conjoins two of its rungs:
+    one job evaluates each of the four distinct diamonds once, where an
+    evaluator per line would evaluate 1 + 2 + 3 + 4 + 3 of them."""
+    from futs import logic
+    diamond, seen = logic.Evaluator._diamond, []
+    monkeypatch.setattr(logic.Evaluator, "_diamond",
+                        lambda ev, f, body: seen.append(f) or diamond(ev, f, body))
+    f = tmp_path / "ladder.fcl"
+    f.write_text("<1> T\n<2> <1> T\n<1> <2> <1> T\n<2> <1> <2> <1> T\n"
+                 "<2> <1> T & <1> <2> <1> T\n")
+    for _ in range(2):  # each job loads its own system, so it starts afresh
+        seen.clear()
+        code, out, _ = run(capsys, "check", W3, "--formula-file", str(f), "--state", "x")
+        assert (code, out.count("formula:")) == (1, 5)
+        assert len(seen) == len(set(seen)) == 4
 
 
 @pytest.mark.parametrize("lines, diagnostic", [

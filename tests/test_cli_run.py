@@ -34,7 +34,8 @@ PATCH = "cli.cmd_bisim = lambda args: {}['no such key']\n"
 def launch(entry, argv, cwd, stdout=subprocess.PIPE, close=None, patch=False,
            unbuffered=False):
     """(exit code, stdout, stderr) of one launch of ``entry``.  ``close``
-    names a standard stream the shell closes (``>&-``) before the start;
+    names a standard stream the shell closes (``>&-``) before the start, or
+    is ``"stderr-read-only"`` to open stderr for reading only;
     ``stdout="head"`` pipes the output into ``head -c 1``, and ``"gone"``
     into a pipe whose reader has left.  Output is block-buffered, as by
     default, unless ``unbuffered``."""
@@ -43,7 +44,8 @@ def launch(entry, argv, cwd, stdout=subprocess.PIPE, close=None, patch=False,
     if entry == "run" and not patch:
         cmd = [sys.executable, "-m", "futs.cli", *argv]
     if close:
-        cmd = ["sh", "-c", f'exec "$@" {"1" if close == "stdout" else "2"}>&-', "sh", *cmd]
+        redirect = {"stdout": "1>&-", "stderr": "2>&-", "stderr-read-only": "2</dev/null"}
+        cmd = ["sh", "-c", f'exec "$@" {redirect[close]}', "sh", *cmd]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = SRC
     if unbuffered:
@@ -110,6 +112,18 @@ def test_run_with_a_closed_stream(tmp_path, argv, close, unbuffered):
     assert ran == plain
     if close == "stdout" and argv[1] == FIG1:
         assert ran == (0, b"", b"")
+
+
+@BUFFERING
+@pytest.mark.parametrize("patch, code", [(False, 2), (True, 3)], ids=["usage", "internal"])
+@pytest.mark.parametrize("close", ["stderr", "stderr-read-only"])
+def test_error_with_an_unusable_stderr(tmp_path, close, patch, code, unbuffered):
+    """An error line that stderr cannot take is lost: it never reaches
+    stdout, and the exit code stays 2 (usage) or 3 (internal), not 1.
+    (Buffered, a plain exit would fail again flushing the line at exit.)"""
+    argv = ["bisim", FIG1 if patch else "missing.futs"]
+    assert launch("run", argv, tmp_path, close=close, patch=patch,
+                  unbuffered=unbuffered)[:2] == (code, b"")
 
 
 @BUFFERING

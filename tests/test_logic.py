@@ -393,6 +393,7 @@ def test_long_left_deep_conjunction_sat_set(w3):
     parts = [d(0, "a", (1 + k % 2,)) for k in range(3000)]
     phi = conj(parts)
     assert isinstance(phi.left, And) and phi.right == parts[-1]
-    ev = Evaluator(w3)
-    assert ev.sat(phi) == sat_set(w3, d(0, "a", (2,)))
+    s = Futs(w3.sig, w3.states, w3.trans)  # a fresh system, so its cache starts empty
+    ev = Evaluator(s)
+    assert {s.states[v] for v in ev.sat(phi)} == sat_set(s, d(0, "a", (2,)))
     assert len(ev._cache) == 3000 - 1 + 2 + 1  # the conjunctions, two diamonds, T

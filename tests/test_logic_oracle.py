@@ -10,6 +10,7 @@ both whole formulas when they differ."""
 import contextlib
 import io
 import os
+import pickle
 import random
 import tempfile
 
@@ -129,7 +130,7 @@ def test_formula_passes_match_oracle(sig, rng):
     s = random_futs(rng, sig, rng.randint(1, 4))
     assert sat_set(s, phi) == oracle.sat_set(s, phi)
     new, old = Evaluator(s), oracle.Evaluator(s)
-    assert new.sat(checked) == old.sat(checked)
+    assert {s.states[v] for v in new.sat(checked)} == old.sat(checked)
     assert len(new._cache) == len(old._cache)
 
     assert write_formula(phi, sig) == oracle.write_formula(phi, sig)
@@ -145,6 +146,23 @@ def test_formula_passes_match_oracle(sig, rng):
         assert write_formula(phi, cur) == oracle.write_formula(phi, cur)
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(CORPUS_SIGS), st.randoms(use_true_random=False))
+def test_one_cache_per_system_matches_oracle(sig, rng):
+    """Formulas checked on one system in random order, some of them equal to
+    another but built apart: each set is the oracle's, and the system keeps
+    one cache entry per distinct subformula, as one oracle evaluator does."""
+    s = random_futs(rng, sig, rng.randint(1, 4))
+    pool = [shared_formula(rng, sig, rng.randint(0, 6)) for _ in range(6)]
+    queries = pool + [pickle.loads(pickle.dumps(rng.choice(pool))) for _ in range(4)]
+    rng.shuffle(queries)
+    old = oracle.Evaluator(s)
+    for phi in queries:
+        assert sat_set(s, phi) == oracle.sat_set(s, phi)
+        old.sat(oracle.check_formula(phi, sig))
+    assert len(s.graph.sat) == len(old._cache)
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.sampled_from(CORPUS_SIGS), st.randoms(use_true_random=False))
 def test_parse_formula_matches_oracle(sig, rng):
@@ -154,10 +172,11 @@ def test_parse_formula_matches_oracle(sig, rng):
 
 
 def assert_oracle_agrees(s):
-    for depth in (None, 1, 2):
-        assert bounded_logical_equiv(s, depth=depth) == oracle.bounded_logical_equiv(s, depth=depth)
+    # first, while the system's cache holds only what the level loop evaluates
     levels, (_, _, old_ev) = _Levels(s, None).run(), oracle._oracle(s, None, None)
     assert len(levels.ev._cache) == len(old_ev._cache)
+    for depth in (None, 1, 2):
+        assert bounded_logical_equiv(s, depth=depth) == oracle.bounded_logical_equiv(s, depth=depth)
     for x in s.states:
         for y in s.states:
             new, old = outcome(distinguishing_formula, s, x, y), \
@@ -244,7 +263,7 @@ def test_shared_subterms_match_oracle(sig, rng):
     phi = pool[-1]
     assert sat_set(s, phi) == oracle.sat_set(s, phi)
     new, old = Evaluator(s), oracle.Evaluator(s)
-    assert [new.sat(f) for f in pool] == [old.sat(f) for f in pool]
+    assert [{s.states[v] for v in new.sat(f)} for f in pool] == [old.sat(f) for f in pool]
     assert repr(realizable_grid(s)) == repr(grid)
 
 

@@ -148,17 +148,26 @@ def test_round_trip_odd_names():
     assert systems_equal(parse_system(text), s) and write_system(parse_system(text)) == text
 
 
-@pytest.mark.parametrize("name", ["a`b", "`", "a\nb", "\n"])
+@pytest.mark.parametrize("name", ["a`b", "`", "a\nb", "\n", "p\rq"])
 @pytest.mark.parametrize("build", [
     lambda name: Futs(Signature((Component(("a",), (NAT_PLUS,)),)), ["x", name]),
     lambda name: Component(("a", name), (NAT_PLUS,)),
     lambda name: Power(("a", name), NAT_PLUS),
 ], ids=["state", "label", "power-label"])
 def test_unwritable_name_refused(build, name):
-    """A quoted name holds anything but a backtick or a newline, so no
-    system, component or power monoid takes one that has either."""
+    """A quoted name holds anything but a backtick or a newline (a carriage
+    return included), so no system, component or power monoid takes one."""
     with pytest.raises(ValueError, match="backtick or a newline"):
         build(name)
+
+
+def test_carriage_return_in_quoted_name_positioned():
+    """A file read with universal newlines cannot keep a carriage return, so
+    a quoted identifier stops at one, and the parser points at its quote."""
+    head = "futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\n"
+    with pytest.raises(ParseError) as err:
+        parse_system(head + "states { x, `p\rq` }\n")
+    assert str(err.value) == "4:13: error: unexpected character '`'"
 
 
 def test_parse_formula_examples(fig1):

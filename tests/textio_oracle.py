@@ -50,7 +50,7 @@ _TOKEN_RE = re.compile(
     [ \t]*
     (?:
       (?P<comment>\#[^\n]*)
-    | (?P<btick>`[^`\n]*`)
+    | (?P<btick>`[^`\n\r]*`)
     | (?P<arrow>->)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-(?!>)[A-Za-z0-9_]+)*)
     | (?P<star>\*)
