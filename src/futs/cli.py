@@ -17,10 +17,10 @@ and module teardown that would only follow the answer.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 # Library modules are imported by the commands that use them, so a launch
 # loads only what its subcommand runs (``--help`` loads none of them).
@@ -122,17 +122,16 @@ def cmd_check(args) -> int:
             raise textio.ParseError(textio.Diagnostic(first + d.line - 1, d.column + indent,
                                                       d.message) for d in e.diagnostics) from e
     all_hold = True
-    for text, phi in formulas:
+    for text, phi in formulas:  # each formula's lines are written at once
         sat = sat_set(s, phi)
-        if len(formulas) > 1:
-            print(f"formula: {text}")
+        lines = [f"formula: {text}"] if len(formulas) > 1 else []
         if args.state is not None:
             holds = args.state in sat
             all_hold &= holds
-            print(f"{args.state}: {'true' if holds else 'false'}")
+            lines.append(f"{args.state}: {'true' if holds else 'false'}")
         else:
-            for x in s.states:
-                print(f"{x}: {'true' if x in sat else 'false'}")
+            lines += [f"{x}: {'true' if x in sat else 'false'}" for x in s.states]
+        print("\n".join(lines))  # a system has at least one state
     return OK if all_hold else FAIL  # all_hold stays true without --state
 
 
@@ -212,68 +211,86 @@ def natural(text: str) -> int:  # argparse reports a ValueError as "invalid natu
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="futs",
-        description="Quantitative transition systems: bisimulation, "
-                    "reductions, and finite-conjunction logic.")
+TO = dict(required=True, choices=sorted(STAGE_BY_NAME))
+ONE_OF = {"check": ("--formula", "--formula-file")}  # each a required group: exactly one given
+# each subcommand's help and arguments: spellings (the long one last), add_argument's keywords
+COMMANDS = {
+    "bisim": ("largest bisimulation of a system", [("file", {}), ("--quotient", dict(
+        metavar="OUT.futs", help="also write the quotient system"))]),
+    "reduce": ("reduce a system to a target class", [
+        ("file", {}), ("--to", TO), ("-o", "--output", dict(required=True, metavar="OUT.futs")),
+        ("--map", dict(metavar="OUT.map", help="write source -> target state map"))]),
+    "check": ("model-check a formula", [
+        ("file", {}), ("--formula", {}), ("--formula-file", dict(metavar="FILE.fcl")),
+        ("--state", dict(help="check a single state; exit 0 iff true"))]),
+    "equiv": ("compare two states", [
+        ("file", {}), ("x", {}), ("y", {}), ("--logic", dict(action="store_true", help="use "
+         "bounded logical equivalence and report a distinguishing formula when possible")),
+        ("--depth", dict(type=natural, default=None))]),
+    "verify": ("verify reduction coherence", [
+        ("file", {}), ("--to", TO), ("--exhaustive", dict(action="store_true")),
+        ("--samples", dict(type=natural, default=100)), ("--seed", dict(type=int, default=0))]),
+    "translate": ("translate a formula along a reduction", [
+        ("--formula", dict(required=True)), ("--sig", dict(required=True, metavar="SYSTEM.futs",
+         help="system file providing the source signature")), ("--to", TO)]),
+}
+
+
+def build_parser():
+    """The argparse parser of ``COMMANDS``; only help and usage errors need it."""
+    import argparse
+    p = argparse.ArgumentParser(prog="futs", description="Quantitative transition systems: "
+                                "bisimulation, reductions, and finite-conjunction logic.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("bisim", help="largest bisimulation of a system")
-    b.add_argument("file")
-    b.add_argument("--quotient", metavar="OUT.futs",
-                   help="also write the quotient system")
-    b.set_defaults(fn=cmd_bisim)
-
-    r = sub.add_parser("reduce", help="reduce a system to a target class")
-    r.add_argument("file")
-    r.add_argument("--to", required=True, choices=sorted(STAGE_BY_NAME))
-    r.add_argument("-o", "--output", required=True, metavar="OUT.futs")
-    r.add_argument("--map", metavar="OUT.map",
-                   help="write source -> target state map")
-    r.set_defaults(fn=cmd_reduce)
-
-    c = sub.add_parser("check", help="model-check a formula")
-    c.add_argument("file")
-    g = c.add_mutually_exclusive_group(required=True)
-    g.add_argument("--formula")
-    g.add_argument("--formula-file", metavar="FILE.fcl")
-    c.add_argument("--state", help="check a single state; exit 0 iff true")
-    c.set_defaults(fn=cmd_check)
-
-    e = sub.add_parser("equiv", help="compare two states")
-    e.add_argument("file")
-    e.add_argument("x")
-    e.add_argument("y")
-    e.add_argument("--logic", action="store_true",
-                   help="use bounded logical equivalence and report a "
-                        "distinguishing formula when possible")
-    e.add_argument("--depth", type=natural, default=None)
-    e.set_defaults(fn=cmd_equiv)
-
-    v = sub.add_parser("verify", help="verify reduction coherence")
-    v.add_argument("file")
-    v.add_argument("--to", required=True, choices=sorted(STAGE_BY_NAME))
-    v.add_argument("--exhaustive", action="store_true")
-    v.add_argument("--samples", type=natural, default=100)
-    v.add_argument("--seed", type=int, default=0)
-    v.set_defaults(fn=cmd_verify)
-
-    t = sub.add_parser("translate", help="translate a formula along a reduction")
-    t.add_argument("--formula", required=True)
-    t.add_argument("--sig", required=True, metavar="SYSTEM.futs",
-                   help="system file providing the source signature")
-    t.add_argument("--to", required=True, choices=sorted(STAGE_BY_NAME))
-    t.set_defaults(fn=cmd_translate)
+    for name, (text, spec) in COMMANDS.items():
+        c = sub.add_parser(name, help=text)
+        group = c.add_mutually_exclusive_group(required=True) if name in ONE_OF else c
+        for *names, keywords in spec:
+            (group if names[-1] in ONE_OF.get(name, ()) else c).add_argument(*names, **keywords)
+        c.set_defaults(fn=globals()[f"cmd_{name}"])
     return p
 
 
+def read_args(argv):
+    """``build_parser().parse_args(argv)`` if ``argv`` holds only exact option spellings, each
+    value in the next token and positionals, none starting with ``-``, meeting every type, choice
+    and requirement; else None for argparse (help, ``--opt=value``, ``--``, repeats, errors)."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    spec = COMMANDS[argv[0]][1]
+    options = {s: arg for arg in spec for s in arg[:-1] if s[0] == "-"}
+    free, given, tokens = [arg for arg in spec if arg[0][0] != "-"], {}, iter(argv[1:])
+    for tok in tokens:
+        arg = options.get(tok) or (free.pop(0) if free else None)
+        if arg is None:
+            return None
+        value = tok if arg[0][0] != "-" else "action" in arg[-1] or next(tokens, "-")
+        if arg[-2] in given or value is not True and value[:1] == "-":
+            return None
+        try:
+            value = arg[-1]["type"](value) if "type" in arg[-1] else value
+        except ValueError:
+            return None
+        if value not in arg[-1].get("choices", [value]):
+            return None
+        given[arg[-2]] = value
+    args = SimpleNamespace(command=argv[0], fn=globals()[f"cmd_{argv[0]}"])
+    for *names, keywords in spec:
+        if names[-1] not in given and (keywords.get("required") or names[-1][0] != "-"):
+            return None
+        value = keywords.get("default", False if "action" in keywords else None)
+        setattr(args, names[-1].lstrip("-").replace("-", "_"), given.get(names[-1], value))
+    one_of = [s in given for s in ONE_OF.get(argv[0], ())]
+    return None if one_of and sum(one_of) != 1 else args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return USAGE if e.code not in (0, None) else 0
+    args = read_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return USAGE if e.code not in (0, None) else 0
     from .textio import ParseError  # every command reads a system file
     try:
         return args.fn(args)

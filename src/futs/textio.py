@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import re
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .monoid import Monoid, quote_id
@@ -230,11 +229,11 @@ def _bool_weight(toks: list[str], i: int, m: Monoid):
 def _rat_weight(toks: list[str], i: int, m: Monoid):
     num = _nat(toks, i, "rational number")
     if toks[i + 1] != "/":
-        return Fraction(num), i + 1
+        return m._payload(num), i + 1
     den = _nat(toks, i + 2, "denominator")
     if den == 0:
         raise _At(i, "zero denominator")
-    return Fraction(num, den), i + 3
+    return m._payload(num, den), i + 3
 
 
 def _product_weight(toks: list[str], i: int, m: Monoid):
@@ -459,7 +458,7 @@ def write_system(s: Futs) -> str:
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse a formula against a signature; raises ParseError.  Diamond
     chains and parentheses are read with a stack, so they nest to any depth."""
-    from .logic import TOP, And, Diamond, FormulaError, check_formula
+    from .logic import TOP, And, Diamond
     lines = text.split("\n")
     toks = [tok for raw in lines for tok in _tokens(raw)[:-1]] + [""]
     outer = []          # per open parenthesis: the enclosing (conjunction, diamond heads)
@@ -487,10 +486,7 @@ def parse_formula(text: str, sig: Signature) -> Formula:
                     break
                 if not outer:
                     _done(toks, i)
-                    try:
-                        return check_formula(phi, sig)
-                    except FormulaError as e:
-                        raise ParseError([Diagnostic(1, 1, str(e))]) from e
+                    return phi  # checked as read, bounds canonical: check_formula keeps it
                 unary, i = phi, _skip(toks, i, ")")
                 phi, heads = outer.pop()
     except _At as e:

@@ -1,3 +1,5 @@
+import io
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -122,6 +124,46 @@ def test_check_formula_file_evaluates_each_diamond_once(capsys, tmp_path, monkey
         code, out, _ = run(capsys, "check", W3, "--formula-file", str(f), "--state", "x")
         assert (code, out.count("formula:")) == (1, 5)
         assert len(seen) == len(set(seen)) == 4
+
+
+def test_check_validates_each_formula_once(capsys, tmp_path, monkeypatch):
+    """``sat_set`` validates each formula; the parser's result needs no
+    second ``check_formula`` fold."""
+    from futs import logic
+    check_formula, calls = logic.check_formula, []
+    monkeypatch.setattr(logic, "check_formula",
+                        lambda phi, sig: calls.append(phi) or check_formula(phi, sig))
+    f = tmp_path / "props.fcl"
+    f.write_text("<1> T\n<2> <1> T\nT\n<1> T & <2> T\n")
+    assert run(capsys, "check", W3, "--formula-file", str(f))[0] == 0
+    assert len(calls) == 4
+    calls.clear()
+    assert run(capsys, "check", W3, "--formula", "<2> T", "--state", "x")[0] == 0
+    assert len(calls) == 1
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("state", [[], ["--state", "x"]], ids=["table", "state"])
+def test_check_writes_one_block_per_formula(tmp_path, monkeypatch, state):
+    """Each formula's lines (its header and a line per state) are written
+    at once: one write, and print's newline, however many states."""
+    f = tmp_path / "props.fcl"
+    f.write_text("T\n<1> T\n<2> T\n")
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    main(["check", W3, "--formula-file", str(f), *state])
+    assert out.getvalue().count("formula:") == 3
+    assert out.getvalue().count("\n") == 3 * (1 + (1 if state else 4))
+    assert out.writes <= 2 * 3
 
 
 @pytest.mark.parametrize("lines, diagnostic", [

@@ -46,8 +46,12 @@ def loaded_modules(*argv) -> set[str]:
 
 
 def test_help_loads_no_library_module():
-    assert loaded_modules("--help") == {"futs", "futs.cli"}
-    assert loaded_modules("bisim") == {"futs", "futs.cli"}  # a usage error
+    """Help and usage errors load argparse and none of the library; argparse
+    also reads a command line the argument table's reader leaves to it."""
+    for argv in (["--help"], ["bisim", "--help"], ["bisim"]):  # the last a usage error
+        ours, stdlib = probe(*argv)
+        assert ours == {"futs", "futs.cli"} and "argparse" in stdlib
+    assert "argparse" in probe("check", W3, "--formula=T")[1]
 
 
 @pytest.mark.parametrize("argv", [["bisim", FIG1], ["equiv", W3, "x", "y"]],
@@ -72,8 +76,9 @@ def test_equiv_logic_and_reduce_load_what_they_run(tmp_path):
 
 
 # dataclasses alone loads inspect, ast, dis and tokenize: 9-14 ms of every launch;
-# string costs 1-1.5 ms for constants a literal spells
-COSTLY_STDLIB = {"dataclasses", "inspect", "string"}
+# string costs 1-1.5 ms for constants a literal spells; argparse, which only help
+# and usage errors need, costs 6-8 ms with the gettext and locale of its first parser
+COSTLY_STDLIB = {"dataclasses", "inspect", "string", "argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -92,6 +97,28 @@ def test_launch_loads_no_costly_stdlib_module(argv, tmp_path):
     ours, stdlib = probe(*(a.format(tmp=tmp_path) for a in argv))
     assert len(ours) > 2  # the subcommand ran, not a usage error
     assert not stdlib & COSTLY_STDLIB
+
+
+# fractions, with decimal and numbers, costs 3-4.5 ms: only a rat-plus system loads it
+RATIONAL_STDLIB = {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bisim", W3],
+    ["equiv", W3, "x", "y"],
+    ["equiv", W3, "x", "y", "--logic"],
+    ["check", W3, "--formula", "<2> T"],
+    ["reduce", W3, "--to", "wts", "-o", "{tmp}/out.futs"],
+    ["verify", W3, "--to", "wts"],
+], ids=["bisim", "equiv", "equiv-logic", "check", "reduce", "verify"])
+def test_natural_weights_load_no_fractions(argv, tmp_path):
+    ours, stdlib = probe(*(a.format(tmp=tmp_path) for a in argv))
+    assert len(ours) > 2  # the subcommand ran, not a usage error
+    assert not stdlib & RATIONAL_STDLIB
+
+
+def test_rational_weights_load_fractions():
+    assert RATIONAL_STDLIB <= probe("check", FIG1, "--formula", "T")[1]  # fig1 is rat-plus
 
 
 @pytest.mark.parametrize("argv", [

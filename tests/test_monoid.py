@@ -1,10 +1,15 @@
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import futs
 from futs.monoid import (
     BOOL_OR,
     NAT_MAX,
@@ -384,3 +389,31 @@ def test_unpickled_composite_rehashed():
     fresh = Product((Power(("a", "b"), NAT_PLUS),))
     assert loaded == fresh and hash(loaded) == hash(fresh)
     assert zero(loaded) == ((),) and {fresh: 1}[loaded] == 1
+
+
+# each first touch of a rational, in an interpreter where ``fractions`` is not loaded
+FIRST_RATIONAL = ["RatPlus._zero", "RAT_PLUS._zero", "zero(RAT_PLUS)",
+                  "check_weight(RAT_PLUS, 2)", "RAT_PLUS._payload(1, 2)"]
+
+
+@pytest.mark.parametrize("expr", FIRST_RATIONAL)
+def test_fractions_load_with_the_first_rational(expr):
+    """``import futs.monoid`` loads no ``fractions``, nor does pickling
+    ``RAT_PLUS``; the first rational, through the class or an instance,
+    loads it and leaves ``Fraction`` as plain class attributes."""
+    code = f"""
+import pickle, sys
+from futs.monoid import RAT_PLUS, RatPlus, check_weight, zero
+assert "fractions" not in sys.modules
+assert pickle.loads(pickle.dumps(RAT_PLUS)) == RAT_PLUS and not hasattr(RAT_PLUS, "factors")
+assert "fractions" not in sys.modules
+value = {expr}
+from fractions import Fraction
+assert type(value) is Fraction, repr(value)
+assert vars(RatPlus)["_zero"] == 0 and type(vars(RatPlus)["_zero"]) is Fraction
+assert vars(RatPlus)["_payload"] is Fraction
+print("ok")
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(futs.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "ok\n"), run.stderr

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from futs.logic import TOP, And, Diamond
+from futs.logic import TOP, And, Diamond, check_formula
 from futs.monoid import BOOL_OR, NAT_PLUS, Power
 from futs.reduce import to_wts
 from futs.system import Component, Futs, Signature
@@ -18,6 +19,7 @@ from futs.textio import (
 from futs.weightfn import Leaf, node
 
 from conftest import (
+    CORPUS_SIGS,
     NESTED3,
     TWO_COMP,
     ULTRAS_RAT,
@@ -208,6 +210,17 @@ def test_formula_round_trip(fig1, w3):
             from futs.logic import check_formula
             phi = check_formula(phi, sig)
             assert parse_formula(write_formula(phi, sig), sig) == phi
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(CORPUS_SIGS), st.randoms(use_true_random=False))
+def test_parsed_formula_needs_no_check(sig, rng):
+    """The parser checks each diamond as it reads it and reads its bounds
+    canonical, so ``check_formula`` returns the parsed formula unchanged,
+    down to the types of the bounds (a rational bound is a ``Fraction``)."""
+    text = write_formula(check_formula(random_formula(rng, sig, 5), sig), sig)
+    phi = parse_formula(text, sig)
+    assert repr(check_formula(phi, sig)) == repr(phi)
 
 
 def test_formula_round_trip_on_reduced_signature(fig1):
