@@ -19,8 +19,8 @@ _EXPORTS = {
               "satisfies translate translate_to_wts"),
     "monoid": ("BOOL_OR NAT_MAX NAT_PLUS RAT_PLUS Monoid Power Product add cancellative nat_leq "
                "positive power_dirac zero"),
-    "reduce": ("Reduction extend_bisim flatten homogenize nest plan_wts_stages restrict_bisim "
-               "tabularize to_wts unlabel verify_reduction"),
+    "reduce": "Reduction flatten homogenize nest plan_wts_stages tabularize to_wts unlabel "
+              "verify_reduction",
     "system": "Component Futs Signature",
     "textio": "ParseError parse_formula parse_system write_formula write_system",
     "weightfn": "Leaf Node node pushforward quotient_term zero_term",

@@ -187,13 +187,13 @@ class Evaluator:
         monoids = self.system.sig.components[f.component].monoids
         passed = body
         for nodes, m, bound in reversed(list(zip(g.levels[k], monoids, f.bounds))):
-            below, passed, plus = passed, set(), m._add
+            below, passed, plus, leq = passed, set(), m._add, m._leq
             for t in nodes:
                 acc = m._zero
                 for c, w in g.out[t]:
                     if c in below:
                         acc = plus(acc, w)
-                if nat_leq(m, bound, acc):
+                if leq(bound, acc):
                     passed.add(t)
         owners = g.owners[k]
         return frozenset([v for t in passed for v in owners[t]])

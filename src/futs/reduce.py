@@ -25,17 +25,15 @@ breaks homogeneity again, a second ``homogenize``) before flattening;
 single-component sources skip both.
 
 Each stage returns a ``Reduction`` carrying the target system and the
-carrier map; ``restrict_bisim`` / ``extend_bisim`` realise the
-bisimulation correspondence procedurally, and ``verify_reduction``
-checks the coherence condition over all (or sampled) equivalence
-relations on the source.
+carrier map; ``verify_reduction`` checks the coherence condition over
+all (or sampled) equivalence relations on the source.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .monoid import NAT_PLUS, Power, Product, power_dirac, zero
+from .monoid import NAT_PLUS, Power, Product, zero
 from .system import Component, Futs, Signature
 from .weightfn import Leaf, Node, Term, format_term, node
 
@@ -112,15 +110,20 @@ def sig_flatten(sig: Signature) -> Signature:
 
 def unlabel(s: Futs) -> Reduction:
     """Fold labels into the outer weights: a transition with weight w at
-    label a contributes the dirac element a*w of the power monoid."""
+    label a contributes the dirac element a*w of the power monoid.  A child's
+    pairs, gathered in label order, are its canonical power weight."""
     sig2 = sig_unlabel(s.sig)
     trans = {}
     for i, comp in enumerate(s.sig.components):
-        stack2 = sig2.components[i].monoids
+        stack2, deep = sig2.components[i].monoids, comp.depth > 1
         for x in s.states:
-            entries = [(k, power_dirac(a, w, comp.labels, comp.monoids[0]))
-                       for a in comp.labels for k, w in s.transition(i, x, a).entries]
-            trans[(i, x, UNLABEL_LABEL)] = node(stack2, entries)
+            gathered: dict = {}  # key text (sorted below) -> [child, its (label, weight)s]
+            for a in comp.labels:
+                for k, w in s.transition(i, x, a).entries:
+                    text = format_term(k, True) if deep else k.state
+                    gathered.setdefault(text, [k]).append((a, w))
+            trans[(i, x, UNLABEL_LABEL)] = Node(stack2, tuple(
+                [(p[0], tuple(p[1:])) for _text, p in sorted(gathered.items())]))
     target = Futs(sig2, s.states, trans)
     return Reduction("unlabel", s, target, {x: x for x in s.states}, full=True)
 
@@ -146,10 +149,15 @@ def tabularize(s: Futs) -> Reduction:
 
 
 def _embed(t: Term, row: tuple, stack: tuple) -> Term:
-    # every level is rebuilt by node(): child keys change text, so their order may too
+    # the sections are injective and keep weights non-zero, so no entries
+    # merge or vanish; below the top level the children's key text changes
     if isinstance(t, Leaf):
         return t
-    return node(stack, [(_embed(k, row[1:], stack[1:]), row[0](w)) for k, w in t.entries])
+    put = row[0]
+    entries = [(_embed(k, row[1:], stack[1:]), put(w)) for k, w in t.entries]
+    if len(stack) > 1:
+        entries.sort(key=lambda e: format_term(e[0], True))
+    return Node(stack, tuple(entries))
 
 
 def homogenize(s: Futs) -> Reduction:
@@ -260,29 +268,10 @@ def _pullback(r: Reduction, p_target: Partition) -> Partition:
                               lambda x: p_target.block_of(r.state_map[x]))
 
 
-def restrict_bisim(r: Reduction, p_target: Partition) -> Partition:
-    """Pull a target bisimulation back along the carrier map."""
-    from .bisim import is_bisimulation
-    if not is_bisimulation(r.target, p_target):
-        raise ValueError("restrict_bisim needs a bisimulation on the target")
-    return _pullback(r, p_target)
-
-
-def extend_bisim(r: Reduction, p: Partition) -> Partition:
-    """Push a source bisimulation forward to one on the target.
-
-    Full stages transport blocks along the carrier bijection; flatten
-    additionally groups the term-states by the class of their term under
-    the source partition (``Graph.classifier``), realising the coproduct
-    of the extensions.
-    """
-    from .bisim import is_bisimulation
-    if not is_bisimulation(r.source, p):
-        raise ValueError("extend_bisim needs a bisimulation on the source")
-    return _extend(r, p)
-
-
 def _extend(r: Reduction, p: Partition) -> Partition:
+    """Push a source bisimulation forward: full stages along the carrier
+    bijection; flatten also groups its term-states by the class of their
+    term under ``p`` (``Graph.classifier``), the coproduct of the extensions."""
     from .bisim import Partition
     if r.stages:
         q = p

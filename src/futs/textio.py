@@ -324,7 +324,9 @@ def _comp_index(toks: list[str], prefix: str) -> int:
 
 def parse_system(text: str) -> Futs:
     """Parse a system file; raises ParseError with positioned diagnostics.
-    Each line is tokenized and read in turn."""
+    Each line is tokenized and read in turn.  A transition term whose tokens
+    repeat an earlier line's on the same component is not read again: the
+    line gets that line's ``Node``, and only its own head is checked."""
     lines = text.split("\n")
     header = False
     labels: dict[int, tuple[str, ...]] = {}
@@ -333,6 +335,7 @@ def parse_system(text: str) -> Futs:
     leaves: dict[str, Leaf] = {}   # see _parse_term; also the known-state check
     trans: dict[tuple[int, str, str], Node] = {}
     trans_lines: dict[tuple[int, str, str], int] = {}
+    read: dict[int, dict[str, Node]] = {}  # per component, term text -> the term read from it
 
     for lineno, raw in enumerate(lines, start=1):
         toks = _tokens(raw)
@@ -361,8 +364,12 @@ def parse_system(text: str) -> Futs:
                     raise _At(3, f"unknown label {label!r}")
                 if toks[4] != "->":
                     _expected(toks, 4, "->")
-                term, j = _parse_term(toks, 5, monoids[i], leaves)
-                _done(toks, j)
+                spelled = "\n".join(toks[5:])  # tokens hold no newline
+                term = read[i].get(spelled)
+                if term is None:
+                    term, j = _parse_term(toks, 5, monoids[i], leaves)
+                    _done(toks, j)
+                    read[i][spelled] = term
                 key = (i, x, label)
                 if key in trans_lines:
                     raise _At(0, f"duplicate transition for component {i}, state {x!r}, "
@@ -393,7 +400,7 @@ def parse_system(text: str) -> Futs:
                 _done(toks, _skip(toks, j, "]"))
                 if i in monoids:
                     raise _At(0, f"duplicate monoids line for component {i}")
-                monoids[i] = tuple(ms)
+                monoids[i], read[i] = tuple(ms), {}
             elif head == "states":
                 if states is not None:
                     raise _At(0, "duplicate states line")

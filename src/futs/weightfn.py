@@ -3,12 +3,14 @@
 A term of depth 0 is a state (``Leaf``); a term of depth d+1 is a ``Node``
 carrying the monoid stack it is weighted over and a finite map from
 depth-d terms to non-zero weights of the outermost stack monoid.  Nodes
-are canonical by construction: zero entries are dropped, colliding keys
-are merged by monoid addition, and entries are sorted by the text of
-their key, so structural equality coincides with extensional equality of
-the represented functions.  That text is a leaf's state or a node's
-compact key (``format_term(t, compact=True)``), which is injective on the
+are canonical: no zero entries, no two equal keys, entries sorted by the
+text of their key, so structural equality coincides with extensional
+equality of the represented functions.  That text is a leaf's state or a
+node's compact key (``format_term(t, compact=True)``), injective on the
 terms over one stack; a node computes it on first use and keeps it.
+``node()`` makes any entries canonical; the reduction stages whose
+entries are canonical by construction (``unlabel``, ``homogenize``,
+``flatten``) call ``Node`` directly.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ def node(stack, entries) -> Node:
     single monoid); each weight goes through ``check_weight``.  One stable
     sort by key text (a leaf's state, a node's cached compact key, both
     injective) makes equal keys neighbours, summed in ``stack[0]`` in input
-    order; zero sums are dropped.  No key is hashed or compared.
+    order; zero sums are dropped.  No key is hashed or compared.  The
+    parser, ``pushforward`` and ``tabularize`` build terms here.
     """
     stack = tuple(stack)
     if not stack:

@@ -240,6 +240,17 @@ def systems_equal(s1: Futs, s2: Futs) -> bool:
     return s1.sig == s2.sig and s1.states == s2.states and s1.trans == s2.trans
 
 
+def assert_canonical(s: Futs):
+    """Every ``Node`` of every transition term is canonical at every level:
+    ``node()`` rebuilds it unchanged, down to the type of each weight."""
+    todo = list(s.trans.values())
+    while todo:
+        t = todo.pop()
+        rebuilt = node(t.stack, t.entries)
+        assert rebuilt == t and repr(rebuilt) == repr(t), t
+        todo += [k for k, _ in t.entries if isinstance(k, Node)]
+
+
 def project_component(s: Futs, i: int) -> Futs:
     """The single-component system keeping only component ``i``."""
     comp = s.sig.components[i]

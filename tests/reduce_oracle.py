@@ -13,6 +13,13 @@ Next to them is the homogenize the library ran before its direct product
 embedding: the monoid homomorphism layer (``Hom``, ``hom_apply``,
 ``monoid_section``) and ``relabel_weights``, which maps every weight of a
 system through one homomorphism per (component, level).
+
+``unlabel`` is the stage as the library ran it before it built its
+``Node``s directly: every term goes through ``node()``'s checks, sort,
+merge and zero-drop, as every level does in ``relabel_weights``, the
+oracle of the directly built ``homogenize``.  ``restrict_bisim`` and
+``extend_bisim`` realise the bisimulation correspondence of a reduction
+procedurally, each after checking that its input is a bisimulation.
 """
 
 from __future__ import annotations
@@ -21,8 +28,10 @@ from typing import Callable
 
 import conftest  # conftest imports Hom from here, so its helpers are looked up on use
 from futs import monoid as mo
-from futs.bisim import Partition
-from futs.monoid import Monoid, Product, Value, Weight, check_weight, format_monoid, zero
+from futs import reduce as rd
+from futs.bisim import Partition, is_bisimulation
+from futs.monoid import (Monoid, Product, Value, Weight, check_weight, format_monoid,
+                         power_dirac, zero)
 from futs.reduce import Reduction, flat_monoid_product, sig_flatten
 from futs.system import Component, Futs, Signature
 from futs.weightfn import Leaf, Node, Term, format_term, node, quotient_term
@@ -258,3 +267,35 @@ def homogenize(s: Futs) -> Reduction:
     """Embed every weight into the product of all the signature's monoids."""
     target = relabel_weights(s, homog_sections(s.sig))
     return Reduction("homogenize", s, target, {x: x for x in s.states}, full=True)
+
+
+# --- the node()-built unlabel and the bisimulation correspondence ---------
+
+def unlabel(s: Futs) -> Reduction:
+    """Fold labels into the outer weights: a transition with weight w at
+    label a contributes the dirac element a*w of the power monoid."""
+    sig2 = rd.sig_unlabel(s.sig)
+    trans = {}
+    for i, comp in enumerate(s.sig.components):
+        stack2 = sig2.components[i].monoids
+        for x in s.states:
+            entries = [(k, power_dirac(a, w, comp.labels, comp.monoids[0]))
+                       for a in comp.labels for k, w in s.transition(i, x, a).entries]
+            trans[(i, x, rd.UNLABEL_LABEL)] = node(stack2, entries)
+    target = Futs(sig2, s.states, trans)
+    return Reduction("unlabel", s, target, {x: x for x in s.states}, full=True)
+
+
+def restrict_bisim(r: Reduction, p_target: Partition) -> Partition:
+    """Pull a target bisimulation back along the carrier map."""
+    if not is_bisimulation(r.target, p_target):
+        raise ValueError("restrict_bisim needs a bisimulation on the target")
+    return rd._pullback(r, p_target)
+
+
+def extend_bisim(r: Reduction, p: Partition) -> Partition:
+    """Push a source bisimulation forward to one on the target (see
+    ``futs.reduce._extend``)."""
+    if not is_bisimulation(r.source, p):
+        raise ValueError("extend_bisim needs a bisimulation on the source")
+    return rd._extend(r, p)

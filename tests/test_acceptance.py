@@ -38,7 +38,6 @@ from futs.reduce import (
     homogenize,
     nest,
     plan_wts_stages,
-    restrict_bisim,
     tabularize,
     to_wts,
     unlabel,
@@ -59,7 +58,7 @@ from conftest import (
     restrict,
     systems_equal,
 )
-from reduce_oracle import hom_apply, monoid_section
+from reduce_oracle import hom_apply, monoid_section, restrict_bisim
 
 
 def report(n, ok, detail):

@@ -39,6 +39,10 @@ FIXTURES = {
     HERE / "golden" / "fig1_wts.futs": (
         ["T", "<({ a: tt }, 1/2)> T", "<({}, 1/6)> <({}, 1/2)> T", "<(tt, 1)> T"],
         ["s0", "s1", "s2", "s3", "#1:{s0:({},1/2),s1:({},1/2)}"]),
+    HERE / "data" / "shared.futs": (
+        ["T", "<0|a|2, 1> T", "<1|c|3> T & <0|b|1, 2> T", "<0|a|1, 1> (<1|c|1> T & T)",
+         "<1|c|1, 1> T"],
+        ["x", "y", "z", "w"]),
 }
 
 

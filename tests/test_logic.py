@@ -77,10 +77,28 @@ def test_diamond_tests_each_term_node_once(monkeypatch):
                      f"states {{ {', '.join(ps)}, t0, t1 }}\n"
                      + "".join(f"trans 0 {p} a -> {{ {{ t0: 1/2, t1: 1/2 }}: tt }}\n" for p in ps))
     calls = []
-    nat_leq = futs.logic.nat_leq
-    monkeypatch.setattr(futs.logic, "nat_leq", lambda *args: calls.append(args) or nat_leq(*args))
+    for m in s.sig.components[0].monoids:  # each level's order, as the diamond reads it
+        monkeypatch.setattr(type(m), "_leq",
+                            lambda _m, *args, leq=m._leq: calls.append(args) or leq(*args))
     assert sat_set(s, parse_formula("<a|tt, 1/2> T", s.sig)) == frozenset(ps)
     assert len(calls) == len(s.graph.term) - s.graph.n == 3
+
+
+def test_diamond_looks_up_each_order_once_per_level(monkeypatch):
+    """On an n-state chain a k-deep diamond chain looks monoid operations up
+    (``monoid._op``) a number of times that grows with k, not with k * n."""
+    def lookups(k: int, n: int) -> int:
+        s, phi = parse_system(nat_chain_text(n)), TOP
+        for _ in range(k):
+            phi = d(0, "a", (1,), phi)
+        s.graph  # compiled before counting
+        calls, op = [], futs.monoid._op
+        with monkeypatch.context() as patch:
+            patch.setattr(futs.monoid, "_op", lambda *args: calls.append(args) or op(*args))
+            assert sat_set(s, phi) == frozenset(f"c{j}" for j in range(n - k))
+        return len(calls)
+
+    assert lookups(8, 40) == lookups(8, 80) < lookups(16, 40) == lookups(16, 80)
 
 
 @pytest.mark.parametrize("sig", CORPUS_SIGS)

@@ -10,12 +10,10 @@ from futs.reduce import (
     EXHAUSTIVE_LIMIT,
     STAGE_FUNCS,
     Reduction,
-    extend_bisim,
     flatten,
     homogenize,
     nest,
     plan_wts_stages,
-    restrict_bisim,
     sig_homogenize,
     sig_nest,
     sig_tabularize,
@@ -41,6 +39,7 @@ from conftest import (
     term_depth,
     validate,
 )
+from reduce_oracle import extend_bisim, restrict_bisim
 
 
 def test_unlabel_fig1_terms(fig1):

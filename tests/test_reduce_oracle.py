@@ -1,7 +1,8 @@
 """Differential tests: the compiled graph, ``flatten`` and ``_extend`` of
 ``futs.reduce`` against the second-walk versions kept in ``reduce_oracle``,
-on every system that the ``to_wts`` plan passes through, and
-``homogenize`` against the one built on ``relabel_weights``."""
+on every system that the ``to_wts`` plan passes through, and ``unlabel``
+and ``homogenize``, which build their ``Node``s directly, against the
+``node()``-built ``unlabel`` and the ``homogenize`` on ``relabel_weights``."""
 
 import random
 
@@ -13,7 +14,17 @@ from futs.bisim import all_partitions, is_bisimulation
 from futs.system import Graph
 from futs.textio import write_system
 
-from conftest import CORPUS_SIGS, corpus_systems, load, random_futs, systems_equal
+from conftest import (
+    CORPUS_SIGS,
+    NESTED3,
+    TWO_COMP,
+    assert_canonical,
+    cancellative_corpus,
+    corpus_systems,
+    load,
+    random_futs,
+    systems_equal,
+)
 
 
 @st.composite
@@ -92,3 +103,38 @@ def test_homogenize_matches_oracle():
                 check_homogenize(stage.source)
                 stages += 1
     assert stages > len(systems)  # some plans homogenize twice
+
+
+# --- unlabel and homogenize against their node()-built oracles ---------------
+
+NODE_BUILT = {"unlabel": reduce_oracle.unlabel, "homogenize": reduce_oracle.homogenize}
+
+
+def check_direct_stages(s):
+    """``unlabel`` and ``homogenize`` on ``s`` and on every source the
+    ``to_wts`` plan applies them to give the ``node()``-built oracle's target,
+    and every stage's target, flatten's included, is canonical at every level."""
+    r, applied = rd.to_wts(s), 0
+    cases = [(rd.unlabel(s), s), (rd.homogenize(s), s)]
+    cases += [(stage, stage.source) for stage in r.stages]
+    for stage, source in cases:
+        if stage.kind in NODE_BUILT:
+            old = NODE_BUILT[stage.kind](source)
+            assert systems_equal(stage.target, old.target)
+            assert write_system(stage.target) == write_system(old.target)
+            applied += 1
+        assert_canonical(stage.target)
+    assert applied >= 4  # both stages on s, and both in the plan
+
+
+def test_direct_stages_match_oracle_on_corpora():
+    for s in corpus_systems() + cancellative_corpus():
+        check_direct_stages(s)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(corpus_sig_systems(), st.sampled_from([NESTED3, TWO_COMP]).flatmap(
+    lambda sig: st.builds(random_futs, st.randoms(use_true_random=False), st.just(sig),
+                          st.integers(1, 6), st.sampled_from([0.5, 0.9])))))
+def test_direct_stages_match_oracle_on_generated(s):
+    check_direct_stages(s)

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import futs.textio
+import textio_oracle
 from futs.logic import TOP, And, Diamond, check_formula
 from futs.monoid import BOOL_OR, NAT_PLUS, Power
 from futs.reduce import to_wts
@@ -77,6 +79,74 @@ def test_duplicate_transition_rejected():
     with pytest.raises(ParseError) as err:
         parse_system(text)
     assert "duplicate transition" in err.value.diagnostics[0].message
+
+
+SHARED_HEAD = ("futs\nlabels A0 = { a, b }\nmonoids M0 = [ nat-plus ]\n"
+               "labels A1 = { c }\nmonoids M1 = [ nat-max ]\nstates { x, y, z }\n")
+
+
+def test_repeated_term_text_is_read_once(monkeypatch):
+    """Six lines of one component with two distinct term texts: ``node()``
+    runs twice, and lines whose terms have equal tokens (blanks and
+    comments aside) get one and the same ``Node``."""
+    text = SHARED_HEAD + (
+        "trans 0 x a -> { y: 1, y: 1 }\n"
+        "trans 0 y a -> { y: 1, y: 1 }   # the same tokens\n"
+        "trans 0 z b -> {y:1,y:1}\n"
+        "trans 0 x b -> { z: 2 }\n"
+        "trans 0 y b -> { z: 2 }\n"
+        "trans 0 z a -> { z: 2 }\n")
+    calls, node = [], futs.textio.node
+    monkeypatch.setattr(futs.textio, "node", lambda *args: calls.append(args) or node(*args))
+    s = parse_system(text)
+    assert len(calls) == 2
+    t = s.trans
+    assert t[(0, "x", "a")] is t[(0, "y", "a")] is t[(0, "z", "b")]
+    assert t[(0, "x", "b")] is t[(0, "y", "b")] is t[(0, "z", "a")]
+    assert t[(0, "x", "a")].entries == ((Leaf("y"), 2),)
+    assert systems_equal(s, textio_oracle.parse_system(text))
+
+
+def test_same_text_is_read_on_each_component():
+    """One text on two stacks is two terms: nat-plus sums a repeated key,
+    nat-max takes its largest weight."""
+    s = parse_system(SHARED_HEAD + "trans 0 x a -> { y: 1, y: 3 }\ntrans 1 x c -> { y: 1, y: 3 }\n"
+                     "trans 1 y c -> { y: 1, y: 3 }\n")
+    assert s.trans[(0, "x", "a")].entries == ((Leaf("y"), 4),)
+    assert s.trans[(1, "x", "c")].entries == ((Leaf("y"), 3),)
+    assert s.trans[(1, "x", "c")] is s.trans[(1, "y", "c")]
+
+
+NAT_AND_BOOL = ("futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\n"
+                "labels A1 = { c }\nmonoids M1 = [ bool-or ]\nstates { x, y }\n")
+
+
+@pytest.mark.parametrize("lines, expected", [
+    ("trans 0 x a -> { y: 2 }\ntrans 1 y c -> { y: 2 }\n",
+     "8:21: error: expected tt or ff, found '2'"),
+    ("trans 1 y c -> { y: 2 }\ntrans 0 x a -> { y: 2 }\n",
+     "7:21: error: expected tt or ff, found '2'"),
+    ("trans 0 x a -> { y: }\ntrans 0 y a -> { y: }\n",
+     "7:21: error: expected natural number, found '}'"),
+    ("trans 0 x a -> { y: 2 }\ntrans 0 y a -> { y: 2 } }\n",
+     "8:25: error: unexpected trailing '}'"),
+    ("trans 0 x a -> { y: 2 }\ntrans 0 y a -> { y: 2 }\ntrans 0 x a -> {y:2}\n",
+     "9:1: error: duplicate transition for component 0, state 'x', label 'a' (first at line 7)"),
+    ("trans 0 x a -> { y: 2 }\ntrans 0 y b -> { y: 2 }\n",
+     "8:11: error: unknown label 'b'"),
+    ("trans 0 x a -> { y: 2 }\ntrans 0 y a -> { y: 2 }\ntrans 1 x c -> { y: 2 }\n# é\n"
+     "trans 1 y c -> { x: tt } é\n",
+     "11:26: error: unexpected character 'é'"),
+], ids=["other-stack-fails", "other-stack-fails-first", "malformed-repeated", "trailing-after-repeat",
+        "duplicate-of-repeat", "label-before-repeat", "character-after-repeat"])
+def test_repeated_term_text_keeps_diagnostics(lines, expected):
+    """A term text read on one component is read again on another, where it
+    may fail; a repeat is checked like any line, its head first."""
+    text = NAT_AND_BOOL + lines
+    for parse in (parse_system, textio_oracle.parse_system):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert [d.render() for d in e.value.diagnostics] == [expected]
 
 
 def test_round_trip_fixtures(fig1, w3):

@@ -8,7 +8,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from futs.system import Signature
+from futs.monoid import NAT_MAX, NAT_PLUS
+from futs.system import Component, Signature
 from futs.textio import (
     ParseError,
     parse_formula,
@@ -85,6 +86,58 @@ def test_generated_systems_agree_with_oracle(sig, n, rng):
 def test_multi_component_round_trip(sig, n, rng):
     s = random_futs(rng, sig, n)
     assert systems_equal(parse_system(write_system(s)), s)
+
+
+# two components whose term texts also read on each other's stack: the
+# corpus's multi-component signatures stack different depths
+SAME_DEPTH = [
+    Signature((Component(("a",), (NAT_PLUS,)), Component(("b",), (NAT_MAX,)))),
+    Signature((Component(("a", "b"), (NAT_PLUS, NAT_PLUS)), Component(("c",), (NAT_MAX, NAT_PLUS)))),
+]
+
+
+@st.composite
+def copied_term_lines(draw):
+    """A written system with term texts copied onto other states and other
+    components: into a free slot, over a slot's line, or beside it (a
+    duplicate transition).  A copy need not read on its new stack."""
+    sig = draw(st.sampled_from(CORPUS_SIGS + SAME_DEPTH))
+    rng = draw(st.randoms(use_true_random=False))
+    s = random_futs(rng, sig, draw(st.integers(1, 6)), draw(st.sampled_from([0.3, 0.6, 0.9])))
+    lines = write_system(s).split("\n")
+    texts = {}  # (component, state, label) -> the "-> term" texts of its lines
+    for line in lines:
+        if line.startswith("trans "):
+            _trans, i, x, a, rest = line.split(" ", 4)
+            texts[(i, x, a)] = [rest]
+    slots = [(str(i), x, a) for i, c in enumerate(sig.components) for x in s.states
+             for a in c.labels]
+    for _ in range(draw(st.integers(0 if texts else 1, 8))):
+        term = rng.choice(sorted(texts.values()) or [["-> {}"]])[0]
+        slot = rng.choice(slots)
+        if draw(st.integers(0, 9)):
+            texts[slot] = [term]
+        else:
+            texts.setdefault(slot, []).append(term)
+    trans = [f"trans {i} {x} {a} {rest}" for (i, x, a), rests in texts.items() for rest in rests]
+    rng.shuffle(trans)
+    return "\n".join([line for line in lines if line and not line.startswith("trans ")] + trans)
+
+
+@settings(deadline=None, max_examples=150)
+@given(copied_term_lines())
+def test_copied_term_texts_agree_with_oracle(text):
+    """Equal systems or byte-identical diagnostics; in a system read, the
+    lines of one component with one term text share one ``Node``."""
+    assert_same_as_oracle(text)
+    kind, s = outcome(parse_system, text)
+    if kind == "value":
+        first = {}
+        for line in text.split("\n"):
+            if line.startswith("trans "):
+                _trans, i, x, a, rest = line.split(" ", 4)
+                term = s.trans.get((int(i), x, a))  # the zero term is not stored
+                assert term is None or first.setdefault((i, rest), term) is term
 
 
 def mutate(text: str, where: int, op: str, char: str) -> str:
