@@ -199,11 +199,15 @@ class Evaluator:
         return frozenset([v for t in passed for v in owners[t]])
 
 
-def satisfies(s: Futs, x: str, phi: Formula) -> bool:
+def _state_id(s: Futs, x: str) -> int:
     v = s.graph.ids.get(x)
     if v is None:
         raise ValueError(f"unknown state {x!r}")
-    return v in Evaluator(s).sat(check_formula(phi, s.sig))
+    return v
+
+
+def satisfies(s: Futs, x: str, phi: Formula) -> bool:
+    return _state_id(s, x) in Evaluator(s).sat(check_formula(phi, s.sig))
 
 
 def sat_set(s: Futs, phi: Formula) -> frozenset[str]:
@@ -302,23 +306,28 @@ def realizable_grid(s: Futs) -> dict[tuple[int, int], list[Weight]]:
 
 
 class _Levels:
-    """The oracle's level loop: refinement by satisfaction profiles.
-
-    Iterating yields each level's bodies (one characteristic conjunction
-    per block over the distinguishers so far) and then refines ``part`` by
-    candidate diamonds over labels, then grid bound vectors, then bodies.
-    ``ev`` knows the satisfaction sets (of state ids) of all the
-    ``distinguishers``.
-    At most ``depth`` levels run (default: the carrier size).
+    """The oracle's level loop: refinement of state ids by satisfaction
+    profiles.  ``blocks`` are increasing lists of state ids, ordered by least
+    id as ``Partition`` orders names; ``bodies[k]`` conjoins, left-deep in
+    the order found, the ``distinguishers`` block k satisfies.  States of
+    one block satisfy the same ones, so no two blocks share a body or its
+    satisfaction set.  Iterating yields each level's bodies, then refines
+    by candidate diamonds over labels, grid bound vectors (``shapes``), then
+    bodies; a block's pieces extend its body by the new distinguishers they
+    satisfy.  ``ev`` knows the distinguishers' satisfaction sets.  At most
+    ``depth`` levels run (default: the carrier size).
     """
 
     def __init__(self, s: Futs, depth: Optional[int]):
-        from .bisim import Partition
         if depth is not None and depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
-        self.depth = len(s.states) if depth is None else depth
-        self.system, self.grid, self.ev = s, realizable_grid(s), Evaluator(s)
-        self.part = Partition.single(s.states)
+        n, grid, self.ev = s.graph.n, realizable_grid(s), Evaluator(s)
+        self.depth = n if depth is None else depth
+        # a zero outermost bound makes the diamond a tautology; skip those
+        self.shapes = [(i, a, vec) for i, comp in enumerate(s.sig.components) for a in comp.labels
+                       for vec in itertools.product(*(grid[(i, j)] for j in range(comp.depth)))
+                       if not is_zero(comp.monoids[0], vec[0])]
+        self.blocks, self.bodies = ([list(range(n))], [TOP]) if n else ([], [])
         self.distinguishers: dict[Formula, None] = {}  # an ordered set
 
     def run(self) -> "_Levels":
@@ -327,36 +336,25 @@ class _Levels:
         return self
 
     def __iter__(self):
-        s, ev, n = self.system, self.ev, len(self.system.states)
-        ids = s.graph.ids
+        ev, n = self.ev, self.ev.graph.n
         for _level in range(self.depth if n > 1 else 0):
-            bodies: list[Formula] = []
-            seen_sets = set()
-            for block in self.part.blocks:
-                v = ids[block[0]]
-                chi = conj(f for f in self.distinguishers if v in ev.sat(f))
-                key = ev.sat(chi)
-                if key not in seen_sets:
-                    seen_sets.add(key)
-                    bodies.append(chi)
-            yield bodies
-            useful = []
-            for i, comp in enumerate(s.sig.components):
-                # a zero outermost bound makes the diamond a tautology; skip those
-                vectors = [v for v in itertools.product(
-                    *(self.grid[(i, j)] for j in range(comp.depth)))
-                    if not is_zero(comp.monoids[0], v[0])]
-                for a in comp.labels:
-                    for vec in vectors:
-                        for chi in bodies:
-                            f = Diamond(i, a, vec, chi)
-                            if 0 < len(ev.sat(f)) < n:
-                                useful.append(f)
-            sats = [ev.sat(f) for f in useful]
-            refined = self.part.refine_by(lambda x: tuple(ids[x] in sat for sat in sats))
-            self.distinguishers.update(dict.fromkeys(useful))
-            done = refined == self.part or len(refined.blocks) == n
-            self.part = refined
+            for chi in self.bodies:
+                ev.sat(chi)
+            yield self.bodies
+            new = [f for i, a, vec in self.shapes for chi in self.bodies
+                   for f in (Diamond(i, a, vec, chi),)
+                   if 0 < len(ev.sat(f)) < n and f not in self.distinguishers]
+            self.distinguishers.update(dict.fromkeys(new))
+            pieces: dict[tuple, list[int]] = {}  # (block index, new distinguishers held) -> states
+            for k, block in enumerate(self.blocks):
+                for v in block:
+                    held = tuple([f for f in new if v in ev.sat(f)])
+                    pieces.setdefault((k, held), []).append(v)
+            keys = sorted(pieces, key=lambda key: pieces[key][0])
+            done = len(keys) == len(self.blocks) or len(keys) == n
+            self.bodies = [conj(held) if self.bodies[k] is TOP
+                           else functools.reduce(And, held, self.bodies[k]) for k, held in keys]
+            self.blocks = [pieces[key] for key in keys]
             if done:
                 break
 
@@ -370,7 +368,9 @@ def bounded_logical_equiv(s: Futs, depth: Optional[int] = None) -> Partition:
     their satisfaction profile.  With the default depth (the carrier size)
     this coincides with bisimilarity on positive cancellative monoids.
     """
-    return _Levels(s, depth).run().part
+    from .bisim import Partition
+    blocks = _Levels(s, depth).run().blocks
+    return Partition.of_blocks(s.states, ([s.states[v] for v in b] for b in blocks))
 
 
 def witness_formula(s: Futs, x: str, y: str,
@@ -380,16 +380,18 @@ def witness_formula(s: Futs, x: str, y: str,
     Unlike distinguishing_formula this makes no completeness claim: the
     result is verified by evaluation, but None only means the bounded
     family does not separate the states, which outside cancellative
-    monoids can happen for non-bisimilar pairs.
+    monoids can happen for non-bisimilar pairs.  The levels stop where the
+    pair splits, and the first distinguisher separating it is found there.
     """
-    levels = _Levels(s, depth).run()
-    if levels.part.same_block(x, y):
-        return None
-    vx, vy = s.graph.ids[x], s.graph.ids[y]
+    vx, vy = _state_id(s, x), _state_id(s, y)
+    levels = _Levels(s, depth)
+    for _bodies in levels:
+        if not any(vx in block and vy in block for block in levels.blocks):
+            break
     for f in levels.distinguishers:
         if (vx in levels.ev.sat(f)) != (vy in levels.ev.sat(f)):
             return _shrink_witness(levels.ev, f, vx, vy)
-    raise RuntimeError("separated states without a separating formula")
+    return None
 
 
 def _conjuncts(phi: Formula) -> list[Formula]:
@@ -453,12 +455,10 @@ def distinguishing_formula(s: Futs, x: str, y: str,
     m = s.sig.components[0].monoids[0]
     if not (positive(m) and cancellative(m)):
         raise ValueError("distinguishing_formula needs a positive cancellative monoid")
-    for state in (x, y):
-        if state not in set(s.states):
-            raise ValueError(f"unknown state {state!r}")
+    vx, vy = _state_id(s, x), _state_id(s, y)
     levels = _Levels(s, depth)
     for bodies in levels:  # scanned before each level refines
-        found = _split_formula(s, levels.ev, x, y, bodies)
+        found = _split_formula(s, levels.ev, vx, vy, bodies)
         if found is not None:
             return found
     if depth is not None:
@@ -471,12 +471,11 @@ def distinguishing_formula(s: Futs, x: str, y: str,
         f"was found; the bounded family is incomplete here")
 
 
-def _split_formula(s: Futs, ev: Evaluator, x: str, y: str, bodies) -> Optional[Formula]:
-    """Scan (label, body) pairs for differing class sums over the body's
-    satisfaction set, summed off ``Futs.graph``; the larger (or incomparable
-    own) sum is the bound."""
+def _split_formula(s: Futs, ev: Evaluator, x: int, y: int, bodies) -> Optional[Formula]:
+    """Scan (label, body) pairs for the state nodes' differing class sums
+    over the body's satisfaction set, summed off ``Futs.graph``; the larger
+    (or incomparable own) sum is the bound."""
     g, m = s.graph, s.sig.components[0].monoids[0]
-    x, y = g.ids[x], g.ids[y]  # state nodes from here on
     for (_i, a), k in g.slots.items():
         tx, ty = (g.out[g.out[z][k]] for z in (x, y))
         for chi in bodies:

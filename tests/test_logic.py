@@ -14,6 +14,7 @@ from futs.logic import (
     Diamond,
     Evaluator,
     FormulaError,
+    _Levels,
     bounded_logical_equiv,
     check_formula,
     conj,
@@ -30,6 +31,7 @@ from futs.reduce import SIG_FUNCS, STAGE_FUNCS, homogenize, to_wts
 from futs.system import Component, Futs, Signature
 from futs.textio import parse_formula, parse_system
 
+import logic_oracle
 from conftest import (
     CORPUS_SIGS,
     NESTED3,
@@ -228,6 +230,46 @@ def test_negative_depth_rejected(w3):
     # depth 0 runs no level, so it keeps every pair together
     assert witness_formula(w3, "x", "y", depth=0) is None
     assert distinguishing_formula(w3, "x", "y", depth=0) is None
+
+
+def test_witness_functions_reject_unknown_states(w3):
+    for fn in (witness_formula, distinguishing_formula):
+        for x, y in (("nope", "x"), ("x", "nope")):
+            with pytest.raises(ValueError, match="unknown state 'nope'"):
+                fn(w3, x, y)
+
+
+def test_witness_formula_stops_where_the_pair_splits(monkeypatch):
+    """On a bool-or chain the first level splits c6 from c7, and the witness
+    search stops there, where the oracle refines on to the end of the chain."""
+    text = nat_chain_text(8).replace("nat-plus", "bool-or").replace(": 1 }", ": tt }")
+    diamond, seen = futs.logic.Evaluator._diamond, []
+    monkeypatch.setattr(futs.logic.Evaluator, "_diamond",
+                        lambda ev, f, body: seen.append(f) or diamond(ev, f, body))
+    phi = witness_formula(parse_system(text), "c6", "c7")
+    witness_calls = len(seen)
+    seen.clear()
+    bounded_logical_equiv(parse_system(text))  # a fresh system, so a fresh cache
+    assert 0 < witness_calls < len(seen)
+    assert repr(phi) == repr(logic_oracle.witness_formula(parse_system(text), "c6", "c7"))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(CORPUS_SIGS), st.randoms(use_true_random=False))
+def test_level_loop_carries_each_body(sig, rng):
+    """At every level the blocks partition the state ids in ``Partition``
+    order, each body is the conjunction of the distinguishers its block's
+    first state satisfies, and no two bodies share a satisfaction set."""
+    s = random_futs(rng, sig, rng.randint(1, 5))
+    levels = _Levels(s, None)
+    for bodies in levels:
+        sat, blocks = levels.ev.sat, levels.blocks
+        assert sorted(v for b in blocks for v in b) == list(range(len(s.states)))
+        assert blocks == sorted(blocks) and all(b == sorted(b) for b in blocks)
+        assert len({sat(chi) for chi in bodies}) == len(bodies) == len(blocks)
+        for block, chi in zip(blocks, bodies):
+            assert chi == conj(f for f in levels.distinguishers if block[0] in sat(f))
+            assert set(block) <= sat(chi)
 
 
 def test_distinguishing_formula_depth(w3):
