@@ -39,11 +39,6 @@ class Partition(Value):
         return Partition(carrier, tuple((x,) for x in carrier))
 
     @staticmethod
-    def single(carrier: Iterable[str]) -> "Partition":
-        carrier = tuple(sorted(set(carrier)))
-        return Partition(carrier, (carrier,) if carrier else ())
-
-    @staticmethod
     def group_by(carrier: Iterable[str], key: Callable[[str], object]) -> "Partition":
         groups: dict[object, list[str]] = {}
         for x in carrier:
@@ -63,9 +58,6 @@ class Partition(Value):
 
     def block_ids(self) -> tuple[str, ...]:
         return tuple(b[0] for b in self.blocks)
-
-    def refine_by(self, key: Callable[[str], object]) -> "Partition":
-        return Partition.group_by(self.carrier, lambda x: (self.kappa[x], key(x)))
 
     def render(self) -> str:
         """The blocks as text, each name written as a system file writes it."""
@@ -105,11 +97,14 @@ def is_bisimulation(s: Futs, p: Partition) -> bool:
 
     Works on the compiled graph, whose classifier classes each term node
     under ``p`` on demand, so the check stops at the first block whose
-    members disagree on a (component, label) slot.
+    members disagree on a (component, label) slot.  ``Graph.bisim`` itself,
+    the refiner's answer and so a fixpoint of this test, passes unclassified.
     """
+    g = s.graph
+    if p is g.bisim:
+        return True
     if set(p.carrier) != set(s.states):
         raise ValueError("partition carrier does not match the system's states")
-    g = s.graph
     class_of = g.classifier(p.kappa[x] for x in s.states)
     return all(len({tuple(map(class_of, g.out[g.ids[x]])) for x in members}) == 1
                for members in p.blocks if len(members) > 1)
@@ -124,8 +119,11 @@ def largest_bisimulation(s: Futs) -> Partition:
     splits, its largest piece keeps the block's id, so only predecessors
     of the other pieces are revisited.  No step subtracts weights, so one
     path serves every monoid.  The result is the union of all bisimulations.
+    The graph keeps it (``Graph.bisim``), and a second call returns it.
     """
     g = s.graph
+    if g.bisim is not None:
+        return g.bisim
     block = list(g.kind)
     members: dict = {}
     for v, b in enumerate(block):
@@ -156,18 +154,15 @@ def largest_bisimulation(s: Futs) -> Partition:
                 for v in piece:
                     block[v] = nb
                     touched.update(g.preds[v])
-    return Partition.of_blocks(
+    g.bisim = Partition.of_blocks(
         s.states, ([s.states[v] for v in members[b]] for b in set(block[:g.n])))
+    return g.bisim
 
 
 def quotient_system(s: Futs, p: Partition) -> Futs:
-    """Quotient by a bisimulation; block ids become the new states."""
+    """Quotient by a bisimulation; block ids become the new states, and
+    only their stored transitions are pushed forward."""
     if not is_bisimulation(s, p):
         raise ValueError("quotient_system needs a bisimulation partition")
-    trans = {}
-    for i, comp in enumerate(s.sig.components):
-        for block in p.blocks:
-            rep = block[0]
-            for a in comp.labels:
-                trans[(i, rep, a)] = quotient_term(s.transition(i, rep, a), p.kappa)
-    return Futs(s.sig, p.block_ids(), trans)
+    return Futs(s.sig, p.block_ids(), {(i, x, a): quotient_term(t, p.kappa)
+                                       for (i, x, a), t in s.trans.items() if p.kappa[x] == x})

@@ -313,9 +313,10 @@ class _Levels:
     one block satisfy the same ones, so no two blocks share a body or its
     satisfaction set.  Iterating yields each level's bodies, then refines
     by candidate diamonds over labels, grid bound vectors (``shapes``), then
-    bodies; a block's pieces extend its body by the new distinguishers they
-    satisfy.  ``ev`` knows the distinguishers' satisfaction sets.  At most
-    ``depth`` levels run (default: the carrier size).
+    the bodies new at this level, as a carried body's were tried before; a
+    block's pieces extend its body by the new distinguishers they satisfy.
+    ``ev`` knows the distinguishers' satisfaction sets.  At most ``depth``
+    levels run (default: the carrier size).
     """
 
     def __init__(self, s: Futs, depth: Optional[int]):
@@ -336,12 +337,12 @@ class _Levels:
         return self
 
     def __iter__(self):
-        ev, n = self.ev, self.ev.graph.n
+        ev, n, fresh = self.ev, self.ev.graph.n, self.bodies
         for _level in range(self.depth if n > 1 else 0):
             for chi in self.bodies:
                 ev.sat(chi)
             yield self.bodies
-            new = [f for i, a, vec in self.shapes for chi in self.bodies
+            new = [f for i, a, vec in self.shapes for chi in fresh
                    for f in (Diamond(i, a, vec, chi),)
                    if 0 < len(ev.sat(f)) < n and f not in self.distinguishers]
             self.distinguishers.update(dict.fromkeys(new))
@@ -354,6 +355,7 @@ class _Levels:
             done = len(keys) == len(self.blocks) or len(keys) == n
             self.bodies = [conj(held) if self.bodies[k] is TOP
                            else functools.reduce(And, held, self.bodies[k]) for k, held in keys]
+            fresh = [chi for chi, (_k, held) in zip(self.bodies, keys) if held]
             self.blocks = [pieces[key] for key in keys]
             if done:
                 break

@@ -92,17 +92,18 @@ class Futs:
 class Graph:
     """A system compiled to integer ids.
 
-    States are nodes ``0..n-1`` in ``s.states`` order; every distinct
-    ``Node`` subterm of a transition term, each component's zero term
-    included, is one further node, numbered after its children and
-    hash-consed on its kind and entries, so no term is hashed or compared.
-    ``ids`` maps state names to nodes, ``term`` holds a term node's
-    ``Node``, ``out`` a state's term node per slot (``slots`` maps each
-    (component, label) to its index) or a term's (child, weight) entries,
+    States are nodes ``0..n-1`` in ``s.states`` order; every distinct ``Node``
+    subterm of a stored transition term (``s.trans``), and each component's
+    zero term, which fills the other slots, is one further node, numbered
+    after its children and hash-consed on its kind and entries, so no term is
+    hashed or compared.  ``ids`` maps state names to nodes, ``term`` holds a
+    term node's ``Node``, ``out`` a state's term node per slot (``slots`` maps
+    each (component, label) to its index) or a term's (child, weight) entries,
     and ``kind`` is 0 for states and numbers a term's monoid stack from 1.
     The term nodes below the top depth are the states that flattening adds.
     ``sat`` is the model checker's cache (``futs.logic.Evaluator``): formula
-    -> the frozenset of state nodes satisfying it, kept as long as the system.
+    -> the frozenset of state nodes satisfying it, kept as long as the system,
+    and ``bisim`` the answer of ``futs.bisim.largest_bisimulation``.
     """
 
     def __init__(self, s: Futs):
@@ -115,13 +116,17 @@ class Graph:
         stacks: dict = {}  # per component, a provisional kind per level of its stack
         rows = [[stacks.setdefault(c.monoids[j:], len(stacks) + 1) for j in range(c.depth)]
                 for c in s.sig.components]
+        zeros, kinds = [s._zeros[i] for i, _a in self.slots], [rows[i] for i, _a in self.slots]
+        terms: dict = {}  # a state with stored transitions -> its terms by slot
+        for (i, x, a), t in s.trans.items():
+            (terms.get(x) or terms.setdefault(x, zeros.copy()))[self.slots[i, a]] = t
         cons, seen = {}, {}  # (kind, out) -> node, and id() of a term (alive in s) -> node
-        for v, x in enumerate(s.states):
-            self.out[v] = [self._intern(s.transition(i, x, a), rows[i], 0, cons, seen)
-                           for i, a in self.slots]
+        for v, x in enumerate(s.states):  # a term seen before (a node > 0) costs no call
+            self.out[v] = [seen.get(id(t)) or self._intern(t, ks, 0, cons, seen)
+                           for t, ks in zip(terms.get(x, zeros), kinds)]
         first: dict = {}  # a stack that no term uses leaves no gap in the numbering
         self.kind = [first.setdefault(k, len(first)) for k in self.kind]
-        self.sat: dict = {}
+        self.sat, self.bisim = {}, None
 
     # The recursive helpers are methods, not closures: a closure that calls
     # itself is a reference cycle, which only the cyclic collector frees.

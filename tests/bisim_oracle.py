@@ -6,9 +6,10 @@ of the results.  Slow, but a direct transcription of the definition of
 bisimulation, and independent of ``futs.bisim``'s compiled-graph engine.
 
 Beside it live the routes the library replaced: the term-level
-extension ``ext_related`` (superseded by ``Graph.classifier``), and
-carrier maps with the homomorphism check that the kernel
-characterisation reads.
+extension ``ext_related`` (superseded by ``Graph.classifier``), the
+per-slot ``quotient_system``, the ``Partition`` helpers ``single`` and
+``refine_by`` that only tests use, and carrier maps with the
+homomorphism check that the kernel characterisation reads.
 """
 
 from __future__ import annotations
@@ -104,11 +105,22 @@ def is_bisimulation(s: Futs, p: Partition) -> bool:
     return True
 
 
+def single(carrier) -> Partition:
+    """All of ``carrier`` in one block (no block when it is empty)."""
+    carrier = tuple(sorted(set(carrier)))
+    return Partition(carrier, (carrier,) if carrier else ())
+
+
+def refine_by(p: Partition, key) -> Partition:
+    """Each block of ``p`` split by the ``key`` of its members."""
+    return Partition.group_by(p.carrier, lambda x: (p.kappa[x], key(x)))
+
+
 def largest_bisimulation(s: Futs) -> Partition:
     """Split every block by its members' signatures until stable."""
-    p = Partition.single(s.states)
+    p = single(s.states)
     while True:
-        refined = p.refine_by(lambda x: _state_signature(s, p, x))
+        refined = refine_by(p, lambda x: _state_signature(s, p, x))
         if refined == p:
             return p
         p = refined
@@ -121,6 +133,15 @@ def representative_quotient(s: Futs, p: Partition) -> Futs:
              for i, comp in enumerate(s.sig.components)
              for block in p.blocks for a in comp.labels}
     return Futs(s.sig, p.block_ids(), trans)
+
+
+def quotient_system(s: Futs, p: Partition) -> Futs:
+    """The quotient as ``futs.bisim`` built it before it read only stored
+    transitions: every (component, representative, label) slot, zero terms
+    included, pushed forward along the quotient map."""
+    if not is_bisimulation(s, p):
+        raise ValueError("quotient_system needs a bisimulation partition")
+    return representative_quotient(s, p)
 
 
 def is_kernel_bisimulation(s: Futs, p: Partition) -> bool:

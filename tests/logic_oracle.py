@@ -54,6 +54,7 @@ from futs.monoid import (
 from futs.system import Futs, Signature
 from futs.textio import Diagnostic, ParseError, _fail
 from futs.weightfn import Leaf, Node
+from bisim_oracle import refine_by, single
 from reduce_oracle import hom_apply, homog_sections
 from textio_oracle import Token, _Cursor, _parse_weight, _resolve_modality, tokenize
 
@@ -248,7 +249,7 @@ def _oracle(s: Futs, depth: Optional[int], grid: Optional[dict]):
         for j in range(comp.depth):
             if not grid.get((i, j)):
                 raise ValueError(f"empty bound grid for component {i}, level {j}")
-    part = Partition.single(s.states)
+    part = single(s.states)
     ev = Evaluator(s)
     distinguishers: list[Formula] = []
     if depth == 0 or len(s.states) <= 1:
@@ -278,7 +279,7 @@ def _oracle(s: Futs, depth: Optional[int], grid: Optional[dict]):
             sat = ev.sat(f)
             if sat and len(sat) < len(s.states):
                 useful.append(f)
-        refined = part.refine_by(lambda x: tuple(x in ev.sat(f) for f in useful))
+        refined = refine_by(part, lambda x: tuple(x in ev.sat(f) for f in useful))
         for f in useful:
             if f not in known:
                 known.add(f)
@@ -385,7 +386,7 @@ def distinguishing_formula(s: Futs, x: str, y: str) -> Optional[Formula]:
 
     grid = realizable_grid(s)
     ev = Evaluator(s)
-    part = Partition.single(s.states)
+    part = single(s.states)
     distinguishers: list[Formula] = []
     for _level in range(len(s.states) + 1):
         bodies: list[Formula] = []
@@ -405,7 +406,7 @@ def distinguishing_formula(s: Futs, x: str, y: str) -> Optional[Formula]:
                       for chi in bodies]
         useful = [f for f in candidates
                   if ev.sat(f) and len(ev.sat(f)) < len(s.states)]
-        refined = part.refine_by(lambda z: tuple(z in ev.sat(f) for f in useful))
+        refined = refine_by(part, lambda z: tuple(z in ev.sat(f) for f in useful))
         distinguishers.extend(f for f in useful if f not in distinguishers)
         if refined == part:
             break

@@ -32,6 +32,7 @@ from futs.system import Component, Futs, Signature
 from futs.textio import parse_formula, parse_system
 
 import logic_oracle
+from bisim_oracle import single
 from conftest import (
     CORPUS_SIGS,
     NESTED3,
@@ -213,7 +214,7 @@ def test_bounded_logical_equiv_examples(fig1, w3):
     assert bounded_logical_equiv(fig1) == largest_bisimulation(fig1)
     assert bounded_logical_equiv(w3) == Partition.of_blocks(
         w3.states, [["x", "x'"], ["y", "z"]])
-    assert bounded_logical_equiv(fig1, depth=0) == Partition.single(fig1.states)
+    assert bounded_logical_equiv(fig1, depth=0) == single(fig1.states)
 
 
 def test_default_grid_contents(w3):

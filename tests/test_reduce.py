@@ -26,7 +26,7 @@ from futs.reduce import (
 from futs.system import Component, Futs, Signature
 from futs.weightfn import Leaf, node
 
-from bisim_oracle import CarrierMap
+from bisim_oracle import CarrierMap, single
 from conftest import (
     CORPUS_SIGS,
     GOLDEN,
@@ -237,7 +237,7 @@ def test_extend_bisim_one_state():
     s = Futs(Signature((Component(("a",), (NAT_PLUS,)),)), ["x"],
              {(0, "x", "a"): node((NAT_PLUS,), [(Leaf("x"), 1)])})
     r = to_wts(s)
-    ext = extend_bisim(r, Partition.single(s.states))
+    ext = extend_bisim(r, single(s.states))
     assert set(ext.carrier) == set(r.target.states)
 
 
@@ -246,7 +246,7 @@ def test_extend_restrict_preconditions(fig1):
     bad = Partition.of_blocks(fig1.states, [["s0", "s2"], ["s1"], ["s3"]])
     with pytest.raises(ValueError):
         extend_bisim(r, bad)
-    bad_target = Partition.single(r.target.states)
+    bad_target = single(r.target.states)
     with pytest.raises(ValueError):
         restrict_bisim(r, bad_target)
 

@@ -1,8 +1,10 @@
 """Differential tests: the compiled graph, ``flatten`` and ``_extend`` of
 ``futs.reduce`` against the second-walk versions kept in ``reduce_oracle``,
-on every system that the ``to_wts`` plan passes through, and ``unlabel``
-and ``homogenize``, which build their ``Node``s directly, against the
-``node()``-built ``unlabel`` and the ``homogenize`` on ``relabel_weights``."""
+on every system that the ``to_wts`` plan passes through (sparse multi-label
+ones included, whose empty slots the graph fills with zero terms), and
+``unlabel`` and ``homogenize``, which build their ``Node``s directly,
+against the ``node()``-built ``unlabel`` and the ``homogenize`` on
+``relabel_weights``."""
 
 import random
 
@@ -11,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import reduce_oracle
 from futs import reduce as rd
 from futs.bisim import all_partitions, is_bisimulation
-from futs.system import Graph
+from futs.monoid import BOOL_OR, NAT_PLUS, RAT_PLUS
+from futs.system import Component, Graph, Signature
 from futs.textio import write_system
 
 from conftest import (
@@ -45,6 +48,21 @@ def check_graph(s):
     assert new.term == old.term
     terms = [t for t in new.term if t is not None]
     assert len(set(terms)) == len(terms)  # no two nodes hold equal terms
+
+
+# three labels over a flat stack beside two over a two-level one, most slots
+# empty: the graph fills them with each component's zero term, in order
+SPARSE_MULTI = Signature((Component(("a", "b", "c"), (NAT_PLUS,)),
+                          Component(("d", "e"), (BOOL_OR, RAT_PLUS))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.builds(random_futs, st.randoms(use_true_random=False), st.just(SPARSE_MULTI),
+                 st.integers(1, 8), st.sampled_from([0.1, 0.3])))
+def test_graph_matches_oracle_on_sparse_multi_label(s):
+    check_graph(s)
+    for stage in rd.to_wts(s).stages:
+        check_graph(stage.target)
 
 
 def check_flatten(r):

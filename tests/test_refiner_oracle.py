@@ -1,18 +1,22 @@
 """Differential tests: the compiled-graph refiner in ``futs.bisim`` against
-the whole-partition signature refiner kept in ``bisim_oracle``."""
+the whole-partition signature refiner kept in ``bisim_oracle``, and the
+quotient built from stored transitions against the per-slot one."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import bisim_oracle
-from futs.bisim import Partition, is_bisimulation, largest_bisimulation
+from futs.bisim import Partition, is_bisimulation, largest_bisimulation, quotient_system
 from futs.monoid import BOOL_OR, NAT_MAX
 from futs.reduce import to_wts
-from futs.system import Component, Futs, Signature
+from futs.system import Component, Futs, Graph, Signature
+from futs.textio import write_system
 from futs.weightfn import pushforward
 
 from conftest import (
+    CORPUS_SIGS,
     NESTED2_CANC,
     NESTED3,
     TWO_COMP,
@@ -24,6 +28,7 @@ from conftest import (
     cancellative_corpus,
     corpus_systems,
     random_futs,
+    systems_equal,
 )
 
 WLTS_BOOL = Signature((Component(("a", "b"), (BOOL_OR,)),))
@@ -77,7 +82,7 @@ def test_is_bisimulation_matches_oracle(s, rng):
     largest = bisim_oracle.largest_bisimulation(s)
     # a coarsening of the largest bisimulation is never one; refinements
     # of it and random partitions sometimes are
-    candidates = [Partition.identity(s.states), Partition.single(s.states), largest,
+    candidates = [Partition.identity(s.states), bisim_oracle.single(s.states), largest,
                   random_partition(rng, s.states)]
     coarse = random_partition(rng, largest.block_ids())
     candidates.append(Partition.group_by(s.states, lambda x: coarse.block_of(largest.block_of(x))))
@@ -96,3 +101,74 @@ def test_reduction_coherence_through_wts(s):
     on_wts = largest_bisimulation(r.target)
     via_wts = Partition.group_by(s.states, lambda x: on_wts.block_of(r.state_map[x]))
     assert via_wts == largest_bisimulation(s)
+
+
+@settings(deadline=None, max_examples=60)
+@given(doubled_systems())
+def test_kept_partition_and_an_equal_copy(s):
+    """The graph keeps the refiner's answer and a second call returns it;
+    an equal partition built elsewhere is still classified, as the oracle
+    classifies it."""
+    p = largest_bisimulation(s)
+    assert s.graph.bisim is p and largest_bisimulation(s) is p
+    copy = Partition.of_blocks(p.carrier, p.blocks)
+    assert copy == p and copy is not p
+    assert is_bisimulation(s, p)
+    assert is_bisimulation(s, copy) == bisim_oracle.is_bisimulation(s, copy)
+
+
+def test_kept_partition_is_not_classified_again(monkeypatch):
+    """``is_bisimulation`` and ``quotient_system`` on the refiner's own
+    partition call no ``Graph.signature``; on an equal copy they do."""
+    calls: list = []
+    signature = Graph.signature
+    monkeypatch.setattr(Graph, "signature",
+                        lambda g, block, v: calls.append(v) or signature(g, block, v))
+    checked = 0
+    for s in corpus_systems() + [with_copy(s) for s in corpus_systems()]:
+        p = largest_bisimulation(s)
+        calls.clear()
+        assert is_bisimulation(s, p)
+        assert systems_equal(quotient_system(s, p), bisim_oracle.quotient_system(s, p))
+        assert calls == []
+        if len(p.blocks) < len(s.states):
+            assert is_bisimulation(s, Partition.of_blocks(p.carrier, p.blocks)) and calls
+            checked += 1
+    assert checked > 10
+
+
+def check_quotient(s: Futs, p: Partition):
+    """``quotient_system`` equals the per-slot oracle, down to the written
+    text, or both refuse ``p`` as not a bisimulation."""
+    try:
+        old = bisim_oracle.quotient_system(s, p)
+    except ValueError:
+        with pytest.raises(ValueError):
+            quotient_system(s, p)
+        return
+    new = quotient_system(s, p)
+    assert systems_equal(new, old)
+    assert write_system(new) == write_system(old)
+
+
+@settings(deadline=None, max_examples=80)
+@given(doubled_systems(CORPUS_SIGS), st.randoms(use_true_random=False))
+def test_quotient_matches_per_slot_oracle(s, rng):
+    largest = largest_bisimulation(s)
+    fine = random_partition(rng, s.states)
+    for p in (largest, Partition.of_blocks(largest.carrier, largest.blocks),
+              Partition.identity(s.states), random_partition(rng, s.states),
+              Partition.group_by(s.states, lambda x: (largest.block_of(x), fine.block_of(x)))):
+        check_quotient(s, p)
+
+
+def test_quotient_matches_per_slot_oracle_on_sparse_systems():
+    """Every corpus signature, two-component and three-level nested ones
+    included, at label density 0.3, where most slots hold no transition."""
+    rng = random.Random(23)
+    for sig in CORPUS_SIGS:
+        for n in (1, 3, 6, 10):
+            s = with_copy(random_futs(rng, sig, n, 0.3))
+            assert len(s.trans) < len(s.states) * len(Graph(s).slots)
+            check_quotient(s, largest_bisimulation(s))
+            check_quotient(s, Partition.identity(s.states))
