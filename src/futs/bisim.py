@@ -114,20 +114,21 @@ def largest_bisimulation(s: Futs) -> Partition:
     """Coarsest bisimulation, by predecessor-driven refinement.
 
     Starts from all states in one block and the term nodes grouped by
-    monoid stack.  A block's members share a stored signature, and a node
-    is re-signatured only when a child moves to a new block.  When a block
-    splits, its largest piece keeps the block's id, so only predecessors
-    of the other pieces are revisited.  No step subtracts weights, so one
-    path serves every monoid.  The result is the union of all bisimulations.
-    The graph keeps it (``Graph.bisim``), and a second call returns it.
+    monoid stack (``Graph.kind``), in a list indexed by block id where a
+    stack that no term uses is an empty block.  A block's members share a
+    stored signature, and a node is re-signatured only when a child moves
+    to a new block.  When a block splits, its largest piece keeps the
+    block's id, so only predecessors of the other pieces are revisited.  No
+    step subtracts weights, so one path serves every monoid.  The result,
+    the union of all bisimulations, is kept on the graph (``Graph.bisim``).
     """
     g = s.graph
     if g.bisim is not None:
         return g.bisim
     block = list(g.kind)
-    members: dict = {}
+    members = [set() for _ in range(max(block, default=0) + 1)]
     for v, b in enumerate(block):
-        members.setdefault(b, set()).add(v)
+        members[b].add(v)
     sig: list = [None] * len(block)
     touched = range(len(block))
     while touched:
@@ -149,7 +150,7 @@ def largest_bisimulation(s: Futs) -> Partition:
                 pieces.append(members[b].difference(keep, *pieces))
             for piece in filter(None, pieces):
                 nb = len(members)
-                members[nb] = set(piece)
+                members.append(set(piece))
                 members[b].difference_update(piece)
                 for v in piece:
                     block[v] = nb

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from .monoid import NAT_PLUS, Power, Product, zero
 from .system import Component, Futs, Signature
-from .weightfn import Leaf, Node, Term, format_term, node
+from .weightfn import Leaf, Node, Term, format_term
 
 if TYPE_CHECKING:  # the stages need no bisimulation code; the rest imports it on use
     from .bisim import Partition
@@ -48,10 +48,13 @@ def fused_label(i: int, a: str) -> str:
 
 
 class Reduction:
+    """A stage's source, target and carrier map; flatten's ``term_states``
+    names the state it adds for each term node of the source's graph."""
+
     def __init__(self, kind: str, source: Futs, target: Futs, state_map: dict[str, str],
-                 full: bool, stages: tuple = (), intermediates: tuple = ()):
+                 full: bool, stages: tuple = (), term_states: dict | None = None):
         self.kind, self.source, self.target, self.state_map = kind, source, target, state_map
-        self.full, self.stages, self.intermediates = full, stages, intermediates
+        self.full, self.stages, self.term_states = full, stages, term_states or {}
 
 
 # --- signature transforms (single source of truth, shared with logic) ------
@@ -130,7 +133,7 @@ def unlabel(s: Futs) -> Reduction:
 
 def tabularize(s: Futs) -> Reduction:
     """Left-pad every row to the maximal depth with nat-plus levels; each
-    added level wraps the term in the functional singleton {term: 1}."""
+    added level wraps the term in {term: 1}, a Node canonical as built."""
     sig2 = sig_tabularize(s.sig)
     depth = sig2.components[0].depth
     trans = {}
@@ -142,7 +145,7 @@ def tabularize(s: Futs) -> Reduction:
                 # a padded zero row becomes nested {zero-term: 1} wrappers,
                 # which are non-zero terms; unpadded zero rows stay implicit
                 for j in range(1, pad + 1):
-                    term = node((NAT_PLUS,) * j + comp.monoids, [(term, 1)])
+                    term = Node((NAT_PLUS,) * j + comp.monoids, ((term, 1),))
                 trans[(i, x, a)] = term
     target = Futs(sig2, s.states, trans)
     return Reduction("tabularize", s, target, {x: x for x in s.states}, full=True)
@@ -178,12 +181,6 @@ def nest(s: Futs) -> Reduction:
     return Reduction("nest", s, target, {x: x for x in s.states}, full=True)
 
 
-def _term_states(g, depth: int) -> dict[int, str]:
-    # flatten's added states, one per term node below the top depth
-    return {v: f"#{len(t.stack)}:{format_term(t, True)}"
-            for v, t in enumerate(g.term) if t is not None and len(t.stack) < depth}
-
-
 def flatten(s: Futs) -> Reduction:
     """Split multi-level steps into single-level ones.
 
@@ -193,13 +190,14 @@ def flatten(s: Futs) -> Reduction:
     the top depth (distinct, as the key is injective; one named like a
     carrier state is refused); an original state steps to the term-states
     of its outer transition, and a term-state's single transition is its
-    term read one level down.
+    term read one level down.  ``term_states`` keeps the names by node.
     """
     sig2 = sig_flatten(s.sig)
     comp = s.sig.components[0]
     lab, base = comp.labels[0], (comp.monoids[0],)
     g = s.graph
-    names = _term_states(g, comp.depth)
+    names = {v: f"#{len(t.stack)}:{format_term(t, True)}"
+             for v, t in enumerate(g.term) if t is not None and len(t.stack) < comp.depth}
     clash = set(names.values()) & set(s.states)
     if clash:
         raise ValueError(f"generated state ids collide with carrier: {sorted(clash)}")
@@ -216,9 +214,8 @@ def flatten(s: Futs) -> Reduction:
     trans = {(0, x, lab): one_level(g.out[v][0]) for v, x in enumerate(s.states)}
     trans.update(((0, name, lab), one_level(v)) for v, name in names.items())
     target = Futs(sig2, s.states + tuple(names.values()), trans)
-    pairs = tuple(sorted((name, g.term[v]) for v, name in names.items()))
     return Reduction("flatten", s, target, {x: x for x in s.states},
-                     full=not names, intermediates=pairs)
+                     full=not names, term_states=names)
 
 
 STAGE_FUNCS = {f.__name__: f for f in (unlabel, tabularize, homogenize, nest, flatten)}
@@ -270,8 +267,8 @@ def _pullback(r: Reduction, p_target: Partition) -> Partition:
 
 def _extend(r: Reduction, p: Partition) -> Partition:
     """Push a source bisimulation forward: full stages along the carrier
-    bijection; flatten also groups its term-states by the class of their
-    term under ``p`` (``Graph.classifier``), the coproduct of the extensions."""
+    bijection; flatten also groups its ``term_states`` by the class of their
+    node under ``p`` (``Graph.classifier``), the coproduct of the extensions."""
     from .bisim import Partition
     if r.stages:
         q = p
@@ -279,10 +276,9 @@ def _extend(r: Reduction, p: Partition) -> Partition:
             q = _extend(st, q)
         return q
     if r.kind == "flatten":
-        g = r.source.graph
-        class_of = g.classifier(p.kappa[x] for x in r.source.states)
+        class_of = r.source.graph.classifier(p.kappa[x] for x in r.source.states)
         groups: dict = {}
-        for v, name in _term_states(g, r.source.sig.components[0].depth).items():
+        for v, name in r.term_states.items():
             groups.setdefault(class_of(v), []).append(name)
         return Partition.of_blocks(r.target.states, [*p.blocks, *groups.values()])
     return Partition.of_blocks(

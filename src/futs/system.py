@@ -99,8 +99,9 @@ class Graph:
     hashed or compared.  ``ids`` maps state names to nodes, ``term`` holds a
     term node's ``Node``, ``out`` a state's term node per slot (``slots`` maps
     each (component, label) to its index) or a term's (child, weight) entries,
-    and ``kind`` is 0 for states and numbers a term's monoid stack from 1.
-    The term nodes below the top depth are the states that flattening adds.
+    and ``kind`` is 0 for states and numbers the signature's monoid stacks
+    from 1 (one that no term uses leaves a gap).  The term nodes below the
+    top depth are the states that flattening adds.
     ``sat`` is the model checker's cache (``futs.logic.Evaluator``): formula
     -> the frozenset of state nodes satisfying it, kept as long as the system,
     and ``bisim`` the answer of ``futs.bisim.largest_bisimulation``.
@@ -113,7 +114,7 @@ class Graph:
             (i, a) for i, comp in enumerate(s.sig.components) for a in comp.labels)}
         self._depths = [s.sig.components[i].depth for i, _a in self.slots]
         self.term, self.out, self.kind = [None] * self.n, [None] * self.n, [0] * self.n
-        stacks: dict = {}  # per component, a provisional kind per level of its stack
+        stacks: dict = {}  # per component, the kind of each level of its stack
         rows = [[stacks.setdefault(c.monoids[j:], len(stacks) + 1) for j in range(c.depth)]
                 for c in s.sig.components]
         zeros, kinds = [s._zeros[i] for i, _a in self.slots], [rows[i] for i, _a in self.slots]
@@ -124,8 +125,6 @@ class Graph:
         for v, x in enumerate(s.states):  # a term seen before (a node > 0) costs no call
             self.out[v] = [seen.get(id(t)) or self._intern(t, ks, 0, cons, seen)
                            for t, ks in zip(terms.get(x, zeros), kinds)]
-        first: dict = {}  # a stack that no term uses leaves no gap in the numbering
-        self.kind = [first.setdefault(k, len(first)) for k in self.kind]
         self.sat, self.bisim = {}, None
 
     # The recursive helpers are methods, not closures: a closure that calls

@@ -8,9 +8,9 @@ text of their key, so structural equality coincides with extensional
 equality of the represented functions.  That text is a leaf's state or a
 node's compact key (``format_term(t, compact=True)``), injective on the
 terms over one stack; a node computes it on first use and keeps it.
-``node()`` makes any entries canonical; the reduction stages whose
-entries are canonical by construction (``unlabel``, ``homogenize``,
-``flatten``) call ``Node`` directly.
+``node()`` makes any entries canonical; the reduction stages, whose
+entries are canonical by construction (``unlabel``, ``tabularize``,
+``homogenize``, ``flatten``), call ``Node`` directly.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def node(stack, entries) -> Node:
     sort by key text (a leaf's state, a node's cached compact key, both
     injective) makes equal keys neighbours, summed in ``stack[0]`` in input
     order; zero sums are dropped.  No key is hashed or compared.  The
-    parser, ``pushforward`` and ``tabularize`` build terms here.
+    parser, ``pushforward`` and ``zero_term`` build terms here.
     """
     stack = tuple(stack)
     if not stack:

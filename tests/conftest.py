@@ -278,6 +278,13 @@ def dirac_embed(w: Futs) -> Futs:
     return Futs(sig, w.states, trans)
 
 
+def intermediates(r) -> tuple:
+    """A flatten reduction's added states as name-sorted (name, term)
+    pairs, read off its ``term_states`` and its source's graph."""
+    term = r.source.graph.term
+    return tuple(sorted((name, term[v]) for v, name in r.term_states.items()))
+
+
 def restrict(p: Partition, sub) -> Partition:
     """The partition's trace on the states in ``sub``."""
     keep = set(sub)

@@ -14,12 +14,13 @@ embedding: the monoid homomorphism layer (``Hom``, ``hom_apply``,
 ``monoid_section``) and ``relabel_weights``, which maps every weight of a
 system through one homomorphism per (component, level).
 
-``unlabel`` is the stage as the library ran it before it built its
-``Node``s directly: every term goes through ``node()``'s checks, sort,
-merge and zero-drop, as every level does in ``relabel_weights``, the
-oracle of the directly built ``homogenize``.  ``restrict_bisim`` and
-``extend_bisim`` realise the bisimulation correspondence of a reduction
-procedurally, each after checking that its input is a bisimulation.
+``unlabel`` and ``tabularize`` are the stages as the library ran them
+before they built their ``Node``s directly: every term goes through
+``node()``'s checks, sort, merge and zero-drop, as every level does in
+``relabel_weights``, the oracle of the directly built ``homogenize``.
+``restrict_bisim`` and ``extend_bisim`` realise the bisimulation
+correspondence of a reduction procedurally, each after checking that its
+input is a bisimulation.
 """
 
 from __future__ import annotations
@@ -121,7 +122,9 @@ def flatten(s: Futs) -> Reduction:
     intermediate weight term (depth 1..l) reachable in some transition;
     an original state steps to the term-states of its outer transition,
     and a term-state's single transition is the term itself read one
-    level down.
+    level down.  The reduction's ``intermediates`` holds the name-sorted
+    (name, term) pairs, which ``conftest.intermediates`` reads off a
+    library flatten.
     """
     sig2 = sig_flatten(s.sig)
     comp = s.sig.components[0]
@@ -150,9 +153,9 @@ def flatten(s: Futs) -> Reduction:
         trans[(0, name, lab)] = one_level(term)
 
     target = Futs(sig2, tuple(s.states) + tuple(interm.values()), trans)
-    pairs = tuple(sorted(((name, term) for term, name in interm.items())))
-    return Reduction("flatten", s, target, {x: x for x in s.states},
-                     full=not interm, intermediates=pairs)
+    r = Reduction("flatten", s, target, {x: x for x in s.states}, full=not interm)
+    r.intermediates = tuple(sorted(((name, term) for term, name in interm.items())))
+    return r
 
 
 def _extend(r: Reduction, p: Partition) -> Partition:
@@ -164,7 +167,7 @@ def _extend(r: Reduction, p: Partition) -> Partition:
     if r.kind == "flatten":
         blocks = [tuple(b) for b in p.blocks]
         groups: dict[tuple[int, str], list[str]] = {}
-        for name, term in r.intermediates:
+        for name, term in conftest.intermediates(r):
             key = (conftest.term_depth(term), term_key(quotient_term(term, p.kappa)))
             groups.setdefault(key, []).append(name)
         blocks.extend(tuple(g) for g in groups.values())
@@ -269,7 +272,7 @@ def homogenize(s: Futs) -> Reduction:
     return Reduction("homogenize", s, target, {x: x for x in s.states}, full=True)
 
 
-# --- the node()-built unlabel and the bisimulation correspondence ---------
+# --- the node()-built unlabel and tabularize; the bisimulation correspondence
 
 def unlabel(s: Futs) -> Reduction:
     """Fold labels into the outer weights: a transition with weight w at
@@ -284,6 +287,24 @@ def unlabel(s: Futs) -> Reduction:
             trans[(i, x, rd.UNLABEL_LABEL)] = node(stack2, entries)
     target = Futs(sig2, s.states, trans)
     return Reduction("unlabel", s, target, {x: x for x in s.states}, full=True)
+
+
+def tabularize(s: Futs) -> Reduction:
+    """Left-pad every row to the maximal depth with nat-plus levels; each
+    added level wraps the term in the functional singleton {term: 1}."""
+    sig2 = rd.sig_tabularize(s.sig)
+    depth = sig2.components[0].depth
+    trans = {}
+    for i, comp in enumerate(s.sig.components):
+        pad = depth - comp.depth
+        for x in s.states:
+            for a in comp.labels:
+                term = s.transition(i, x, a)
+                for j in range(1, pad + 1):
+                    term = node((mo.NAT_PLUS,) * j + comp.monoids, [(term, 1)])
+                trans[(i, x, a)] = term
+    target = Futs(sig2, s.states, trans)
+    return Reduction("tabularize", s, target, {x: x for x in s.states}, full=True)
 
 
 def restrict_bisim(r: Reduction, p_target: Partition) -> Partition:

@@ -9,7 +9,7 @@ from futs import cli
 from futs.cli import main
 from futs.bisim import largest_bisimulation
 from futs.logic import sat_set
-from futs.textio import MAX_NESTING, parse_formula, parse_system
+from futs.textio import MAX_NESTING, parse_formula, parse_system, write_system
 
 from conftest import DATA, nat_chain_text, restrict
 
@@ -517,6 +517,20 @@ def test_nesting_limit_answers(capsys, tmp_path, stack, nesting):
     assert run(capsys, "bisim", path) == (0, "{ {x}, {y} }\n", "")
     assert run(capsys, "reduce", path, "--to", "wts", "-o", str(tmp_path / "w.futs"))[0] == 0
     assert run(capsys, "check", path, "--formula", formula) == (0, "x: true\ny: false\n", "")
+
+
+# unlabel adds a pow( level and homogenize a prod( level, so these are the
+# deepest inputs whose reduced system the parser still reads
+@pytest.mark.parametrize("stage, nesting", [
+    ("wts", MAX_NESTING - 2), ("unlabelled", MAX_NESTING - 1), ("homogeneous", MAX_NESTING - 1),
+])
+def test_reduced_deep_monoid_reads_back(capsys, tmp_path, stage, nesting):
+    path, _ = nested_system(tmp_path, 1, nesting)
+    out = tmp_path / "r.futs"
+    assert run(capsys, "reduce", path, "--to", stage, "-o", str(out)) == (0, "", "")
+    text = out.read_text()
+    assert write_system(parse_system(text)) == text
+    assert run(capsys, "bisim", str(out))[0] == 0
 
 
 # a monoid in the stack takes 10 columns ("nat-plus, "), a nesting level 5 ("prod(")

@@ -35,6 +35,7 @@ from conftest import (
     ULTRAS_RAT,
     WLTS_NAT,
     corpus_systems,
+    intermediates,
     random_futs,
     term_depth,
     validate,
@@ -150,8 +151,8 @@ def test_flatten_fig1_pipeline_states(fig1):
     n = nest(h).target
     r = flatten(n)
     assert len(r.target.states) == 9
-    levels = {term_depth(t) for _, t in r.intermediates}
-    assert levels == {1} and len(r.intermediates) == 5
+    levels = {term_depth(t) for _, t in intermediates(r)}
+    assert levels == {1} and len(intermediates(r)) == 5
 
 
 def test_flatten_restriction_law(fig1):

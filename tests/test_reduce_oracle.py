@@ -2,28 +2,34 @@
 ``futs.reduce`` against the second-walk versions kept in ``reduce_oracle``,
 on every system that the ``to_wts`` plan passes through (sparse multi-label
 ones included, whose empty slots the graph fills with zero terms), and
-``unlabel`` and ``homogenize``, which build their ``Node``s directly,
-against the ``node()``-built ``unlabel`` and the ``homogenize`` on
-``relabel_weights``."""
+``unlabel``, ``tabularize`` and ``homogenize``, which build their ``Node``s
+directly, against the ``node()``-built ``unlabel`` and ``tabularize`` and the
+``homogenize`` on ``relabel_weights``."""
 
 import random
+import sys
+from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
 import reduce_oracle
 from futs import reduce as rd
-from futs.bisim import all_partitions, is_bisimulation
+from futs import weightfn
+from futs.bisim import all_partitions, is_bisimulation, largest_bisimulation
 from futs.monoid import BOOL_OR, NAT_PLUS, RAT_PLUS
 from futs.system import Component, Graph, Signature
 from futs.textio import write_system
+from futs.weightfn import Node
 
 from conftest import (
     CORPUS_SIGS,
     NESTED3,
     TWO_COMP,
+    TWO_COMP_CANC,
     assert_canonical,
     cancellative_corpus,
     corpus_systems,
+    intermediates,
     load,
     random_futs,
     systems_equal,
@@ -69,7 +75,7 @@ def check_flatten(r):
     flat = r.stages[-1]
     old = reduce_oracle.flatten(flat.source)
     assert systems_equal(flat.target, old.target)
-    assert flat.intermediates == old.intermediates and flat.full == old.full
+    assert intermediates(flat) == old.intermediates and flat.full == old.full
 
 
 def partitions(s):
@@ -156,3 +162,70 @@ def test_direct_stages_match_oracle_on_corpora():
                           st.integers(1, 6), st.sampled_from([0.5, 0.9])))))
 def test_direct_stages_match_oracle_on_generated(s):
     check_direct_stages(s)
+
+
+# --- tabularize wraps directly; flatten's extension reads its kept names -----
+
+def calls_from(fn, caller, run) -> int:
+    """How many calls of ``fn`` ``caller`` makes itself while ``run()`` runs,
+    however either module imports it."""
+    count, code, caller_code = 0, fn.__code__, caller.__code__
+
+    def profile(frame, event, _arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code and frame.f_back.f_code is caller_code:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_tabularize_calls_no_node():
+    """``tabularize`` builds each padded level as a ``Node`` itself and
+    sends none through ``node()``; the corpus pads some rows."""
+    nodes = calls = 0
+    for s in corpus_systems():
+        run = partial(rd.tabularize, s)
+        calls += calls_from(weightfn.node, rd.tabularize, run)
+        nodes += calls_from(Node.__init__, rd.tabularize, run)
+    assert calls == 0 and nodes > 0
+
+
+def check_tabularize(s):
+    new, old = rd.tabularize(s).target, reduce_oracle.tabularize(s).target
+    assert systems_equal(new, old)
+    assert write_system(new) == write_system(old)
+    assert_canonical(new)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(corpus_sig_systems(), st.sampled_from([TWO_COMP, TWO_COMP_CANC]).flatmap(
+    lambda sig: st.builds(random_futs, st.randoms(use_true_random=False), st.just(sig),
+                          st.integers(1, 6), st.sampled_from([0.3, 0.9])))))
+def test_tabularize_matches_node_built_oracle(s):
+    """On every corpus signature, the padded two-component ones included,
+    and on each system that the ``to_wts`` plan tabularizes."""
+    check_tabularize(s)
+    for stage in rd.to_wts(s).stages:
+        if stage.kind == "tabularize":
+            check_tabularize(stage.source)
+
+
+def test_extension_across_flatten_formats_no_term(fig1, monkeypatch):
+    """``_extend`` groups the term-states flatten kept by graph node, so
+    extending fig1's largest bisimulation names no term again."""
+    r, p = rd.to_wts(fig1), largest_bisimulation(fig1)
+    assert r.stages[-1].term_states
+    calls: list = []
+    for module in (rd, weightfn):
+        monkeypatch.setattr(module, "format_term",
+                            lambda t, compact=False, f=weightfn.format_term:
+                            calls.append(t) or f(t, compact))
+    q = rd._extend(r, p)
+    assert calls == []
+    monkeypatch.undo()
+    assert q == reduce_oracle._extend(r, p)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import bisim_oracle
 from futs.bisim import Partition, is_bisimulation, largest_bisimulation, quotient_system
-from futs.monoid import BOOL_OR, NAT_MAX
+from futs.monoid import BOOL_OR, NAT_MAX, NAT_PLUS, RAT_PLUS
 from futs.reduce import to_wts
 from futs.system import Component, Futs, Graph, Signature
 from futs.textio import write_system
@@ -61,6 +61,24 @@ def random_partition(rng: random.Random, states) -> Partition:
     for x in states:
         groups.setdefault(rng.randrange(k), []).append(x)
     return Partition.of_blocks(states, groups.values())
+
+
+# component 0 keeps no transition, so its zero term, which has no child, is
+# its only term: the inner nat-plus stack is numbered but used by no term
+UNUSED_STACK = Signature((Component(("a",), (BOOL_OR, NAT_PLUS)),
+                          Component(("b",), (RAT_PLUS,))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.randoms(use_true_random=False), st.integers(1, 12), st.sampled_from([0.3, 0.6, 0.9]))
+def test_largest_with_a_stack_no_term_uses(rng, n, density):
+    """Kinds are numbered once from the signature, so the unused stack is a
+    gap in them, and the refiner's block list leaves its id empty."""
+    drawn = random_futs(rng, UNUSED_STACK, n, density)
+    s = with_copy(Futs(UNUSED_STACK, drawn.states,
+                       {key: t for key, t in drawn.trans.items() if key[0] == 1}))
+    assert set(s.graph.kind) == {0, 1, 3}
+    assert largest_bisimulation(s) == bisim_oracle.largest_bisimulation(s)
 
 
 def test_largest_matches_oracle_on_corpora():

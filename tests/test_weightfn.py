@@ -31,6 +31,7 @@ from conftest import (
     WLTS_PROD,
     Hashed,
     class_sum,
+    intermediates,
     leaves,
     load_from_other_process,
     random_term,
@@ -354,7 +355,7 @@ def test_generated_names_read_back(stack_names, rng):
     s = Futs(Signature((Component(("a",), stack),)), states, trans)
     r = flatten(s)
     added = [x for x in r.target.states if x not in set(s.states)]
-    assert len(added) == len(r.intermediates) and all(x[0] == "#" for x in added)
+    assert len(added) == len(intermediates(r)) and all(x[0] == "#" for x in added)
     back = parse_system(write_system(r.target))
     assert back.states == r.target.states and back.trans == r.target.trans
     assert restrict(largest_bisimulation(back), s.states) == largest_bisimulation(s)
