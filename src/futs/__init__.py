@@ -15,8 +15,8 @@ import importlib
 
 _EXPORTS = {
     "bisim": "Partition all_partitions is_bisimulation largest_bisimulation quotient_system",
-    "logic": ("And Diamond Formula Top bounded_logical_equiv distinguishing_formula sat_set "
-              "satisfies translate translate_to_wts"),
+    "logic": ("And Diamond Formula Top bounded_logical_equiv distinguishing_formula "
+              "logical_witness sat_set satisfies translate translate_to_wts"),
     "monoid": ("BOOL_OR NAT_MAX NAT_PLUS RAT_PLUS Monoid Power Product add cancellative nat_leq "
                "positive power_dirac zero"),
     "reduce": "Reduction flatten homogenize nest plan_wts_stages tabularize to_wts unlabel "

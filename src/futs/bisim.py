@@ -67,20 +67,14 @@ class Partition(Value):
 
 def all_partitions(carrier: Iterable[str]) -> Iterator[Partition]:
     """Enumerate every partition of the carrier (Bell-number many)."""
-    items = sorted(set(carrier))
-    if not items:
-        yield Partition((), ())
-        return
-    for raw in _grow_blocks(items, 0, []):
-        yield Partition.of_blocks(items, raw)
+    return _grow_blocks(sorted(set(carrier)), 0, [])
 
 
-def _grow_blocks(items: list[str], i: int, blocks: list[list[str]]
-                 ) -> Iterator[tuple[tuple[str, ...], ...]]:
-    """Every way to place ``items[i:]`` into ``blocks`` or new blocks.  A
+def _grow_blocks(items: list[str], i: int, blocks: list[list[str]]) -> Iterator[Partition]:
+    """The partitions of ``items`` that place ``items[i:]`` into ``blocks`` or new blocks.  A
     module function, as a closure calling itself would be a reference cycle."""
     if i == len(items):
-        yield tuple(tuple(b) for b in blocks)
+        yield Partition.of_blocks(items, blocks)
         return
     x = items[i]
     for b in blocks:

@@ -143,22 +143,9 @@ def cmd_equiv(args) -> int:
         _error(f"error: unknown state(s) {missing}")
         return USAGE
     if args.logic:
-        # the logic is sound, so on a simple system the witness search gives the
-        # verdict; other systems ask the oracle, then seek the witness on the WTS
-        from .logic import bounded_logical_equiv, distinguishing_formula, witness_formula
-        from .monoid import cancellative, positive
+        from .logic import logical_witness
         from .textio import write_formula
-        target, tx, ty, depth = s, x, y, args.depth
-        if not s.sig.is_simple:
-            if bounded_logical_equiv(s, depth=depth).same_block(x, y):
-                print(f"{x} and {y} are logically equivalent")
-                return OK
-            from .reduce import to_wts
-            r = to_wts(s)
-            target, tx, ty, depth = r.target, r.state_map[x], r.state_map[y], None
-        m = target.sig.components[0].monoids[0]
-        find = distinguishing_formula if positive(m) and cancellative(m) else witness_formula
-        phi = find(target, tx, ty, depth)
+        phi, target = logical_witness(s, x, y, args.depth)
         if phi is None and target is s:
             print(f"{x} and {y} are logically equivalent")
             return OK

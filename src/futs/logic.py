@@ -473,6 +473,24 @@ def distinguishing_formula(s: Futs, x: str, y: str,
         f"was found; the bounded family is incomplete here")
 
 
+def logical_witness(s: Futs, x: str, y: str,
+                    depth: Optional[int] = None) -> tuple[Optional[Formula], Futs]:
+    """``futs equiv --logic``'s answer: a formula separating ``x`` and ``y`` or None, and the
+    system it is over.  The logic is sound, so on a simple system the witness search is the
+    verdict; on another, ``(None, s)`` means ``bounded_logical_equiv`` keeps the pair together,
+    else the witness is sought on ``to_wts(s).target`` at full depth, None meaning none found."""
+    _state_id(s, x), _state_id(s, y)
+    if not s.sig.is_simple:
+        if bounded_logical_equiv(s, depth).same_block(x, y):
+            return None, s
+        from .reduce import to_wts
+        r = to_wts(s)
+        return logical_witness(r.target, r.state_map[x], r.state_map[y])
+    m = s.sig.components[0].monoids[0]
+    find = distinguishing_formula if positive(m) and cancellative(m) else witness_formula
+    return find(s, x, y, depth), s
+
+
 def _split_formula(s: Futs, ev: Evaluator, x: int, y: int, bodies) -> Optional[Formula]:
     """Scan (label, body) pairs for the state nodes' differing class sums
     over the body's satisfaction set, summed off ``Futs.graph``; the larger

@@ -54,7 +54,7 @@ def _fail(line: int, column: int, message: str):
     raise ParseError([Diagnostic(line, column, message)])
 
 
-class _At(Exception):
+class _At(ValueError):  # a ValueError where write_system applies a reader's rule
     """A diagnostic at token ``index`` of the token list being read, or
     ``shift`` columns past that token's start (``None``: column 1 of its
     line).  Tokens are plain strings without positions; ``_raise_at``
@@ -213,6 +213,17 @@ def _parse_monoid(toks: list[str], i: int, nesting: int = 0) -> tuple[Monoid, in
         base, j = _parse_monoid(toks, _skip(toks, _skip(toks, j, "}"), ","), nesting + 1)
         return mo.Power(tuple(labels), base), _skip(toks, j, ")")
     raise _At(i, f"unknown monoid {name!r}")
+
+
+def _parse_stack(toks: list[str], i: int) -> tuple[tuple[Monoid, ...], int]:
+    ms, j = [], i
+    while not ms or toks[j] == ",":  # the first monoid follows the '[', each other a ','
+        m, k = _parse_monoid(toks, _skip(toks, j, "," if ms else "["))
+        ms.append(m)
+        if len(ms) > MAX_NESTING:
+            raise _At(j + 1, f"more than {MAX_NESTING} monoids in a stack")
+        j = k
+    return tuple(ms), _skip(toks, j, "]")
 
 
 def _nat_weight(toks: list[str], i: int, m: Monoid):
@@ -389,18 +400,11 @@ def parse_system(text: str) -> Futs:
                 if states is not None:
                     raise _At(0, "monoids line after states line")
                 i = _comp_index(toks, "M")
-                m, j = _parse_monoid(toks, _skip(toks, _skip(toks, 2, "="), "["))
-                ms = [m]
-                while toks[j] == ",":
-                    m, k = _parse_monoid(toks, j + 1)
-                    ms.append(m)
-                    if len(ms) > MAX_NESTING:
-                        raise _At(j + 1, f"more than {MAX_NESTING} monoids in a stack")
-                    j = k
-                _done(toks, _skip(toks, j, "]"))
+                ms, j = _parse_stack(toks, _skip(toks, 2, "="))
+                _done(toks, j)
                 if i in monoids:
                     raise _At(0, f"duplicate monoids line for component {i}")
-                monoids[i], read[i] = tuple(ms), {}
+                monoids[i], read[i] = ms, {}
             elif head == "states":
                 if states is not None:
                     raise _At(0, "duplicate states line")
@@ -446,9 +450,10 @@ def write_system(s: Futs) -> str:
     out = ["futs"]
     for i, comp in enumerate(s.sig.components):
         labs = ", ".join(quote_id(a) for a in comp.labels)
-        mons = ", ".join(mo.format_monoid(m) for m in comp.monoids)
+        mons = "[ " + ", ".join(mo.format_monoid(m) for m in comp.monoids) + " ]"
+        _parse_stack(_tokens(mons), 0)  # the reader's monoid and stack rules, so it reads back
         out.append(f"labels A{i} = {{ {labs} }}")
-        out.append(f"monoids M{i} = [ {mons} ]")
+        out.append(f"monoids M{i} = {mons}")
     out.append("states { " + ", ".join(quote_id(x) for x in s.states) + " }")
     for (i, x, a), term in sorted(s.trans.items()):  # keys are unique: no term is compared
         line = f"trans {i} {quote_id(x)} {quote_id(a)}"

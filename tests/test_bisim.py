@@ -41,6 +41,7 @@ def test_partition_render_quotes_names():
 
 
 def test_all_partitions_counts():
+    assert list(all_partitions([])) == [Partition((), ())]
     assert sum(1 for _ in all_partitions(["a"])) == 1
     assert sum(1 for _ in all_partitions(["a", "b", "c"])) == 5
     assert sum(1 for _ in all_partitions(list("abcd"))) == 15

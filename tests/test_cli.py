@@ -8,7 +8,8 @@ import pytest
 from futs import cli
 from futs.cli import main
 from futs.bisim import largest_bisimulation
-from futs.logic import sat_set
+from futs.logic import sat_set, witness_formula
+from futs.reduce import to_wts
 from futs.textio import MAX_NESTING, parse_formula, parse_system, write_system
 
 from conftest import DATA, nat_chain_text, restrict
@@ -97,6 +98,13 @@ def test_check_formula_file(capsys, tmp_path):
     f.write_text("<0|b|tt, 1/2> T\n")
     code, out, _ = run(capsys, "check", FIG1, "--formula-file", str(f))
     assert code == 0 and "s1: true" in out
+
+
+def test_check_formula_file_of_blank_lines(capsys, tmp_path):
+    f = tmp_path / "blank.fcl"
+    f.write_text("\n  \n\t\n")
+    assert run(capsys, "check", FIG1, "--formula-file", str(f)) == (
+        2, "", "error: no formulas in file\n")
 
 
 def test_check_formula_file_multiple(capsys, tmp_path):
@@ -225,6 +233,31 @@ def test_equiv_logic_distinguished(capsys):
     assert code == 1
     assert "distinguished" in out and "distinguishing formula" in out
     assert "reduced weighted system" in out
+
+
+STACKED = """futs
+labels A0 = { a, b }
+monoids M0 = [ bool-or, rat-plus ]
+states { x, y, A, B }
+trans 0 x a -> { { A: 1 }: tt, { B: 1 }: tt }
+trans 0 y a -> { { A: 1 }: tt, { B: 1 }: tt, { A: 1/2, B: 1/2 }: tt }
+trans 0 A a -> { { A: 1 }: tt }
+trans 0 B b -> { { B: 1 }: tt }
+"""
+
+
+def test_equiv_logic_stacked_verdict_is_the_futs_logics(capsys, tmp_path):
+    """Wherever y's extra half-and-half mixture reaches a bound on a set of
+    states, one of the two distributions it mixes, which x has too, reaches
+    it: no formula of the FuTS logic tells x from y.  They are not
+    bisimilar, and the WTS's logic, with a state per distribution, separates
+    them."""
+    path = tmp_path / "stacked.futs"
+    path.write_text(STACKED)
+    assert run(capsys, "equiv", str(path), "x", "y", "--logic") == (
+        0, "x and y are logically equivalent\n", "")
+    assert run(capsys, "equiv", str(path), "x", "y") == (1, "x and y are not bisimilar\n", "")
+    assert witness_formula(to_wts(parse_system(STACKED)).target, "x", "y") is not None
 
 
 def test_equiv_logic_builds_one_grid(capsys, monkeypatch):
@@ -515,7 +548,13 @@ def nested_system(tmp_path, stack: int, nesting: int):
 def test_nesting_limit_answers(capsys, tmp_path, stack, nesting):
     path, formula = nested_system(tmp_path, stack, nesting)
     assert run(capsys, "bisim", path) == (0, "{ {x}, {y} }\n", "")
-    assert run(capsys, "reduce", path, "--to", "wts", "-o", str(tmp_path / "w.futs"))[0] == 0
+    # these stages add a prod( or pow( level, which the reader refuses past the
+    # limit, so the writer refuses it too and no file is written
+    refused = (2, "", f"error: monoid type nested more than {MAX_NESTING} deep\n")
+    for stage in ("wts", "unlabelled", "homogeneous"):
+        out = tmp_path / f"{stage}.futs"
+        answer = run(capsys, "reduce", path, "--to", stage, "-o", str(out))
+        assert (answer, out.exists()) == ((refused, False) if nesting else ((0, "", ""), True))
     assert run(capsys, "check", path, "--formula", formula) == (0, "x: true\ny: false\n", "")
 
 

@@ -22,6 +22,8 @@ from pathlib import Path
 import pytest
 
 from futs.cli import main
+from futs.logic import logical_witness
+from futs.textio import parse_system, write_formula
 
 HERE = Path(__file__).parent
 CLI_GOLDEN = HERE / "golden" / "cli"
@@ -112,6 +114,26 @@ def golden_file(path: Path) -> Path:
 @pytest.mark.parametrize("path", list(FIXTURES), ids=lambda p: p.name)
 def test_cli_transcript(path):
     assert transcript(path) == golden_file(path).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("path", list(FIXTURES), ids=lambda p: p.name)
+def test_logical_witness_is_the_cli_answer(path):
+    """``equiv --logic`` prints what ``futs.logic.logical_witness`` returns,
+    on every ordered pair of the fixture's states."""
+    s = parse_system(path.read_text(encoding="utf-8"))
+    for x, y in itertools.product(s.states, repeat=2):
+        phi, target = logical_witness(s, x, y)
+        if phi is None and target is s:
+            want = (0, f"{x} and {y} are logically equivalent\n")
+        else:
+            where = "" if target is s else " (over the reduced weighted system)"
+            line = ("no distinguishing formula found on the reduced system" if phi is None
+                    else f"distinguishing formula{where}: {write_formula(phi, target.sig)}")
+            want = (1, f"{x} and {y} are distinguished\n{line}\n")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["equiv", str(path), x, y, "--logic"])
+        assert (code, stdout.getvalue()) == want, (x, y)
 
 
 if __name__ == "__main__":

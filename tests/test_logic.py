@@ -19,6 +19,7 @@ from futs.logic import (
     check_formula,
     conj,
     distinguishing_formula,
+    logical_witness,
     realizable_grid,
     sat_set,
     satisfies,
@@ -233,11 +234,12 @@ def test_negative_depth_rejected(w3):
     assert distinguishing_formula(w3, "x", "y", depth=0) is None
 
 
-def test_witness_functions_reject_unknown_states(w3):
-    for fn in (witness_formula, distinguishing_formula):
-        for x, y in (("nope", "x"), ("x", "nope")):
+def test_witness_functions_reject_unknown_states(fig1, w3):
+    for s, fn in ((w3, witness_formula), (w3, distinguishing_formula), (w3, logical_witness),
+                  (fig1, logical_witness)):
+        for x, y in (("nope", s.states[0]), (s.states[0], "nope")):
             with pytest.raises(ValueError, match="unknown state 'nope'"):
-                fn(w3, x, y)
+                fn(s, x, y)
 
 
 def test_witness_formula_stops_where_the_pair_splits(monkeypatch):
@@ -413,6 +415,13 @@ def test_formula_equality_deep_and_shared():
 
     assert chain(1) == chain(1) and chain(1) != chain(2)
     assert doubled(1) == doubled(1) and doubled(1) != doubled(2)
+
+
+def test_formula_equality_compares_fields_under_equal_hashes():
+    """hash(-1) == hash(-2), so these diamonds hash alike, and only the
+    comparison of their fields tells them apart."""
+    f, g = Diamond(-1, "a", (), TOP), Diamond(-2, "a", (), TOP)
+    assert hash(f) == hash(g) and f != g and not f == g
 
 
 def test_formula_repr_and_immutability():

@@ -305,3 +305,28 @@ def test_cli_logic_route_matches_oracle(sig, rng):
                     extra = [] if depth is None else ["--depth", str(depth)]
                     got = run_cli(["equiv", path, x, y, "--logic"] + extra)
                     assert got == oracle_route(s, x, y, depth), (x, y, depth)
+
+
+SHRINK = """futs
+labels A0 = { a, b, c }
+monoids M0 = [ bool-or ]
+states { x, y, p, q, r, u }
+trans 0 x a -> { p: tt }
+trans 0 y a -> { q: tt, r: tt }
+trans 0 p b -> { u: tt }
+trans 0 p c -> { u: tt }
+trans 0 q b -> { u: tt }
+trans 0 r c -> { u: tt }
+"""
+
+
+def test_shrinker_descends_into_a_two_conjunct_body(tmp_path):
+    """x's one a-successor does both b and c, y's two do one each: the
+    witness keeps its body's two conjuncts and drops what they carry."""
+    path = tmp_path / "shrink.futs"
+    path.write_text(SHRINK)
+    s = parse_system(SHRINK)
+    want = oracle.write_formula(oracle.witness_formula(s, "x", "y"), s.sig)
+    assert want == "<a|tt> (<b|tt> T & <c|tt> T)"
+    assert run_cli(["equiv", str(path), "x", "y", "--logic"]) == (
+        1, f"x and y are distinguished\ndistinguishing formula: {want}\n")

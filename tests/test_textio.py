@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 import futs.textio
 import textio_oracle
 from futs.logic import TOP, And, Diamond, check_formula
-from futs.monoid import BOOL_OR, NAT_PLUS, Power
+from futs.monoid import BOOL_OR, NAT_PLUS, Power, Product
 from futs.reduce import to_wts
 from futs.system import Component, Futs, Signature
 from futs.textio import (
+    MAX_NESTING,
     Diagnostic,
     ParseError,
     parse_formula,
@@ -231,6 +232,29 @@ def test_unwritable_name_refused(build, name):
     return included), so no system, component or power monoid takes one."""
     with pytest.raises(ValueError, match="backtick or a newline"):
         build(name)
+
+
+def nested_product(depth: int):
+    m = NAT_PLUS
+    for _ in range(depth):
+        m = Product((m,))
+    return m
+
+
+@pytest.mark.parametrize("limit, over, message", [
+    ((NAT_PLUS,) * MAX_NESTING, (NAT_PLUS,) * (MAX_NESTING + 1),
+     f"more than {MAX_NESTING} monoids in a stack"),
+    ((nested_product(MAX_NESTING),), (nested_product(MAX_NESTING + 1),),
+     f"monoid type nested more than {MAX_NESTING} deep"),
+], ids=["stack", "nesting"])
+def test_unreadable_stack_is_not_written(limit, over, message):
+    """The writer applies the reader's monoid and stack rules: a system the
+    reader would refuse is a ValueError naming the rule; one at the limit
+    reads back."""
+    with pytest.raises(ValueError, match=message):
+        write_system(Futs(Signature((Component(("a",), over),)), ["x"]))
+    s = Futs(Signature((Component(("a",), limit),)), ["x"])
+    assert systems_equal(parse_system(write_system(s)), s)
 
 
 def test_carriage_return_in_quoted_name_positioned():

@@ -212,6 +212,38 @@ def test_bad_character_is_reported_before_an_earlier_directive_error():
     assert outcome(parse_system, text) == outcome(oracle.parse_system, text) == expected
 
 
+HEAD = "futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\n"
+
+
+@pytest.mark.parametrize("text, diagnostic", [
+    ("futs x\n" + HEAD[5:] + "states { x }\n", "1:6: error: unexpected token after header"),
+    ("futs\nmonoids M0 = [ nat-plus ]\nstates { x }\nlabels A0 = { a }\n",
+     "4:1: error: labels line after states line"),
+    ("futs\nlabels A0 = { a }\nlabels A0 = { b }\nmonoids M0 = [ nat-plus ]\nstates { x }\n",
+     "3:1: error: duplicate labels line for component 0"),
+    (HEAD + "monoids M0 = [ nat-max ]\nstates { x }\n",
+     "4:1: error: duplicate monoids line for component 0"),
+    (HEAD + "states { x }\nstates { y }\n", "5:1: error: duplicate states line"),
+    (HEAD + "labels A2 = { a }\nmonoids M2 = [ nat-plus ]\nstates { x }\n",
+     "1:1: error: component indices must be contiguous from 0, found [0, 2]"),
+    (HEAD.replace("nat-plus", "prod(nat-plus, nat-plus)") + "states { x }\n"
+     "trans 0 x a -> { x: (1, 2, 3) }\n", "5:21: error: product weight has more than 2 components"),
+    (HEAD.replace("nat-plus", "pow({ a, b }, nat-plus)") + "states { x }\n"
+     "trans 0 x a -> { x: { a: 1, a: 2 } }\n", "5:21: error: duplicate label 'a' in power map"),
+], ids=["after-header", "labels-after-states", "duplicate-labels", "duplicate-monoids",
+        "duplicate-states", "gap-in-indices", "product-arity", "power-map-label"])
+def test_untargeted_system_diagnostics_agree_with_oracle(text, diagnostic):
+    """Diagnostics that no other test reaches: message and position equal
+    the oracle's and the ones written here."""
+    assert outcome(parse_system, text) == outcome(oracle.parse_system, text) == ("error", [diagnostic])
+
+
+def test_component_index_out_of_range_agrees_with_oracle():
+    text, expected = "<5|a|1> T", ("error", ["1:2: error: component index 5 out of range"])
+    assert outcome(lambda t: parse_formula(t, TWO_COMP), text) == expected
+    assert_formula_same_as_oracle(text, TWO_COMP)
+
+
 def assert_formula_same_as_oracle(text, sig):
     new = outcome(lambda t: parse_formula(t, sig), text)
     assert new == outcome(lambda t: oracle.parse_formula(t, sig), text)
