@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 from .monoid import Monoid, quote_id
 from . import monoid as mo
 from .system import Component, Futs, Signature
-from .weightfn import Leaf, Node, format_term, node
+from .weightfn import Leaf, Node, canonical_node, format_term
 
 if TYPE_CHECKING:  # formulas are imported where they are read or written
     from .logic import Formula
@@ -90,14 +90,17 @@ _DIGITS = frozenset("0123456789")
 _ONE_CHAR = frozenset(_LETTERS + "0123456789_*{}[](),:|<>&/=")
 
 
-def _tokens(raw: str) -> list[str]:
-    """The tokens of one line, its comment dropped, then ``""`` for its end."""
-    toks = _TOKEN_RE.findall(raw)
-    if toks and toks[-1][0] == "#":
-        toks[-1] = ""
-    else:
-        toks.append("")
-    return toks
+def _tokens(raw: str, pieces: dict | None = None) -> list[str]:
+    """The tokens of one line, its comment dropped, then ``""`` for its end.  No token but
+    a comment or a quoted name holds a blank, so with ``pieces`` a line with neither is
+    read one blank-free piece at a time, each piece's tokens kept in ``pieces``."""
+    if pieces is None or "#" in raw or "`" in raw:
+        toks = _TOKEN_RE.findall(raw)
+        return toks[:-1] + [""] if toks and toks[-1][0] == "#" else toks + [""]
+    toks = []
+    for piece in raw.split(" "):
+        toks += pieces.get(piece) or pieces.setdefault(piece, _TOKEN_RE.findall(piece))
+    return toks + [""]
 
 
 def _value(tok: str) -> str:
@@ -302,12 +305,12 @@ def _parse_term(toks: list[str], i: int, stack: tuple[Monoid, ...],
     state (quoted, and bare where that is one identifier) to its one leaf."""
     j = _skip(toks, i, "{")
     outer, rest = stack[0], stack[1:]
-    read, entries = _WEIGHT_READERS[type(outer)], []
+    read, triples = _WEIGHT_READERS[type(outer)], []
     if toks[j] != "}":
         while True:
             if rest:
                 key, k = _parse_term(toks, j, rest, leaves)
-                try:  # the key node() sorts by, kept in the term; str() refuses
+                try:  # the key text, kept in key._key; str() refuses
                     format_term(key, True)  # integers longer than sys.get_int_max_str_digits()
                 except ValueError:
                     raise _At(j, f"a sum of weights has more than {sys.get_int_max_str_digits()} "
@@ -316,11 +319,11 @@ def _parse_term(toks: list[str], i: int, stack: tuple[Monoid, ...],
             else:
                 key, j = leaves.get(toks[j]) or _state(toks, j, leaves), j + 1
             w, j = read(toks, j + 1 if toks[j] == ":" else _skip(toks, j, ":"), outer)
-            entries.append((key, w))
+            triples.append((key._key if rest else key.state, key, w))  # checked as read
             if toks[j] != ",":
                 break
             j += 1
-    return node(stack, entries), _skip(toks, j, "}")
+    return canonical_node(stack, triples), _skip(toks, j, "}")
 
 
 # --- system files ------------------------------------------------------------
@@ -334,22 +337,23 @@ def _comp_index(toks: list[str], prefix: str) -> int:
 
 
 def parse_system(text: str) -> Futs:
-    """Parse a system file; raises ParseError with positioned diagnostics.
-    Each line is tokenized and read in turn.  A transition term whose tokens
-    repeat an earlier line's on the same component is not read again: the
-    line gets that line's ``Node``, and only its own head is checked."""
+    """Parse a system file; raises ParseError with positioned diagnostics.  Each line is read
+    in turn, but a ``trans`` line whose head (before its first `` -> ``) is 4 tokens, with no
+    backtick or ``#``, gets the ``Node`` read from its raw term text on its component, if any."""
     lines = text.split("\n")
-    header = False
+    header, pieces = False, {}  # pieces: see _tokens
     labels: dict[int, tuple[str, ...]] = {}
     monoids: dict[int, tuple[Monoid, ...]] = {}
     states: list[str] | None = None
     leaves: dict[str, Leaf] = {}   # see _parse_term; also the known-state check
     trans: dict[tuple[int, str, str], Node] = {}
     trans_lines: dict[tuple[int, str, str], int] = {}
-    read: dict[int, dict[str, Node]] = {}  # per component, term text -> the term read from it
+    read: dict[int, dict[str, Node]] = {}  # per component, raw term text -> the term read from it
 
     for lineno, raw in enumerate(lines, start=1):
-        toks = _tokens(raw)
+        before, arrow, text = raw.partition(" -> ")
+        plain = arrow and before.startswith("trans ") and "`" not in before and "#" not in before
+        toks = _tokens(before, pieces)[:-1] + ["->"] if plain else _tokens(raw)
         if not toks[0]:
             continue
         try:
@@ -360,7 +364,7 @@ def parse_system(text: str) -> Futs:
                     raise _At(1, "unexpected token after header")
                 header = True
                 continue
-            head = _ident(toks, 0, "directive")
+            head = "trans" if plain else _ident(toks, 0, "directive")
             if head == "trans":
                 if states is None:
                     raise _At(0, "trans line before states line")
@@ -375,12 +379,14 @@ def parse_system(text: str) -> Futs:
                     raise _At(3, f"unknown label {label!r}")
                 if toks[4] != "->":
                     _expected(toks, 4, "->")
-                spelled = "\n".join(toks[5:])  # tokens hold no newline
-                term = read[i].get(spelled)
+                term = read[i].get(text) if plain and len(toks) == 5 else None
                 if term is None:
+                    if plain:  # the head's tokens, then the term's
+                        toks += _tokens(text, pieces)
                     term, j = _parse_term(toks, 5, monoids[i], leaves)
                     _done(toks, j)
-                    read[i][spelled] = term
+                    if plain:
+                        read[i][text] = term
                 key = (i, x, label)
                 if key in trans_lines:
                     raise _At(0, f"duplicate transition for component {i}, state {x!r}, "

@@ -8,9 +8,9 @@ text of their key, so structural equality coincides with extensional
 equality of the represented functions.  That text is a leaf's state or a
 node's compact key (``format_term(t, compact=True)``), injective on the
 terms over one stack; a node computes it on first use and keeps it.
-``node()`` makes any entries canonical; the reduction stages, whose
-entries are canonical by construction (``unlabel``, ``tabularize``,
-``homogenize``, ``flatten``), call ``Node`` directly.
+``node()`` checks and merges any entries, the parser (whose readers check what
+they read) only merges them, by ``canonical_node``, and the stages, canonical by
+construction (``unlabel``, ``tabularize``, ``homogenize``, ``flatten``), call ``Node``.
 """
 
 from __future__ import annotations
@@ -20,16 +20,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Union
 
-from .monoid import (
-    QUOTES,
-    SEPARATORS,
-    Monoid,
-    Value,
-    Weight,
-    check_weight,
-    quote_id,
-    zero,
-)
+from .monoid import QUOTES, SEPARATORS, Monoid, Value, Weight, check_weight, quote_id, zero
 
 
 _set = object.__setattr__  # terms are built often: their constructors set each slot directly
@@ -59,16 +50,11 @@ Term = Union[Leaf, Node]
 
 
 def node(stack, entries) -> Node:
-    """Build a canonical Node over the given monoid stack.
-
-    ``entries`` is an iterable (or mapping) of (term, weight) pairs whose
-    keys must all be terms over ``stack[1:]`` (leaves when the stack has a
-    single monoid); each weight goes through ``check_weight``.  One stable
-    sort by key text (a leaf's state, a node's cached compact key, both
-    injective) makes equal keys neighbours, summed in ``stack[0]`` in input
-    order; zero sums are dropped.  No key is hashed or compared.  The
-    parser, ``pushforward`` and ``zero_term`` build terms here.
-    """
+    """A canonical Node over ``stack`` of (term, weight) ``entries``, an
+    iterable or mapping whose keys must be terms over ``stack[1:]`` (leaves
+    when the stack has one monoid); each weight goes through ``check_weight``,
+    then ``canonical_node`` merges them.  ``pushforward`` and ``zero_term``
+    build terms here."""
     stack = tuple(stack)
     if not stack:
         raise ValueError("a weight term needs a non-empty monoid stack")
@@ -85,15 +71,23 @@ def node(stack, entries) -> Node:
             raise ValueError(f"expected a state leaf at depth 1, got {key!r}")
         w = check(w)
         triples.append((key._key or format_term(key, True) if rest else key.state, key, w))
+    return canonical_node(stack, triples)
+
+
+def canonical_node(stack: tuple[Monoid, ...], triples: list) -> Node:
+    """The Node of checked ``(key text, key, weight)`` triples, the text a leaf's state
+    or a node's compact key: one stable sort by that (injective) text makes equal keys
+    neighbours, summed in ``stack[0]`` in input order; zero sums are dropped."""
+    outer, entries, last = stack[0], [], None  # (key, weight) per distinct key, in text order
     triples.sort(key=itemgetter(0))
-    merged: list = []  # [text, key, weight] per distinct key, in text order
     for text, key, w in triples:
-        if merged and merged[-1][0] == text:
-            merged[-1][2] = outer._add(merged[-1][2], w)
+        if text == last:
+            entries[-1] = (entries[-1][0], outer._add(entries[-1][1], w))
         else:
-            merged.append([text, key, w])
+            entries.append((key, w))
+            last = text
     z = zero(outer)
-    return Node(stack, tuple([(k, w) for _text, k, w in merged if w != z]))
+    return Node(stack, tuple([e for e in entries if e[1] != z]))
 
 
 def zero_term(stack) -> Node:

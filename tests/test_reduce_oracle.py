@@ -8,6 +8,7 @@ directly, against the ``node()``-built ``unlabel`` and ``tabularize`` and the
 
 import random
 import sys
+from fractions import Fraction
 from functools import partial
 
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from futs import weightfn
 from futs.bisim import all_partitions, is_bisimulation, largest_bisimulation
 from futs.monoid import BOOL_OR, NAT_PLUS, RAT_PLUS
 from futs.system import Component, Graph, Signature
-from futs.textio import write_system
+from futs.textio import parse_system, write_system
 from futs.weightfn import Node
 
 from conftest import (
@@ -149,6 +150,31 @@ def check_direct_stages(s):
             applied += 1
         assert_canonical(stage.target)
     assert applied >= 4  # both stages on s, and both in the plan
+
+
+# ROADMAP item 6's case: after homogenizing, the child written second in the
+# file sorts first (',' < '/' in the embedded keys, '/' < '}' as written)
+EMBED_ORDER = ("futs\nlabels A0 = { a }\nmonoids M0 = [ bool-or, rat-plus ]\nlabels A1 = { b }\n"
+               "monoids M1 = [ nat-plus ]\nstates { x, y }\n"
+               "trans 0 x a -> { { y: 1/2 }: tt, { y: 1 }: tt }\n")
+
+
+def test_embedding_reorders_children_as_the_oracle_does():
+    """``homogenize`` re-sorts the children its sections re-key, so every
+    stage of ``to_wts`` and the written WTS equal the oracle pipeline's."""
+    s = parse_system(EMBED_ORDER)
+    r = rd.to_wts(s)
+    first = next(stage for stage in r.stages if stage.kind == "homogenize")
+    before = [k.entries[0][1] for k, _w in first.source.trans[(0, "x", "*")].entries]
+    after = [k.entries[0][1][1] for k, _w in first.target.trans[(0, "x", "*")].entries]
+    assert before == [Fraction(1, 2), 1] and after == [1, Fraction(1, 2)]
+    cur = s
+    for stage in r.stages:
+        old = getattr(reduce_oracle, stage.kind, rd.STAGE_FUNCS[stage.kind])(cur).target
+        assert systems_equal(stage.target, old) and write_system(stage.target) == write_system(old)
+        assert_canonical(stage.target)
+        cur = old
+    check_direct_stages(s)
 
 
 def test_direct_stages_match_oracle_on_corpora():

@@ -86,10 +86,32 @@ SHARED_HEAD = ("futs\nlabels A0 = { a, b }\nmonoids M0 = [ nat-plus ]\n"
                "labels A1 = { c }\nmonoids M1 = [ nat-max ]\nstates { x, y, z }\n")
 
 
+def count_term_reads(monkeypatch) -> list:
+    """Patches the parser to record each term text it tokenizes (a ``_tokens``
+    argument that is one, or a whole line holding one) and each top-level
+    term it reads (a ``_parse_term`` call at token 5, past a line's ``->``)."""
+    reads, tokens, parse_term = [], futs.textio._tokens, futs.textio._parse_term
+
+    def counted_tokens(raw, *rest):
+        if raw.lstrip().startswith("{") or " -> {" in raw:
+            reads.append(("tokens", raw))
+        return tokens(raw, *rest)
+
+    def counted_parse_term(toks, i, *rest):
+        if i == 5:
+            reads.append(("term", i))
+        return parse_term(toks, i, *rest)
+
+    monkeypatch.setattr(futs.textio, "_tokens", counted_tokens)
+    monkeypatch.setattr(futs.textio, "_parse_term", counted_parse_term)
+    return reads
+
+
 def test_repeated_term_text_is_read_once(monkeypatch):
-    """Six lines of one component with two distinct term texts: ``node()``
-    runs twice, and lines whose terms have equal tokens (blanks and
-    comments aside) get one and the same ``Node``."""
+    """Six lines of one component with four distinct term texts: each text
+    is tokenized and read once, and lines with one text get one and the same
+    ``Node``.  Texts that differ only in blanks or comments are read apart,
+    into equal terms."""
     text = SHARED_HEAD + (
         "trans 0 x a -> { y: 1, y: 1 }\n"
         "trans 0 y a -> { y: 1, y: 1 }   # the same tokens\n"
@@ -97,14 +119,37 @@ def test_repeated_term_text_is_read_once(monkeypatch):
         "trans 0 x b -> { z: 2 }\n"
         "trans 0 y b -> { z: 2 }\n"
         "trans 0 z a -> { z: 2 }\n")
-    calls, node = [], futs.textio.node
-    monkeypatch.setattr(futs.textio, "node", lambda *args: calls.append(args) or node(*args))
+    reads = count_term_reads(monkeypatch)
     s = parse_system(text)
-    assert len(calls) == 2
+    assert [kind for kind, _ in reads] == ["tokens", "term"] * 4
     t = s.trans
-    assert t[(0, "x", "a")] is t[(0, "y", "a")] is t[(0, "z", "b")]
+    assert t[(0, "x", "a")] == t[(0, "y", "a")] == t[(0, "z", "b")]
     assert t[(0, "x", "b")] is t[(0, "y", "b")] is t[(0, "z", "a")]
     assert t[(0, "x", "a")].entries == ((Leaf("y"), 2),)
+    assert systems_equal(s, textio_oracle.parse_system(text))
+
+
+def test_written_system_reads_each_text_once(monkeypatch):
+    """``write_system`` output with 5 distinct term texts over 40 lines of a
+    nested component, and one of them again on a second component: terms are
+    tokenized and read once per distinct (component, text) pair."""
+    sig = Signature((Component(("a", "b"), (BOOL_OR, NAT_PLUS)),
+                     Component(("c",), (BOOL_OR, NAT_PLUS))))
+    states = [f"s{k}" for k in range(20)]
+    terms = [node(sig.components[0].monoids, [(node((NAT_PLUS,), [(Leaf(states[k]), k + 1)]), True),
+                                              (node((NAT_PLUS,), [(Leaf("s0"), 1)]), True)])
+             for k in range(5)]
+    trans = {(0, x, a): terms[(k + len(a)) % 5] for k, x in enumerate(states) for a in ("a", "b")}
+    trans[(1, "s3", "c")] = terms[0]
+    text = write_system(Futs(sig, states, trans))
+    pairs = {(line.split()[1], line.split(" -> ", 1)[1])
+             for line in text.split("\n") if line.startswith("trans ")}
+    assert len(pairs) == 6 and text.count("\ntrans ") == 41
+    reads = count_term_reads(monkeypatch)
+    s = parse_system(text)
+    assert reads.count(("term", 5)) == len(pairs)
+    assert len([raw for kind, raw in reads if kind == "tokens"]) == len(pairs)
+    assert systems_equal(s, Futs(sig, states, trans))
     assert systems_equal(s, textio_oracle.parse_system(text))
 
 
@@ -148,6 +193,56 @@ def test_repeated_term_text_keeps_diagnostics(lines, expected):
         with pytest.raises(ParseError) as e:
             parse(text)
         assert [d.render() for d in e.value.diagnostics] == [expected]
+
+
+# a label and a state whose quoted names hold " -> "
+QUOTED_ARROWS = ("futs\nlabels A0 = { a, `b -> c` }\nmonoids M0 = [ nat-plus ]\n"
+                 "states { x, y, `p -> q` }\ntrans 0 x a -> { y: 2 }\n")
+
+
+@pytest.mark.parametrize("lines, expected", [
+    ("trans 0 w a -> { y: 2 }\n", "6:9: error: unknown state 'w'"),
+    ("trans 0 y c -> { y: 2 }\n", "6:11: error: unknown label 'c'"),
+    ("trans 0 y a -> { y: 2 }\ntrans 0 x a -> { y: 2 }\n",
+     "7:1: error: duplicate transition for component 0, state 'x', label 'a' (first at line 5)"),
+    ("trans 0 `w -> v` a -> { y: 2 }\n", "6:9: error: unknown state 'w -> v'"),
+    ("trans 0 y `c -> d` -> { y: 2 }\n", "6:11: error: unknown label 'c -> d'"),
+    ("trans 0 y a # c -> { y: 2 }\n", "6:12: error: expected ->, found end of input"),
+    ("trans 0 w a\t->\t{ y: 2 }\n", "6:9: error: unknown state 'w'"),
+    ("trans 0 w a -> { y: 2 }\ntrans 0 y a -> { y: 2 } é\n",
+     "7:25: error: unexpected character 'é'"),
+    ("trans 0 y a é -> { y: 2 }\n", "6:13: error: unexpected character 'é'"),
+    ("trans 0 y a ->{} -> { y: 2 }\n", "6:18: error: unexpected trailing '->'"),
+    ("trans 0 y a-> -> { y: 2 }\n", "6:15: error: expected '{', found '->'"),
+], ids=["unknown-state", "unknown-label", "duplicate", "quoted-state", "quoted-label",
+        "comment-in-head", "tabs", "character-later", "character-in-head", "five-token-head",
+        "glued-arrow"])
+def test_repeated_raw_term_text_keeps_diagnostics(lines, expected):
+    """A line whose raw term text repeats line 5's exactly: its head is
+    checked as on any line, and a head that is not 4 plain tokens before the
+    first " -> " (a term starting earlier) is read whole."""
+    text = QUOTED_ARROWS + lines
+    for parse in (parse_system, textio_oracle.parse_system):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert [d.render() for d in e.value.diagnostics] == [expected]
+
+
+def test_repeated_raw_term_text_variants_read_alike():
+    """Quoted names holding " -> ", tabs and comments around a repeated term
+    text: the system equals the oracle's, and each line whose head is plain
+    shares line 5's ``Node``."""
+    text = QUOTED_ARROWS + (
+        "trans 0 `p -> q` a -> { y: 2 }\n"
+        "trans 0 y `b -> c` -> { y: 2 }\n"
+        "trans 0 x `b -> c`\t->\t{ y: 2 }\n"
+        "trans 0 y a -> { y: 2 }\n"
+        "# trans 0 `p -> q` `b -> c` -> { y: 2 }\n"
+        "trans 0 `p -> q` `b -> c`   -> { y: 2 }  # note\n")
+    s = parse_system(text)
+    assert systems_equal(s, textio_oracle.parse_system(text)) and len(s.trans) == 6
+    assert s.trans[(0, "y", "a")] is s.trans[(0, "x", "a")]
+    assert all(t == s.trans[(0, "x", "a")] for t in s.trans.values())
 
 
 def test_round_trip_fixtures(fig1, w3):

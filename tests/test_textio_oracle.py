@@ -5,6 +5,7 @@ and totality of the text entry points."""
 import random
 import re
 
+import futs.textio
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from futs.textio import (
 )
 
 import textio_oracle as oracle
+import weights_oracle
 from conftest import (
     CORPUS_SIGS,
     DATA,
@@ -29,6 +31,7 @@ from conftest import (
     WLTS_NAT,
     WLTS_PROD,
     WLTS_RAT,
+    assert_canonical,
     random_formula,
     random_futs,
     systems_equal,
@@ -140,6 +143,18 @@ def test_copied_term_texts_agree_with_oracle(text):
                 assert term is None or first.setdefault((i, rest), term) is term
 
 
+TOKENS_OF_PIECE: dict = {}  # shared by the examples, as by the lines of one file
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text(ALPHABET.replace("\n", "") + "->", max_size=40))
+def test_pieces_tokenize_as_the_whole_line(raw):
+    """A line read one blank-free piece at a time, from a memo of pieces,
+    has the tokens of the line read whole, comments and quoted names
+    (which alone may hold a blank) included."""
+    assert futs.textio._tokens(raw, TOKENS_OF_PIECE) == futs.textio._tokens(raw)
+
+
 def mutate(text: str, where: int, op: str, char: str) -> str:
     i = where % (len(text) + 1)
     if op == "delete":
@@ -170,6 +185,33 @@ def test_odd_terms_agree_with_oracle(term, monoid):
         term = term.replace("1", "tt").replace("2", "ff")
     assert_same_as_oracle(f"futs\nlabels A0 = {{ a }}\nmonoids M0 = [ {monoid} ]\n"
                           f"states {{ x, y }}\ntrans 0 x a -> {term}\n")
+
+
+@pytest.mark.parametrize("stack, term", [
+    ("nat-plus", "{ y: 1, y: 1 }"), ("nat-plus", "{ y: 0 }"), ("nat-plus", "{ y: 0, x: 2, y: 0 }"),
+    ("nat-max", "{ y: 1, y: 3, y: 2 }"), ("nat-max", "{ y: 0 }"),
+    ("bool-or", "{ y: ff }"), ("bool-or", "{ y: ff, x: tt, y: tt }"),
+    ("rat-plus", "{ y: 1/3, y: 2/3 }"), ("rat-plus", "{ y: 0/5 }"), ("rat-plus", "{ y: 2/4, x: 3 }"),
+    ("prod(nat-plus, bool-or)", "{ y: (0, ff) }"),
+    ("prod(nat-plus, bool-or)", "{ y: (1, ff), y: (0, tt), x: (0, ff) }"),
+    ("pow({ a, b }, nat-plus)", "{ y: {} }"),
+    ("pow({ a, b }, nat-plus)", "{ y: { b: 1, a: 0 }, y: { a: 2 }, x: { b: 0 } }"),
+    ("bool-or, nat-plus", "{ { y: 1 }: tt, { y: 1 }: tt }"),
+    ("nat-plus, rat-plus", "{ { y: 1, x: 0 }: 1, { y: 2/2 }: 2, {}: 3, { x: 0 }: 1 }"),
+    ("nat-plus, nat-plus", "{ { y: 1 }: 0, { x: 1 }: 0 }"),
+])
+def test_terms_built_canonical_as_read_agree_with_oracle(stack, term, monkeypatch):
+    """Duplicate keys, zero weights and zero sums on every catalog monoid and
+    on nested stacks: the terms the parser merges itself are the terms the
+    oracle builds, down to each weight's type, with the dict-merging
+    ``node()`` of ``weights_oracle``, which shares no step with the parser's."""
+    monkeypatch.setattr(oracle, "node", weights_oracle.node)
+    text = f"futs\nlabels A0 = {{ a }}\nmonoids M0 = [ {stack} ]\nstates {{ x, y }}\n"
+    text += f"trans 0 x a -> {term}\ntrans 0 y a -> {term}\n"
+    assert_same_as_oracle(text)
+    s = parse_system(text)
+    assert repr(sorted(s.trans.items())) == repr(sorted(oracle.parse_system(text).trans.items()))
+    assert_canonical(s)
 
 
 ODD_HEAD = "futs\nlabels A0 = { a, b }\nmonoids M0 = [ nat-plus ]\nstates { x, y }\n"
