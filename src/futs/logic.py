@@ -27,17 +27,7 @@ import itertools
 import sys
 from typing import TYPE_CHECKING, Optional, Union
 
-from .monoid import (
-    Value,
-    Weight,
-    add_all,
-    cancellative,
-    check_weight,
-    is_zero,
-    nat_leq,
-    positive,
-    power_dirac,
-)
+from .monoid import Value, Weight, cancellative, check_weight, is_zero, positive, power_dirac
 from .system import Futs, Signature
 
 if TYPE_CHECKING:
@@ -311,12 +301,14 @@ class _Levels:
     id as ``Partition`` orders names; ``bodies[k]`` conjoins, left-deep in
     the order found, the ``distinguishers`` block k satisfies.  States of
     one block satisfy the same ones, so no two blocks share a body or its
-    satisfaction set.  Iterating yields each level's bodies, then refines
-    by candidate diamonds over labels, grid bound vectors (``shapes``), then
-    the bodies new at this level, as a carried body's were tried before; a
-    block's pieces extend its body by the new distinguishers they satisfy.
-    ``ev`` knows the distinguishers' satisfaction sets.  At most ``depth``
-    levels run (default: the carrier size).
+    satisfaction set.  Before each level, ``candidates`` lists its diamonds
+    over labels, grid bound vectors (``shapes``), then the bodies new at
+    this level, as a carried body's were tried before; iterating yields the
+    level's bodies, then refines by the candidates that hold at some but not
+    all states, and a block's pieces extend its body by the new
+    distinguishers they satisfy.  ``ev`` knows the distinguishers'
+    satisfaction sets.  At most ``depth`` levels run (default: the carrier
+    size).
     """
 
     def __init__(self, s: Futs, depth: Optional[int]):
@@ -330,6 +322,7 @@ class _Levels:
                        if not is_zero(comp.monoids[0], vec[0])]
         self.blocks, self.bodies = ([list(range(n))], [TOP]) if n else ([], [])
         self.distinguishers: dict[Formula, None] = {}  # an ordered set
+        self.candidates: list[Diamond] = []
 
     def run(self) -> "_Levels":
         for _bodies in self:
@@ -341,9 +334,9 @@ class _Levels:
         for _level in range(self.depth if n > 1 else 0):
             for chi in self.bodies:
                 ev.sat(chi)
+            self.candidates = [Diamond(i, a, vec, chi) for i, a, vec in self.shapes for chi in fresh]
             yield self.bodies
-            new = [f for i, a, vec in self.shapes for chi in fresh
-                   for f in (Diamond(i, a, vec, chi),)
+            new = [f for f in self.candidates
                    if 0 < len(ev.sat(f)) < n and f not in self.distinguishers]
             self.distinguishers.update(dict.fromkeys(new))
             pieces: dict[tuple, list[int]] = {}  # (block index, new distinguishers held) -> states
@@ -382,17 +375,18 @@ def witness_formula(s: Futs, x: str, y: str,
     Unlike distinguishing_formula this makes no completeness claim: the
     result is verified by evaluation, but None only means the bounded
     family does not separate the states, which outside cancellative
-    monoids can happen for non-bisimilar pairs.  The levels stop where the
-    pair splits, and the first distinguisher separating it is found there.
+    monoids can happen for non-bisimilar pairs.  Before each level refines,
+    its candidates are scanned; the first that separates the pair is the
+    first new distinguisher that does (an earlier one would have split the
+    pair), and it is returned shrunk.
     """
     vx, vy = _state_id(s, x), _state_id(s, y)
     levels = _Levels(s, depth)
+    sat = levels.ev.sat
     for _bodies in levels:
-        if not any(vx in block and vy in block for block in levels.blocks):
-            break
-    for f in levels.distinguishers:
-        if (vx in levels.ev.sat(f)) != (vy in levels.ev.sat(f)):
-            return _shrink_witness(levels.ev, f, vx, vy)
+        for f in levels.candidates:
+            if (vx in sat(f)) != (vy in sat(f)):
+                return _shrink_witness(levels.ev, f, vx, vy)
     return None
 
 
@@ -447,24 +441,18 @@ def distinguishing_formula(s: Futs, x: str, y: str,
 
     Restricted to simple systems over a positive cancellative monoid, where
     the bounded-equivalence family is guaranteed to separate non-bisimilar
-    states; the returned bound is the satisfied side's own class sum, read
-    off the level where ``bounded_logical_equiv`` separates the pair.  With
-    a ``depth``, None means that many levels keep the pair together; without,
-    a pair that all levels keep together must be bisimilar (else RuntimeError).
+    states; the formula is ``witness_formula``'s.  With a ``depth``, None
+    means that many levels keep the pair together; without, a pair that all
+    levels keep together must be bisimilar (else RuntimeError).
     """
     if not s.sig.is_simple:
         raise ValueError("distinguishing_formula needs a simple system")
     m = s.sig.components[0].monoids[0]
     if not (positive(m) and cancellative(m)):
         raise ValueError("distinguishing_formula needs a positive cancellative monoid")
-    vx, vy = _state_id(s, x), _state_id(s, y)
-    levels = _Levels(s, depth)
-    for bodies in levels:  # scanned before each level refines
-        found = _split_formula(s, levels.ev, vx, vy, bodies)
-        if found is not None:
-            return found
-    if depth is not None:
-        return None
+    found = witness_formula(s, x, y, depth)
+    if found is not None or depth is not None:
+        return found
     from .bisim import largest_bisimulation
     if largest_bisimulation(s).same_block(x, y):
         return None  # the logic is sound: no formula separates bisimilar states
@@ -490,21 +478,3 @@ def logical_witness(s: Futs, x: str, y: str,
     find = distinguishing_formula if positive(m) and cancellative(m) else witness_formula
     return find(s, x, y, depth), s
 
-
-def _split_formula(s: Futs, ev: Evaluator, x: int, y: int, bodies) -> Optional[Formula]:
-    """Scan (label, body) pairs for the state nodes' differing class sums
-    over the body's satisfaction set, summed off ``Futs.graph``; the larger
-    (or incomparable own) sum is the bound."""
-    g, m = s.graph, s.sig.components[0].monoids[0]
-    for (_i, a), k in g.slots.items():
-        tx, ty = (g.out[g.out[z][k]] for z in (x, y))
-        for chi in bodies:
-            target = ev.sat(chi)
-            sum_x, sum_y = (add_all(m, (w for c, w in t if c in target)) for t in (tx, ty))
-            if sum_x == sum_y:
-                continue
-            bound = sum_x if not nat_leq(m, sum_x, sum_y) else sum_y
-            f = Diamond(0, a, (bound,), chi)
-            if (x in ev.sat(f)) != (y in ev.sat(f)):
-                return f
-    return None

@@ -423,7 +423,9 @@ def parse_system(text: str) -> Futs:
                 states = found
                 for x in found:
                     leaves[f"`{x}`"] = leaf = Leaf(x)
-                    if _TOKEN_RE.findall(x) == [x] and x[0] in _IDENT_START:
+                    # a bare name as quote_id writes it reads as itself; the regex asks the rest
+                    if (x.isascii() and x.isidentifier()
+                            or _TOKEN_RE.findall(x) == [x] and x[0] in _IDENT_START):
                         leaves[x] = leaf
             else:
                 raise _At(0, f"unknown directive {head!r}")

@@ -8,9 +8,11 @@ tests a diamond with ``_member``, which walks each state's transition
 term again, shared subterms included; the library's evaluator tests each
 distinct term node of the compiled graph once.  ``_oracle`` is the level
 loop of ``bounded_logical_equiv`` and ``witness_formula``, and
-``distinguishing_formula`` runs its own copy of it; both take their
-bounds from this module's ``realizable_grid``, which walks the terms
-itself and sums every subset of a term's weights with
+``distinguishing_formula`` runs its own copy of it, with the class-sum
+scan ``_split_formula`` that the library's one witness search replaced
+(where it finds a formula, the library returns ``witness_formula``'s);
+both take their bounds from this module's ``realizable_grid``, which
+walks the terms itself and sums every subset of a term's weights with
 ``itertools.combinations``.  Its ``Evaluator`` and ``_split_formula``
 read satisfaction sets of state names, one cache per evaluator; the
 library's work on state ids with one cache per system.  The formula

