@@ -83,7 +83,7 @@ def cmd_reduce(args) -> int:
         return USAGE
     r = _run_reduction(_load_system(args.file), args.to)
     texts = [write_system(r.target),
-             "".join(f"{x} -> {r.state_map[x]}\n" for x in r.source.states)]
+             "".join(f"{x} -> {x}\n" for x in r.source.states)]
     created = [path for path in paths if not os.path.exists(path)]
     try:  # every path is opened, which changes no file, before any is written
         for path in paths:

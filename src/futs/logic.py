@@ -472,8 +472,7 @@ def logical_witness(s: Futs, x: str, y: str,
         if bounded_logical_equiv(s, depth).same_block(x, y):
             return None, s
         from .reduce import to_wts
-        r = to_wts(s)
-        return logical_witness(r.target, r.state_map[x], r.state_map[y])
+        return logical_witness(to_wts(s).target, x, y)
     m = s.sig.components[0].monoids[0]
     find = distinguishing_formula if positive(m) and cancellative(m) else witness_formula
     return find(s, x, y, depth), s

@@ -24,8 +24,9 @@ component, so the plan inserts a second ``unlabel`` (and, since that
 breaks homogeneity again, a second ``homogenize``) before flattening;
 single-component sources skip both.
 
-Each stage returns a ``Reduction`` carrying the target system and the
-carrier map; ``verify_reduction`` checks the coherence condition over
+Each stage returns a ``Reduction`` carrying the target system.  Every
+stage keeps each source state under its own name, so the carrier map is
+the inclusion; ``verify_reduction`` checks the coherence condition over
 all (or sampled) equivalence relations on the source.
 """
 
@@ -48,13 +49,17 @@ def fused_label(i: int, a: str) -> str:
 
 
 class Reduction:
-    """A stage's source, target and carrier map; flatten's ``term_states``
-    names the state it adds for each term node of the source's graph."""
+    """A stage's source and target; the composite also keeps its ``stages``.
+    Every source state is a target state with the same name, so the carrier
+    map is the inclusion.  Flatten's ``term_states`` names the state it adds
+    for each term node of the source's graph; a reduction is full when no
+    stage adds one."""
 
-    def __init__(self, kind: str, source: Futs, target: Futs, state_map: dict[str, str],
-                 full: bool, stages: tuple = (), term_states: dict | None = None):
-        self.kind, self.source, self.target, self.state_map = kind, source, target, state_map
-        self.full, self.stages, self.term_states = full, stages, term_states or {}
+    def __init__(self, kind: str, source: Futs, target: Futs, stages: tuple = (),
+                 term_states: dict | None = None):
+        self.kind, self.source, self.target, self.stages = kind, source, target, stages
+        self.term_states = term_states or {}
+        self.full = not term_states and all(st.full for st in stages)
 
 
 # --- signature transforms (single source of truth, shared with logic) ------
@@ -128,7 +133,7 @@ def unlabel(s: Futs) -> Reduction:
             trans[(i, x, UNLABEL_LABEL)] = Node(stack2, tuple(
                 [(p[0], tuple(p[1:])) for _text, p in sorted(gathered.items())]))
     target = Futs(sig2, s.states, trans)
-    return Reduction("unlabel", s, target, {x: x for x in s.states}, full=True)
+    return Reduction("unlabel", s, target)
 
 
 def tabularize(s: Futs) -> Reduction:
@@ -148,7 +153,7 @@ def tabularize(s: Futs) -> Reduction:
                     term = Node((NAT_PLUS,) * j + comp.monoids, ((term, 1),))
                 trans[(i, x, a)] = term
     target = Futs(sig2, s.states, trans)
-    return Reduction("tabularize", s, target, {x: x for x in s.states}, full=True)
+    return Reduction("tabularize", s, target)
 
 
 def _embed(t: Term, row: tuple, stack: tuple) -> Term:
@@ -170,7 +175,7 @@ def homogenize(s: Futs) -> Reduction:
     trans = {(i, x, a): _embed(t, rows[i], sig2.components[i].monoids)
              for (i, x, a), t in s.trans.items()}
     target = Futs(sig2, s.states, trans)
-    return Reduction("homogenize", s, target, {x: x for x in s.states}, full=True)
+    return Reduction("homogenize", s, target)
 
 
 def nest(s: Futs) -> Reduction:
@@ -178,7 +183,7 @@ def nest(s: Futs) -> Reduction:
     sig2 = sig_nest(s.sig)
     trans = {(0, x, fused_label(i, a)): term for (i, x, a), term in s.trans.items()}
     target = Futs(sig2, s.states, trans)
-    return Reduction("nest", s, target, {x: x for x in s.states}, full=True)
+    return Reduction("nest", s, target)
 
 
 def flatten(s: Futs) -> Reduction:
@@ -214,8 +219,7 @@ def flatten(s: Futs) -> Reduction:
     trans = {(0, x, lab): one_level(g.out[v][0]) for v, x in enumerate(s.states)}
     trans.update(((0, name, lab), one_level(v)) for v, name in names.items())
     target = Futs(sig2, s.states + tuple(names.values()), trans)
-    return Reduction("flatten", s, target, {x: x for x in s.states},
-                     full=not names, term_states=names)
+    return Reduction("flatten", s, target, term_states=names)
 
 
 STAGE_FUNCS = {f.__name__: f for f in (unlabel, tabularize, homogenize, nest, flatten)}
@@ -250,41 +254,30 @@ def to_wts(s: Futs) -> Reduction:
         r = STAGE_FUNCS[name](cur)
         stages.append(r)
         cur = r.target
-    state_map = {x: x for x in s.states}
-    for r in stages:
-        state_map = {x: r.state_map[y] for x, y in state_map.items()}
-    return Reduction("wts", s, cur, state_map,
-                     full=all(r.full for r in stages), stages=tuple(stages))
+    return Reduction("wts", s, cur, tuple(stages))
 
 
 # --- bisimulation correspondence -------------------------------------------
 
 def _pullback(r: Reduction, p_target: Partition) -> Partition:
     from .bisim import Partition
-    return Partition.group_by(r.source.states,
-                              lambda x: p_target.block_of(r.state_map[x]))
+    return Partition.group_by(r.source.states, p_target.block_of)
 
 
 def _extend(r: Reduction, p: Partition) -> Partition:
-    """Push a source bisimulation forward: full stages along the carrier
-    bijection; flatten also groups its ``term_states`` by the class of their
-    node under ``p`` (``Graph.classifier``), the coproduct of the extensions."""
+    """Push a source bisimulation forward, stage by stage.  Every stage keeps
+    the source's states and blocks; a flatten that adds states also groups its
+    ``term_states`` by the class of their node under the partition so far
+    (``Graph.classifier``), the coproduct of the extensions."""
     from .bisim import Partition
-    if r.stages:
-        q = p
-        for st in r.stages:
-            q = _extend(st, q)
-        return q
-    if r.kind == "flatten":
-        class_of = r.source.graph.classifier(p.kappa[x] for x in r.source.states)
-        groups: dict = {}
-        for v, name in r.term_states.items():
-            groups.setdefault(class_of(v), []).append(name)
-        return Partition.of_blocks(r.target.states, [*p.blocks, *groups.values()])
-    return Partition.of_blocks(
-        r.target.states,
-        [tuple(r.state_map[x] for x in b) for b in p.blocks],
-    )
+    for st in r.stages or (r,):
+        if st.term_states:
+            class_of = st.source.graph.classifier(p.kappa[x] for x in st.source.states)
+            groups: dict = {}
+            for v, name in st.term_states.items():
+                groups.setdefault(class_of(v), []).append(name)
+            p = Partition.of_blocks(st.target.states, [*p.blocks, *groups.values()])
+    return p
 
 
 class Report:
@@ -333,8 +326,8 @@ def verify_reduction(r: Reduction, exhaustive: bool = True,
     """Check the reduction condition over equivalence relations on the source.
 
     For every source bisimulation R the extended partition must be a
-    bisimulation on the target, the carrier map must relate exactly the
-    pairs R does, and restricting back must return R.  Violations are
+    bisimulation on the target, must relate exactly the pairs of source
+    states R does, and restricting back must return R.  Violations are
     reported with concrete witnesses rather than raised.
     """
     from .bisim import all_partitions, is_bisimulation
@@ -355,17 +348,17 @@ def verify_reduction(r: Reduction, exhaustive: bool = True,
             report.violations.append(
                 f"extension of {p.render()} is not a bisimulation on the target")
             continue
-        # back relates x, y iff q relates their images, so back == p is the
+        # back relates x, y iff q relates them, so back == p is the
         # pair condition for all pairs at once; witnesses only when it fails
         back = _pullback(r, q)
         if back == p:
             continue
         for i, x in enumerate(r.source.states):
             for y in r.source.states[i + 1:]:
-                if p.same_block(x, y) != q.same_block(r.state_map[x], r.state_map[y]):
+                if p.same_block(x, y) != q.same_block(x, y):
                     report.violations.append(
                         f"pair ({x}, {y}) related {p.same_block(x, y)} at the source but "
-                        f"{q.same_block(r.state_map[x], r.state_map[y])} at the target "
+                        f"{q.same_block(x, y)} at the target "
                         f"under {p.render()}")
         report.violations.append(f"round trip of {p.render()} returned {back.render()}")
     return report

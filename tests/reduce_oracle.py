@@ -6,8 +6,9 @@ and builds the reverse edges up front.  ``flatten`` collects its
 intermediate terms with a walk of its own (``subterms_at_depths``) and
 names them by their canonical keys, and ``_extend`` groups flatten's
 term-states by the canonical key of each term quotiented under the
-partition.  Stages other than flatten and the composite are transported
-as in ``futs.reduce``.
+partition.  It dispatches on the stage's ``kind`` and recurses through the
+composite's stages, where ``futs.reduce`` runs one loop; every stage other
+than flatten keeps the partition's blocks, its states keeping their names.
 
 Next to them is the homogenize the library ran before its direct product
 embedding: the monoid homomorphism layer (``Hom``, ``hom_apply``,
@@ -124,7 +125,9 @@ def flatten(s: Futs) -> Reduction:
     and a term-state's single transition is the term itself read one
     level down.  The reduction's ``intermediates`` holds the name-sorted
     (name, term) pairs, which ``conftest.intermediates`` reads off a
-    library flatten.
+    library flatten.  Its ``term_states`` names each intermediate by term,
+    not by graph node as the library's does; the constructor reads it only
+    to derive ``full``.
     """
     sig2 = sig_flatten(s.sig)
     comp = s.sig.components[0]
@@ -153,7 +156,7 @@ def flatten(s: Futs) -> Reduction:
         trans[(0, name, lab)] = one_level(term)
 
     target = Futs(sig2, tuple(s.states) + tuple(interm.values()), trans)
-    r = Reduction("flatten", s, target, {x: x for x in s.states}, full=not interm)
+    r = Reduction("flatten", s, target, term_states=dict(interm))
     r.intermediates = tuple(sorted(((name, term) for term, name in interm.items())))
     return r
 
@@ -172,10 +175,7 @@ def _extend(r: Reduction, p: Partition) -> Partition:
             groups.setdefault(key, []).append(name)
         blocks.extend(tuple(g) for g in groups.values())
         return Partition.of_blocks(r.target.states, blocks)
-    return Partition.of_blocks(
-        r.target.states,
-        [tuple(r.state_map[x] for x in b) for b in p.blocks],
-    )
+    return Partition.of_blocks(r.target.states, p.blocks)
 
 
 # --- homomorphisms ---------------------------------------------------------
@@ -269,7 +269,7 @@ def homog_sections(sig: Signature) -> list[tuple[Hom, ...]]:
 def homogenize(s: Futs) -> Reduction:
     """Embed every weight into the product of all the signature's monoids."""
     target = relabel_weights(s, homog_sections(s.sig))
-    return Reduction("homogenize", s, target, {x: x for x in s.states}, full=True)
+    return Reduction("homogenize", s, target)
 
 
 # --- the node()-built unlabel and tabularize; the bisimulation correspondence
@@ -286,7 +286,7 @@ def unlabel(s: Futs) -> Reduction:
                        for a in comp.labels for k, w in s.transition(i, x, a).entries]
             trans[(i, x, rd.UNLABEL_LABEL)] = node(stack2, entries)
     target = Futs(sig2, s.states, trans)
-    return Reduction("unlabel", s, target, {x: x for x in s.states}, full=True)
+    return Reduction("unlabel", s, target)
 
 
 def tabularize(s: Futs) -> Reduction:
@@ -304,7 +304,7 @@ def tabularize(s: Futs) -> Reduction:
                     term = node((mo.NAT_PLUS,) * j + comp.monoids, [(term, 1)])
                 trans[(i, x, a)] = term
     target = Futs(sig2, s.states, trans)
-    return Reduction("tabularize", s, target, {x: x for x in s.states}, full=True)
+    return Reduction("tabularize", s, target)
 
 
 def restrict_bisim(r: Reduction, p_target: Partition) -> Partition:

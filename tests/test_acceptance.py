@@ -200,7 +200,7 @@ def test_criterion5_translation_semantics():
             psi = translate(stage, s.sig, phi)
             x = rng.choice(s.states)
             triples += 1
-            if satisfies(s, x, phi) != satisfies(r.target, r.state_map[x], psi):
+            if satisfies(s, x, phi) != satisfies(r.target, x, psi):
                 failures.append((stage, x, phi))
     elapsed = time.perf_counter() - t0
     ok = triples == 500 and not failures and elapsed < 10.0

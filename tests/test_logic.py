@@ -181,7 +181,7 @@ def test_translation_semantics_per_stage():
             phi = random_formula(rng, s.sig, rng.randint(1, 3))
             psi = translate(stage, s.sig, phi)
             for x in s.states:
-                assert satisfies(s, x, phi) == satisfies(r.target, r.state_map[x], psi)
+                assert satisfies(s, x, phi) == satisfies(r.target, x, psi)
             cases += 1
 
 
@@ -193,7 +193,7 @@ def test_translation_semantics_composite(fig1):
         psi, sig2 = translate_to_wts(fig1.sig, phi)
         assert sig2 == r.target.sig
         for x in fig1.states:
-            assert satisfies(fig1, x, phi) == satisfies(r.target, r.state_map[x], psi)
+            assert satisfies(fig1, x, phi) == satisfies(r.target, x, psi)
 
 
 def test_translation_semantics_composite_multi_component():
@@ -208,7 +208,7 @@ def test_translation_semantics_composite_multi_component():
             psi, sig2 = translate_to_wts(s.sig, phi)
             assert sig2 == r.target.sig
             for x in s.states:
-                assert satisfies(s, x, phi) == satisfies(r.target, r.state_map[x], psi)
+                assert satisfies(s, x, phi) == satisfies(r.target, x, psi)
 
 
 def test_bounded_logical_equiv_examples(fig1, w3):
@@ -320,10 +320,9 @@ def test_distinguishing_formula_refusals(fig1, absence_pair):
 
 def test_witness_formula(fig1):
     r = to_wts(fig1)
-    phi = witness_formula(r.target, r.state_map["s0"], r.state_map["s2"])
+    phi = witness_formula(r.target, "s0", "s2")
     assert phi is not None
-    assert satisfies(r.target, r.state_map["s0"], phi) != \
-        satisfies(r.target, r.state_map["s2"], phi)
+    assert satisfies(r.target, "s0", phi) != satisfies(r.target, "s2", phi)
 
 
 def test_diamond_monotonicity(w3):

@@ -26,7 +26,7 @@ from futs.reduce import (
 from futs.system import Component, Futs, Signature
 from futs.weightfn import Leaf, node
 
-from bisim_oracle import CarrierMap, single
+from bisim_oracle import single
 from conftest import (
     CORPUS_SIGS,
     GOLDEN,
@@ -142,7 +142,7 @@ def test_flatten_tiny_example():
     assert r.target.states == (t_id, "x")
     assert r.target.transition(0, "x", "u") == node((NAT_PLUS,), [(Leaf(t_id), 2)])
     assert r.target.transition(0, t_id, "u") == node((NAT_PLUS,), [(Leaf("x"), 3)])
-    assert not r.full and CarrierMap(r.source, r.target, r.state_map).injective
+    assert not r.full and list(r.term_states.values()) == [t_id]
 
 
 def test_flatten_fig1_pipeline_states(fig1):
@@ -272,8 +272,7 @@ def test_verify_detects_corrupted_target(w3):
     term = broken[key]
     (k0, _), = term.entries
     broken[key] = node(term.stack, [(k0, (("a", 1),))])
-    bad = Reduction(r.kind, r.source, Futs(r.target.sig, r.target.states, broken),
-                    r.state_map, r.full)
+    bad = Reduction(r.kind, r.source, Futs(r.target.sig, r.target.states, broken))
     rep = verify_reduction(bad)
     assert not rep.ok and rep.violations
 
@@ -297,10 +296,10 @@ def old_verify_reduction(r, exhaustive=True, samples=100, seed=0):
             continue
         for i, x in enumerate(r.source.states):
             for y in r.source.states[i + 1:]:
-                if p.same_block(x, y) != q.same_block(r.state_map[x], r.state_map[y]):
+                if p.same_block(x, y) != q.same_block(x, y):
                     report.violations.append(
                         f"pair ({x}, {y}) related {p.same_block(x, y)} at the source but "
-                        f"{q.same_block(r.state_map[x], r.state_map[y])} at the target "
+                        f"{q.same_block(x, y)} at the target "
                         f"under {p.render()}")
         back = _pullback(r, q)
         if back != p:
@@ -309,25 +308,34 @@ def old_verify_reduction(r, exhaustive=True, samples=100, seed=0):
     return report
 
 
-def test_verify_report_matches_old_loop(w3):
-    """A reduction whose carrier map swaps states: every partition of the
-    deadlocked source is a bisimulation and extends to itself, so the pair
-    and round-trip violations come out, in the old order."""
-    s = Futs(Signature((Component(("a",), (NAT_PLUS,)),)), ["p", "q", "r", "t"])
-    swapped = Reduction("flatten", s, s, {"p": "r", "q": "q", "r": "p", "t": "t"}, full=True)
-    rep = verify_reduction(swapped)
-    assert rep == old_verify_reduction(swapped)
-    assert rep.bisimulations == 15 and len(rep.violations) == 32
-    assert rep.violations[:5] == [
-        "pair (p, q) related True at the source but False at the target under { {p, q, t}, {r} }",
-        "pair (p, t) related True at the source but False at the target under { {p, q, t}, {r} }",
-        "pair (q, r) related False at the source but True at the target under { {p, q, t}, {r} }",
-        "pair (r, t) related False at the source but True at the target under { {p, q, t}, {r} }",
-        "round trip of { {p, q, t}, {r} } returned { {p}, {q, r, t} }",
-    ]
-    bad = Reduction("unlabel", w3, w3, {"x": "y", "x'": "x'", "y": "x", "z": "z"}, full=True)
-    for r in (bad, to_wts(w3), unlabel(w3)):
+def merge_first_blocks(r, p):
+    """A faulty extension: the partition on the target with the source's
+    first two blocks merged."""
+    return Partition.of_blocks(r.target.states, [sum(p.blocks[:2], ()), *p.blocks[2:]])
+
+
+def test_verify_report_matches_old_loop(w3, monkeypatch):
+    """An extension that merges source blocks: every partition of the
+    deadlocked source and target is a bisimulation, so the pair and
+    round-trip violations come out, in the old order; on w3 some merged
+    extensions are not bisimulations, and that line comes out too."""
+    for r in (to_wts(w3), unlabel(w3)):
         assert verify_reduction(r) == old_verify_reduction(r)
+    s = Futs(Signature((Component(("a",), (NAT_PLUS,)),)), ["p", "q", "r", "t"])
+    identity = Reduction("identity", s, s)
+    monkeypatch.setattr("futs.reduce._extend", merge_first_blocks)
+    rep = verify_reduction(identity)
+    assert rep == old_verify_reduction(identity)
+    assert rep.bisimulations == 15 and len(rep.violations) == 50
+    assert rep.violations[:5] == [
+        "pair (p, t) related False at the source but True at the target under { {p, q, r}, {t} }",
+        "pair (q, t) related False at the source but True at the target under { {p, q, r}, {t} }",
+        "pair (r, t) related False at the source but True at the target under { {p, q, r}, {t} }",
+        "round trip of { {p, q, r}, {t} } returned { {p, q, r, t} }",
+        "pair (p, r) related False at the source but True at the target under { {p, q, t}, {r} }",
+    ]
+    assert verify_reduction(unlabel(w3)) == old_verify_reduction(unlabel(w3))
+    monkeypatch.undo()
     r = to_wts(random_futs(random.Random(3), ULTRAS_RAT, 7))
     assert (verify_reduction(r, exhaustive=False, samples=20, seed=4)
             == old_verify_reduction(r, exhaustive=False, samples=20, seed=4))
@@ -345,10 +353,17 @@ def test_verify_exhaustive_guard():
 
 
 def test_full_flags_on_corpus():
-    for s in corpus_systems()[:8]:
-        assert unlabel(s).full and tabularize(s).full and homogenize(s).full
+    """The carrier map is the inclusion: every stage, and ``to_wts``, keeps
+    each source state under its own name, adds exactly its ``term_states``,
+    and is full exactly when it adds none."""
+    for s in corpus_systems():
         r = to_wts(s)
-        assert CarrierMap(r.source, r.target, r.state_map).injective
+        added = [name for st in r.stages for name in st.term_states.values()]
+        for st in (unlabel(s), tabularize(s), homogenize(s), *r.stages):
+            names = [*st.source.states, *st.term_states.values()]
+            assert sorted(st.target.states) == sorted(names)
+        assert sorted(r.target.states) == sorted([*s.states, *added])
+        assert r.full == (not added) and all(st.full == (not st.term_states) for st in r.stages)
 
 
 def test_largest_bisimulation_transport_every_stage():

@@ -24,6 +24,7 @@ from futs.weightfn import Node
 
 from conftest import (
     CORPUS_SIGS,
+    GOLDEN,
     NESTED3,
     TWO_COMP,
     TWO_COMP_CANC,
@@ -91,13 +92,23 @@ def check_system(s):
         check_graph(stage.source)
     check_graph(r.target)
     check_flatten(r)
-    for p in partitions(s):
-        assert rd._extend(r, p) == reduce_oracle._extend(r, p)
+    for p in partitions(s):  # the composite and each single stage, full ones included
+        for stage in (r, *r.stages):
+            assert rd._extend(stage, p) == reduce_oracle._extend(stage, p)
 
 
 def test_matches_oracle_on_corpus():
     for s in corpus_systems():
         check_system(s)
+
+
+def test_matches_oracle_where_flatten_adds_no_state():
+    """``to_wts`` of a WTS: its flatten adds no state, so it is full and the
+    extension keeps the partition, as across every other full stage."""
+    s = parse_system((GOLDEN / "fig1_wts.futs").read_text())
+    r = rd.to_wts(s)
+    assert r.stages[-1].kind == "flatten" and not r.stages[-1].term_states and r.full
+    check_system(s)
 
 
 @settings(deadline=None, max_examples=60)

@@ -114,10 +114,9 @@ def test_is_bisimulation_matches_oracle(s, rng):
 @settings(deadline=None, max_examples=40)
 @given(doubled_systems(NESTED_SIGS))
 def test_reduction_coherence_through_wts(s):
-    # bisimilarity on the source is the WTS one read through the carrier map
-    r = to_wts(s)
-    on_wts = largest_bisimulation(r.target)
-    via_wts = Partition.group_by(s.states, lambda x: on_wts.block_of(r.state_map[x]))
+    # bisimilarity on the source is the WTS one on the source's states
+    on_wts = largest_bisimulation(to_wts(s).target)
+    via_wts = Partition.group_by(s.states, on_wts.block_of)
     assert via_wts == largest_bisimulation(s)
 
 
