@@ -461,19 +461,12 @@ def distinguishing_formula(s: Futs, x: str, y: str,
         f"was found; the bounded family is incomplete here")
 
 
-def logical_witness(s: Futs, x: str, y: str,
-                    depth: Optional[int] = None) -> tuple[Optional[Formula], Futs]:
-    """``futs equiv --logic``'s answer: a formula separating ``x`` and ``y`` or None, and the
-    system it is over.  The logic is sound, so on a simple system the witness search is the
-    verdict; on another, ``(None, s)`` means ``bounded_logical_equiv`` keeps the pair together,
-    else the witness is sought on ``to_wts(s).target`` at full depth, None meaning none found."""
-    _state_id(s, x), _state_id(s, y)
-    if not s.sig.is_simple:
-        if bounded_logical_equiv(s, depth).same_block(x, y):
-            return None, s
-        from .reduce import to_wts
-        return logical_witness(to_wts(s).target, x, y)
+def logical_witness(s: Futs, x: str, y: str, depth: Optional[int] = None) -> Optional[Formula]:
+    """``futs equiv --logic``'s answer: a formula of ``s``'s own logic separating ``x`` and ``y``,
+    or None when ``bounded_logical_equiv(s, depth)`` keeps them together.  One search answers:
+    the family splits the pair at the first level one of whose candidates separates it, which is
+    the candidate ``witness_formula`` returns; on a simple positive cancellative system it runs
+    as ``distinguishing_formula``, which without a depth checks a None against bisimilarity."""
     m = s.sig.components[0].monoids[0]
-    find = distinguishing_formula if positive(m) and cancellative(m) else witness_formula
-    return find(s, x, y, depth), s
-
+    complete = s.sig.is_simple and positive(m) and cancellative(m)
+    return (distinguishing_formula if complete else witness_formula)(s, x, y, depth)

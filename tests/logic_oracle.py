@@ -19,7 +19,11 @@ library's work on state ids with one cache per system.  The formula
 classes and ``conj`` are shared with the library, and the text cursor
 with ``textio_oracle``; ``parse_formula`` and ``write_formula`` pass
 ``futs.logic`` for its formula classes and call this module's
-``check_formula``.
+``check_formula``.  ``logical_witness_via_wts`` is the route ``equiv
+--logic`` took on a system that is not simple before the library's
+``logical_witness`` answered in the system's own logic: the verdict of
+``bounded_logical_equiv``, then a second search on the weighted system
+``to_wts`` builds.
 """
 
 from __future__ import annotations
@@ -436,6 +440,24 @@ def _split_formula(s: Futs, ev: Evaluator, x: str, y: str, bodies) -> Optional[F
             if (x in ev.sat(f)) != (y in ev.sat(f)):
                 return f
     return None
+
+
+def logical_witness_via_wts(s: Futs, x: str, y: str,
+                            depth: Optional[int] = None) -> tuple[Optional[Formula], Futs]:
+    """``futs equiv --logic``'s former route, on the library's functions: a formula separating
+    ``x`` and ``y`` or None, and the system it is over.  On a simple system the witness search
+    is the verdict; on another, ``(None, s)`` means ``bounded_logical_equiv`` keeps the pair
+    together, else the witness is sought on ``to_wts(s).target`` at full depth, None meaning
+    none found."""
+    lib = futs.logic
+    lib._state_id(s, x), lib._state_id(s, y)
+    if not s.sig.is_simple:
+        if lib.bounded_logical_equiv(s, depth).same_block(x, y):
+            return None, s
+        return logical_witness_via_wts(rd.to_wts(s).target, x, y)
+    m = s.sig.components[0].monoids[0]
+    find = lib.distinguishing_formula if positive(m) and cancellative(m) else lib.witness_formula
+    return find(s, x, y, depth), s
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:

@@ -7,7 +7,7 @@ import pytest
 
 from futs import cli
 from futs.cli import main
-from futs.bisim import largest_bisimulation
+from futs.bisim import Partition, largest_bisimulation
 from futs.logic import sat_set, witness_formula
 from futs.reduce import to_wts
 from futs.textio import MAX_NESTING, parse_formula, parse_system, write_system
@@ -228,11 +228,14 @@ def test_equiv_same_state(capsys):
     assert code == 0
 
 
-def test_equiv_logic_distinguished(capsys):
+def test_equiv_logic_distinguished(capsys, fig1):
+    """Fig. 1 is not simple, and its witness is written in its own logic."""
     code, out, _ = run(capsys, "equiv", FIG1, "s0", "s2", "--logic")
-    assert code == 1
-    assert "distinguished" in out and "distinguishing formula" in out
-    assert "reduced weighted system" in out
+    head, line = out.splitlines()
+    assert (code, head) == (1, "s0 and s2 are distinguished")
+    assert line.startswith("distinguishing formula: ")
+    phi = parse_formula(line.split(": ", 1)[1], fig1.sig)
+    assert sat_set(fig1, phi) & {"s0", "s2"} == {"s0"}
 
 
 STACKED = """futs
@@ -261,9 +264,9 @@ def test_equiv_logic_stacked_verdict_is_the_futs_logics(capsys, tmp_path):
 
 
 def test_equiv_logic_builds_one_grid(capsys, monkeypatch):
-    """A simple system's verdict is its witness search: one bound grid and
-    no bisimulation for a distinguished pair.  Fig. 1 needs two grids: the
-    FuTS's for the verdict, its WTS's for the witness."""
+    """A system's verdict is its witness search: one bound grid and no
+    bisimulation for a distinguished pair, on a simple system and on Fig. 1,
+    which is not simple."""
     from futs import bisim, logic
     calls = Counter()
 
@@ -280,7 +283,7 @@ def test_equiv_logic_builds_one_grid(capsys, monkeypatch):
     assert calls == {"realizable_grid": 1}
     calls.clear()
     assert run(capsys, "equiv", FIG1, "s0", "s2", "--logic")[0] == 1
-    assert calls["realizable_grid"] == 2
+    assert calls == {"realizable_grid": 1}
 
 
 def test_equiv_logic_chain_witness_is_short(capsys, tmp_path):
@@ -352,6 +355,31 @@ def test_verify_exhaustive_refused_before_reducing(capsys, tmp_path, monkeypatch
     assert run(capsys, "verify", str(big), "--to", stage, "--exhaustive") == (
         2, "", "error: --exhaustive is limited to 5 states (6 given); "
                "drop the flag to sample instead\n")
+
+
+def test_verify_prints_violations_exit_1(capsys, tmp_path, monkeypatch):
+    """A faulty extension that merges the source's first two blocks: each
+    violation gets a line after the report, and the exit code is 1."""
+    path = tmp_path / "dead.futs"
+    path.write_text("futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\nstates { p, q }\n")
+    monkeypatch.setattr("futs.reduce._extend", lambda r, p: Partition.of_blocks(
+        r.target.states, [sum(p.blocks[:2], ()), *p.blocks[2:]]))
+    assert run(capsys, "verify", str(path), "--to", "wts") == (
+        1, "2/2 relations checked, 2 bisimulations, 2 violations\n"
+           "violation: pair (p, q) related False at the source but True at the target "
+           "under { {p}, {q} }\n"
+           "violation: round trip of { {p}, {q} } returned { {p, q} }\n", "")
+
+
+@pytest.mark.parametrize("lines, diagnostic", [
+    ("monoids M0 = [ prod(nat-plus, nat-plus) ]\nstates { x }\ntrans 0 x a -> { x: (1) }\n",
+     "5:21: error: product weight needs 2 components, got 1"),
+    ("states { x }\nmonoids M0 = [ nat-plus ]\n", "4:1: error: monoids line after states line"),
+], ids=["product-too-few", "monoids-after-states"])
+def test_parser_refusal_exit_2(capsys, tmp_path, lines, diagnostic):
+    path = tmp_path / "bad.futs"
+    path.write_text("futs\nlabels A0 = { a }\n" + lines)
+    assert run(capsys, "bisim", str(path)) == (2, "", diagnostic + "\n")
 
 
 def test_translate_unlabelled(capsys):
@@ -496,19 +524,21 @@ def test_overlong_nested_sum_exit_2(capsys, tmp_path):
     assert run(capsys, "bisim", str(flat)) == (0, "{ {x}, {y} }\n", "")
 
 
+CLASH = ("futs\nlabels A0 = { a }\nmonoids M0 = [ bool-or, nat-plus ]\n"
+         "states { x, y, p, q, `#1:{p:({},1)}` }\n"
+         "trans 0 x a -> { { p: 1 }: tt }\n"
+         "trans 0 y a -> { { p: 1, q: 1 }: tt }\n")
+
+
 @pytest.mark.parametrize("argv, prefix", [
     (("reduce", "--to", "wts", "-o", "w.futs"), "reduction to wts failed: "),
     (("verify", "--to", "wts"), "reduction to wts failed: "),
-    (("equiv", "x", "y", "--logic"), ""),
-], ids=["reduce", "verify", "equiv-logic"])
+], ids=["reduce", "verify"])
 def test_colliding_term_state_names_exit_2(capsys, tmp_path, argv, prefix):
     """A state named like the term-state flatten generates for another term
     (``#1:{p:({},1)}``) collides with it: one error line, exit 2, no file."""
     path = tmp_path / "clash.futs"
-    path.write_text("futs\nlabels A0 = { a }\nmonoids M0 = [ bool-or, nat-plus ]\n"
-                    "states { x, y, p, q, `#1:{p:({},1)}` }\n"
-                    "trans 0 x a -> { { p: 1 }: tt }\n"
-                    "trans 0 y a -> { { p: 1, q: 1 }: tt }\n")
+    path.write_text(CLASH)
     command, *rest = argv
     rest = [str(tmp_path / a) if a.endswith(".futs") else a for a in rest]
     assert run(capsys, command, str(path), *rest) == (
@@ -517,11 +547,26 @@ def test_colliding_term_state_names_exit_2(capsys, tmp_path, argv, prefix):
     assert not (tmp_path / "w.futs").exists()
 
 
+def test_colliding_term_state_names_equiv_logic_answers(capsys, tmp_path):
+    """``equiv --logic`` builds no weighted system, so the generated name
+    that collides with a state never arises: a witness over the file's own
+    signature separates x and y."""
+    path = tmp_path / "clash.futs"
+    path.write_text(CLASH)
+    code, out, err = run(capsys, "equiv", str(path), "x", "y", "--logic")
+    head, line = out.splitlines()
+    assert (code, head, err) == (1, "x and y are distinguished", "")
+    s = parse_system(CLASH)
+    sat = sat_set(s, parse_formula(line.split("distinguishing formula: ", 1)[1], s.sig))
+    assert ("x" in sat) != ("y" in sat)
+
+
 def test_colliding_term_state_names_answer(capsys, tmp_path):
     """A state named like the unquoted key of another term (``p:({},1),q``)
     gets a term-state of its own: the reduced file reads back and has the
     source's bisimulation, the reduction verifies, and ``equiv --logic``
-    agrees with ``equiv`` on every pair, with a witness that separates."""
+    agrees with ``equiv`` on every pair, with a witness in the source's
+    logic that separates."""
     path, wts = tmp_path / "clash.futs", tmp_path / "w.futs"
     path.write_text("futs\nlabels A0 = { a }\nmonoids M0 = [ bool-or, nat-plus ]\n"
                     "states { x, y, p, q, `p:({},1),q` }\n"
@@ -542,8 +587,8 @@ def test_colliding_term_state_names_answer(capsys, tmp_path):
             logic = run(capsys, "equiv", str(path), x, y, "--logic")
             assert plain[0] == logic[0] and logic[2] == ""
             if logic[0] == 1:
-                text = logic[1].split(": ", 1)[1]
-                sat = sat_set(target, parse_formula(text, target.sig))
+                text = logic[1].split("distinguishing formula: ", 1)[1]
+                sat = sat_set(source, parse_formula(text, source.sig))
                 assert (x in sat) != (y in sat)
 
 
@@ -575,6 +620,14 @@ def test_nesting_limit_answers(capsys, tmp_path, stack, nesting):
         answer = run(capsys, "reduce", path, "--to", stage, "-o", str(out))
         assert (answer, out.exists()) == ((refused, False) if nesting else ((0, "", ""), True))
     assert run(capsys, "check", path, "--formula", formula) == (0, "x: true\ny: false\n", "")
+
+
+def test_equiv_logic_stacked_levels_answer(capsys, tmp_path):
+    """x steps through ten nat-plus levels to y: one search in the file's
+    own logic separates them, without a weighted system of the levels."""
+    path, _ = nested_system(tmp_path, 10, 0)
+    assert run(capsys, "equiv", path, "x", "y", "--logic") == (
+        1, "x and y are distinguished\ndistinguishing formula: <1" + ", 0" * 9 + "> T\n", "")
 
 
 # unlabel adds a pow( level and homogenize a prod( level, so these are the

@@ -70,10 +70,13 @@ def test_check_loads_no_reductions_or_bisimulation():
 
 def test_equiv_logic_and_reduce_load_what_they_run(tmp_path):
     # the level loop splits x from y without a Partition; the bisimilar pair
-    # x x' runs out of levels and asks largest_bisimulation
+    # x x' runs out of levels and asks largest_bisimulation; Fig. 1, which is
+    # not simple, is answered in its own logic, without reducing it
     loaded = loaded_modules("equiv", W3, "x", "y", "--logic")
     assert "futs.logic" in loaded and "futs.bisim" not in loaded
     assert {"futs.logic", "futs.bisim"} <= loaded_modules("equiv", W3, "x", "x'", "--logic")
+    loaded = loaded_modules("equiv", FIG1, "s0", "s2", "--logic")
+    assert "futs.logic" in loaded and not loaded & {"futs.reduce", "futs.bisim"}
     loaded = loaded_modules("reduce", FIG1, "--to", "wts", "-o", str(tmp_path / "out.futs"))
     assert "futs.reduce" in loaded
     assert not loaded & {"futs.logic", "futs.bisim"}

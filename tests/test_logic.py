@@ -163,6 +163,11 @@ def test_translate_nest_and_flatten_preconditions(fig1):
         translate("flatten", nested_sig, nested)
 
 
+def test_translate_refuses_an_unknown_stage(fig1):
+    with pytest.raises(ValueError, match=r"^unknown stage 'bogus'$"):
+        translate("bogus", fig1.sig, TOP)
+
+
 def test_translate_flatten_chains():
     sig = Signature((Component(("u",), (NAT_PLUS, NAT_PLUS)),))
     phi = d(0, "u", (1, 2))

@@ -1,7 +1,8 @@
 """The one formula fold, the one oracle level loop and its bound grid
 against the recursive formula functions, the two level loops and the
 ``combinations`` grid they replace (``logic_oracle``), and the CLI's
-``equiv --logic`` against the oracle's verdict followed by its witness.
+``equiv --logic`` against the oracle's verdict followed by its witness;
+``logical_witness`` also against the route through ``to_wts`` it replaced.
 
 Both sides build formulas from the same classes, so the formula passes'
 results compare with ``==``; witnesses compare by ``repr``, which shows
@@ -9,11 +10,13 @@ both whole formulas when they differ."""
 
 import contextlib
 import io
+import itertools
 import os
 import pickle
 import random
 import tempfile
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from futs.logic import (
@@ -25,6 +28,7 @@ from futs.logic import (
     bounded_logical_equiv,
     check_formula,
     distinguishing_formula,
+    logical_witness,
     realizable_grid,
     sat_set,
     translate,
@@ -283,8 +287,7 @@ def oracle_route(s, x: str, y: str, depth):
     if oracle.bounded_logical_equiv(s, depth=depth).same_block(x, y):
         return 0, f"{x} and {y} are logically equivalent\n"
     phi = oracle.witness_formula(s, x, y)
-    line = ("no distinguishing formula found on the reduced system" if phi is None
-            else f"distinguishing formula: {oracle.write_formula(phi, s.sig)}")
+    line = f"distinguishing formula: {oracle.write_formula(phi, s.sig)}"
     return 1, f"{x} and {y} are distinguished\n{line}\n"
 
 
@@ -305,6 +308,52 @@ def test_cli_logic_route_matches_oracle(sig, rng):
                     extra = [] if depth is None else ["--depth", str(depth)]
                     got = run_cli(["equiv", path, x, y, "--logic"] + extra)
                     assert got == oracle_route(s, x, y, depth), (x, y, depth)
+
+
+CORPUS_IDS = ["wlts-nat", "wlts-rat", "wlts-prod", "ultras-rat", "nested3", "two-comp",
+              "two-comp-canc", "nested2-canc"]
+
+
+@pytest.mark.parametrize("sig", CORPUS_SIGS, ids=CORPUS_IDS)
+@settings(deadline=None, max_examples=25)
+@given(rng=st.randoms(use_true_random=False))
+def test_logical_witness_matches_the_wts_route(sig, rng):
+    """One search in the system's own logic gives the verdict of the route
+    it replaced, ``bounded_logical_equiv`` followed by a witness search on
+    ``to_wts``'s target, at depth None and 1; on a simple system the
+    witness is that route's, and on any other it holds at exactly one
+    state of the pair."""
+    s = random_futs(rng, sig, rng.randint(1, 4))
+    for x, y in itertools.product(s.states, repeat=2):
+        for depth in (None, 1):
+            phi = logical_witness(s, x, y, depth)
+            old, over = oracle.logical_witness_via_wts(s, x, y, depth)
+            assert (phi is None) == (old is None and over is s), (x, y, depth)
+            if s.sig.is_simple:
+                assert repr(phi) == repr(old), (x, y, depth)
+            elif phi is not None:
+                assert len(sat_set(s, phi) & {x, y}) == 1, (x, y, depth)
+
+
+STACKED_CHAIN = """futs
+labels A0 = { a }
+monoids M0 = [ bool-or, rat-plus ]
+states { c0, c1, c2 }
+trans 0 c0 a -> { { c1: 1 }: tt }
+trans 0 c1 a -> { { c2: 1 }: tt }
+"""
+
+
+def test_logical_witness_keeps_the_depth_on_a_stacked_system():
+    """c0 and c1 both step once, and only the second level sees c1's
+    successor deadlock: ``--depth 1`` keeps them together on both routes,
+    and more levels split them with the system's own formula."""
+    s = parse_system(STACKED_CHAIN)
+    for depth, want in ((1, None), (2, "<tt, 1> <tt, 1> T"), (None, "<tt, 1> <tt, 1> T")):
+        phi = logical_witness(s, "c0", "c1", depth)
+        assert (phi and write_formula(phi, s.sig)) == want, depth
+        old, over = oracle.logical_witness_via_wts(s, "c0", "c1", depth)
+        assert (old is None and over is s) == (want is None), depth
 
 
 SHRINK = """futs
