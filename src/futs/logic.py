@@ -149,44 +149,39 @@ def conj(parts) -> Formula:
     return functools.reduce(And, parts) if parts else TOP
 
 
-class Evaluator:
-    """Model checker on state ids: a satisfaction set is a frozenset of the
-    graph's state nodes ``0..n-1`` (``Futs.graph``).  The cache is the
-    system's own (``Graph.sat``), so every evaluator on one system, and every
-    ``sat_set`` and ``satisfies`` call, evaluates a subformula once."""
+def _sat(s: Futs, phi: Formula) -> frozenset[int]:
+    """The model checker on state ids: the nodes ``0..n-1`` of ``Futs.graph``
+    satisfying ``phi``.  The cache is the system's own (``Graph.sat``), so
+    every ``sat_set`` and ``satisfies`` call and the oracle on one system
+    evaluate a subformula once."""
+    cache = s.graph.sat
+    hit = cache.get(phi)
+    if hit is not None:
+        return hit
+    return fold(phi, frozenset(range(s.graph.n)), lambda f, left, right: left & right,
+                lambda f, body: _diamond(s, f, body), cache)
 
-    def __init__(self, s: Futs):
-        self.system, self.graph = s, s.graph
-        self._all = frozenset(range(self.graph.n))
-        self._cache: dict[Formula, frozenset[int]] = self.graph.sat
 
-    def sat(self, phi: Formula) -> frozenset[int]:
-        hit = self._cache.get(phi)
-        if hit is not None:
-            return hit
-        return fold(phi, self._all, lambda f, left, right: left & right, self._diamond,
-                    self._cache)
-
-    def _diamond(self, f: Diamond, body: frozenset[int]) -> frozenset[int]:
-        """Bottom-up over the slot's levels in ``Futs.graph``, each distinct term
-        node is tested once: do its weights into passed nodes (``body`` at the
-        bottom) reach the bound?  The passing top terms give their states
-        (``Graph.owners``).  This evaluates the flatten translation."""
-        g = self.graph
-        k = g.slots[(f.component, f.label)]
-        monoids = self.system.sig.components[f.component].monoids
-        passed = body
-        for nodes, m, bound in reversed(list(zip(g.levels[k], monoids, f.bounds))):
-            below, passed, plus, leq = passed, set(), m._add, m._leq
-            for t in nodes:
-                acc = m._zero
-                for c, w in g.out[t]:
-                    if c in below:
-                        acc = plus(acc, w)
-                if leq(bound, acc):
-                    passed.add(t)
-        owners = g.owners[k]
-        return frozenset([v for t in passed for v in owners[t]])
+def _diamond(s: Futs, f: Diamond, body: frozenset[int]) -> frozenset[int]:
+    """Bottom-up over the slot's levels in ``Futs.graph``, each distinct term
+    node is tested once: do its weights into passed nodes (``body`` at the
+    bottom) reach the bound?  The passing top terms give their states
+    (``Graph.owners``).  This evaluates the flatten translation."""
+    g = s.graph
+    k = g.slots[(f.component, f.label)]
+    monoids = s.sig.components[f.component].monoids
+    passed = body
+    for nodes, m, bound in reversed(list(zip(g.levels[k], monoids, f.bounds))):
+        below, passed, plus, leq = passed, set(), m._add, m._leq
+        for t in nodes:
+            acc = m._zero
+            for c, w in g.out[t]:
+                if c in below:
+                    acc = plus(acc, w)
+            if leq(bound, acc):
+                passed.add(t)
+    owners = g.owners[k]
+    return frozenset([v for t in passed for v in owners[t]])
 
 
 def _state_id(s: Futs, x: str) -> int:
@@ -197,14 +192,14 @@ def _state_id(s: Futs, x: str) -> int:
 
 
 def satisfies(s: Futs, x: str, phi: Formula) -> bool:
-    return _state_id(s, x) in Evaluator(s).sat(check_formula(phi, s.sig))
+    return _state_id(s, x) in _sat(s, check_formula(phi, s.sig))
 
 
 def sat_set(s: Futs, phi: Formula) -> frozenset[str]:
     """The states satisfying ``phi``; the system keeps every subformula's
     set, so a later call reuses what an earlier one evaluated."""
     states = s.states
-    return frozenset([states[v] for v in Evaluator(s).sat(check_formula(phi, s.sig))])
+    return frozenset([states[v] for v in _sat(s, check_formula(phi, s.sig))])
 
 
 # --- translations along the reduction stages --------------------------------
@@ -295,63 +290,50 @@ def realizable_grid(s: Futs) -> dict[tuple[int, int], list[Weight]]:
     return grid
 
 
-class _Levels:
+def _levels(s: Futs, depth: Optional[int]):
     """The oracle's level loop: refinement of state ids by satisfaction
-    profiles.  ``blocks`` are increasing lists of state ids, ordered by least
-    id as ``Partition`` orders names; ``bodies[k]`` conjoins, left-deep in
-    the order found, the ``distinguishers`` block k satisfies.  States of
-    one block satisfy the same ones, so no two blocks share a body or its
-    satisfaction set.  Before each level, ``candidates`` lists its diamonds
-    over labels, grid bound vectors (``shapes``), then the bodies new at
-    this level, as a carried body's were tried before; iterating yields the
-    level's bodies, then refines by the candidates that hold at some but not
-    all states, and a block's pieces extend its body by the new
-    distinguishers they satisfy.  ``ev`` knows the distinguishers'
-    satisfaction sets.  At most ``depth`` levels run (default: the carrier
-    size).
+    profiles.  Before each level it yields ``(blocks, bodies, candidates)``:
+    ``blocks`` are increasing lists of state ids, ordered by least id as
+    ``Partition`` orders names; ``bodies[k]`` conjoins, left-deep in the
+    order found, the distinguishers (candidates that held at some but not
+    all states) block k satisfies, so no two blocks share a body or its
+    satisfaction set.  ``candidates`` are diamonds over labels, grid bound
+    vectors (``shapes``), then the bodies new at this level, as a carried
+    body's were tried before.  Their modal depth is the level's, so none
+    repeats an earlier distinguisher.  The level then splits each block by
+    the distinguishers among them and extends a piece's body by those it
+    satisfies.  Last comes ``(blocks, bodies, [])``, after at most ``depth``
+    levels (default: the carrier size).
     """
-
-    def __init__(self, s: Futs, depth: Optional[int]):
-        if depth is not None and depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
-        n, grid, self.ev = s.graph.n, realizable_grid(s), Evaluator(s)
-        self.depth = n if depth is None else depth
-        # a zero outermost bound makes the diamond a tautology; skip those
-        self.shapes = [(i, a, vec) for i, comp in enumerate(s.sig.components) for a in comp.labels
-                       for vec in itertools.product(*(grid[(i, j)] for j in range(comp.depth)))
-                       if not is_zero(comp.monoids[0], vec[0])]
-        self.blocks, self.bodies = ([list(range(n))], [TOP]) if n else ([], [])
-        self.distinguishers: dict[Formula, None] = {}  # an ordered set
-        self.candidates: list[Diamond] = []
-
-    def run(self) -> "_Levels":
-        for _bodies in self:
-            pass
-        return self
-
-    def __iter__(self):
-        ev, n, fresh = self.ev, self.ev.graph.n, self.bodies
-        for _level in range(self.depth if n > 1 else 0):
-            for chi in self.bodies:
-                ev.sat(chi)
-            self.candidates = [Diamond(i, a, vec, chi) for i, a, vec in self.shapes for chi in fresh]
-            yield self.bodies
-            new = [f for f in self.candidates
-                   if 0 < len(ev.sat(f)) < n and f not in self.distinguishers]
-            self.distinguishers.update(dict.fromkeys(new))
-            pieces: dict[tuple, list[int]] = {}  # (block index, new distinguishers held) -> states
-            for k, block in enumerate(self.blocks):
-                for v in block:
-                    held = tuple([f for f in new if v in ev.sat(f)])
-                    pieces.setdefault((k, held), []).append(v)
-            keys = sorted(pieces, key=lambda key: pieces[key][0])
-            done = len(keys) == len(self.blocks) or len(keys) == n
-            self.bodies = [conj(held) if self.bodies[k] is TOP
-                           else functools.reduce(And, held, self.bodies[k]) for k, held in keys]
-            fresh = [chi for chi, (_k, held) in zip(self.bodies, keys) if held]
-            self.blocks = [pieces[key] for key in keys]
-            if done:
-                break
+    if depth is not None and depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    n, grid = s.graph.n, realizable_grid(s)
+    # a zero outermost bound makes the diamond a tautology; skip those
+    shapes = [(i, a, vec) for i, comp in enumerate(s.sig.components) for a in comp.labels
+              for vec in itertools.product(*(grid[(i, j)] for j in range(comp.depth)))
+              if not is_zero(comp.monoids[0], vec[0])]
+    blocks, bodies = ([list(range(n))], [TOP]) if n else ([], [])
+    fresh = bodies
+    for _level in range((n if depth is None else depth) if n > 1 else 0):
+        for chi in bodies:
+            _sat(s, chi)
+        candidates = [Diamond(i, a, vec, chi) for i, a, vec in shapes for chi in fresh]
+        yield blocks, bodies, candidates
+        new = [(f, fs) for f in candidates if 0 < len(fs := _sat(s, f)) < n]
+        pieces: dict[tuple, list[int]] = {}  # (block index, new distinguishers held) -> states
+        for k, block in enumerate(blocks):
+            for v in block:
+                held = tuple([f for f, fs in new if v in fs])
+                pieces.setdefault((k, held), []).append(v)
+        keys = sorted(pieces, key=lambda key: pieces[key][0])
+        done = len(keys) == len(blocks) or len(keys) == n
+        bodies = [conj(held) if bodies[k] is TOP else functools.reduce(And, held, bodies[k])
+                  for k, held in keys]
+        fresh = [chi for chi, (_k, held) in zip(bodies, keys) if held]
+        blocks = [pieces[key] for key in keys]
+        if done:
+            break
+    yield blocks, bodies, []
 
 
 def bounded_logical_equiv(s: Futs, depth: Optional[int] = None) -> Partition:
@@ -364,7 +346,8 @@ def bounded_logical_equiv(s: Futs, depth: Optional[int] = None) -> Partition:
     this coincides with bisimilarity on positive cancellative monoids.
     """
     from .bisim import Partition
-    blocks = _Levels(s, depth).run().blocks
+    for blocks, _bodies, _candidates in _levels(s, depth):
+        pass  # the last item holds the final blocks
     return Partition.of_blocks(s.states, ([s.states[v] for v in b] for b in blocks))
 
 
@@ -381,12 +364,10 @@ def witness_formula(s: Futs, x: str, y: str,
     pair), and it is returned shrunk.
     """
     vx, vy = _state_id(s, x), _state_id(s, y)
-    levels = _Levels(s, depth)
-    sat = levels.ev.sat
-    for _bodies in levels:
-        for f in levels.candidates:
-            if (vx in sat(f)) != (vy in sat(f)):
-                return _shrink_witness(levels.ev, f, vx, vy)
+    for _blocks, _bodies, candidates in _levels(s, depth):
+        for f in candidates:
+            if (vx in _sat(s, f)) != (vy in _sat(s, f)):
+                return _shrink_witness(s, f, vx, vy)
     return None
 
 
@@ -423,12 +404,12 @@ def _simplifications(phi: Formula):
             stack.append((f.body, (f, 0, path)))
 
 
-def _shrink_witness(ev: Evaluator, phi: Formula, x: int, y: int) -> Formula:
+def _shrink_witness(s: Futs, phi: Formula, x: int, y: int) -> Formula:
     """Greedily simplify subformulas while the whole formula still
     separates the two state nodes; keeps reported witnesses readable."""
     while True:
         for smaller in _simplifications(phi):
-            if (x in ev.sat(smaller)) != (y in ev.sat(smaller)):
+            if (x in _sat(s, smaller)) != (y in _sat(s, smaller)):
                 phi = smaller
                 break
         else:

@@ -30,7 +30,6 @@ descriptor; hot loops look it up once per monoid.
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Union
 
@@ -305,10 +304,6 @@ def check_weight(m: Monoid, w: Weight) -> Weight:
 def add(m: Monoid, w1: Weight, w2: Weight) -> Weight:
     """Monoid sum of two payloads (commutative, associative, unit zero)."""
     return _op(m, "_add")(w1, w2)
-
-
-def add_all(m: Monoid, weights) -> Weight:
-    return functools.reduce(_op(m, "_add"), weights, zero(m))
 
 
 def nat_leq(m: Monoid, w1: Weight, w2: Weight) -> bool:

@@ -102,7 +102,7 @@ class Graph:
     and ``kind`` is 0 for states and numbers the signature's monoid stacks
     from 1 (one that no term uses leaves a gap).  The term nodes below the
     top depth are the states that flattening adds.
-    ``sat`` is the model checker's cache (``futs.logic.Evaluator``): formula
+    ``sat`` is the model checker's cache (``futs.logic._sat``): formula
     -> the frozenset of state nodes satisfying it, kept as long as the system,
     and ``bisim`` the answer of ``futs.bisim.largest_bisimulation``.
     """

@@ -3,6 +3,7 @@ seeded random system/formula generators."""
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import random
@@ -29,7 +30,7 @@ from futs.monoid import (
     Product,
     RatPlus,
     Weight,
-    add_all,
+    add,
     check_weight,
     zero,
 )
@@ -228,6 +229,11 @@ def term_equal(t: Term, t2: Term) -> bool:
     if d1 > 0 and t.stack != t2.stack:
         raise ValueError("monoid stack mismatch")
     return t == t2
+
+
+def add_all(m: Monoid, weights) -> Weight:
+    """The monoid sum of ``weights`` (the zero when there are none)."""
+    return functools.reduce(functools.partial(add, m), weights, zero(m))
 
 
 def class_sum(t: Node, members) -> Weight:

@@ -5,8 +5,8 @@ for ``futs.logic`` and the formula half of ``futs.textio``.
 Every formula pass here recurses once per nesting level, so a formula
 deeper than the recursion limit raises ``RecursionError``.  ``Evaluator``
 tests a diamond with ``_member``, which walks each state's transition
-term again, shared subterms included; the library's evaluator tests each
-distinct term node of the compiled graph once.  ``_oracle`` is the level
+term again, shared subterms included; the library's ``_diamond`` tests
+each distinct term node of the compiled graph once.  ``_oracle`` is the level
 loop of ``bounded_logical_equiv`` and ``witness_formula``, and
 ``distinguishing_formula`` runs its own copy of it, with the class-sum
 scan ``_split_formula`` that the library's one witness search replaced
@@ -46,7 +46,6 @@ from futs.logic import (
 from futs.monoid import (
     Weight,
     add,
-    add_all,
     cancellative,
     check_weight,
     format_weight,
@@ -61,6 +60,7 @@ from futs.system import Futs, Signature
 from futs.textio import Diagnostic, ParseError, _fail
 from futs.weightfn import Leaf, Node
 from bisim_oracle import refine_by, single
+from conftest import add_all
 from reduce_oracle import hom_apply, homog_sections
 from textio_oracle import Token, _Cursor, _parse_weight, _resolve_modality, tokenize
 

@@ -29,7 +29,6 @@ from futs.monoid import (
     RAT_PLUS,
     Product,
     add,
-    add_all,
     nat_leq,
 )
 from futs.reduce import (
@@ -49,6 +48,7 @@ from futs.weightfn import Leaf, node
 
 from conftest import (
     GOLDEN,
+    add_all,
     cancellative_corpus,
     corpus_systems,
     project_component,

@@ -121,9 +121,9 @@ def test_check_formula_file_evaluates_each_diamond_once(capsys, tmp_path, monkey
     one job evaluates each of the four distinct diamonds once, where an
     evaluator per line would evaluate 1 + 2 + 3 + 4 + 3 of them."""
     from futs import logic
-    diamond, seen = logic.Evaluator._diamond, []
-    monkeypatch.setattr(logic.Evaluator, "_diamond",
-                        lambda ev, f, body: seen.append(f) or diamond(ev, f, body))
+    diamond, seen = logic._diamond, []
+    monkeypatch.setattr(logic, "_diamond",
+                        lambda s, f, body: seen.append(f) or diamond(s, f, body))
     f = tmp_path / "ladder.fcl"
     f.write_text("<1> T\n<2> <1> T\n<1> <2> <1> T\n<2> <1> <2> <1> T\n"
                  "<2> <1> T & <1> <2> <1> T\n")

@@ -12,13 +12,14 @@ from futs.logic import (
     TOP,
     And,
     Diamond,
-    Evaluator,
     FormulaError,
-    _Levels,
+    _levels,
+    _sat,
     bounded_logical_equiv,
     check_formula,
     conj,
     distinguishing_formula,
+    fold,
     logical_witness,
     realizable_grid,
     sat_set,
@@ -251,9 +252,9 @@ def test_witness_formula_stops_where_the_pair_splits(monkeypatch):
     """On a bool-or chain the first level splits c6 from c7, and the witness
     search stops there, where the oracle refines on to the end of the chain."""
     text = nat_chain_text(8).replace("nat-plus", "bool-or").replace(": 1 }", ": tt }")
-    diamond, seen = futs.logic.Evaluator._diamond, []
-    monkeypatch.setattr(futs.logic.Evaluator, "_diamond",
-                        lambda ev, f, body: seen.append(f) or diamond(ev, f, body))
+    diamond, seen = futs.logic._diamond, []
+    monkeypatch.setattr(futs.logic, "_diamond",
+                        lambda s, f, body: seen.append(f) or diamond(s, f, body))
     phi = witness_formula(parse_system(text), "c6", "c7")
     witness_calls = len(seen)
     seen.clear()
@@ -266,18 +267,27 @@ def test_witness_formula_stops_where_the_pair_splits(monkeypatch):
 @given(st.sampled_from(CORPUS_SIGS), st.randoms(use_true_random=False))
 def test_level_loop_carries_each_body(sig, rng):
     """At every level the blocks partition the state ids in ``Partition``
-    order, each body is the conjunction of the distinguishers its block's
-    first state satisfies, and no two bodies share a satisfaction set."""
+    order, each body is the conjunction of the distinguishers (earlier
+    candidates that hold at some but not all states) its block's first
+    state satisfies, and no two bodies share a satisfaction set.  Every
+    candidate of level L has modal depth L, so none equals an earlier
+    distinguisher, and the loop keeps no set of them to skip repeats."""
     s = random_futs(rng, sig, rng.randint(1, 5))
-    levels = _Levels(s, None)
-    for bodies in levels:
-        sat, blocks = levels.ev.sat, levels.blocks
-        assert sorted(v for b in blocks for v in b) == list(range(len(s.states)))
+    def modal_depth(phi):
+        return fold(phi, 0, lambda f, left, right: max(left, right), lambda f, body: body + 1)
+
+    n, distinguishers = len(s.states), []
+    for level, (blocks, bodies, candidates) in enumerate(_levels(s, None), 1):
+        assert sorted(v for b in blocks for v in b) == list(range(n))
         assert blocks == sorted(blocks) and all(b == sorted(b) for b in blocks)
-        assert len({sat(chi) for chi in bodies}) == len(bodies) == len(blocks)
+        assert len({_sat(s, chi) for chi in bodies}) == len(bodies) == len(blocks)
         for block, chi in zip(blocks, bodies):
-            assert chi == conj(f for f in levels.distinguishers if block[0] in sat(f))
-            assert set(block) <= sat(chi)
+            assert chi == conj(f for f in distinguishers if block[0] in _sat(s, f))
+            assert set(block) <= _sat(s, chi)
+        assert all(modal_depth(f) == level for f in candidates)
+        assert not set(candidates) & set(distinguishers)
+        distinguishers += [f for f in candidates if 0 < len(_sat(s, f)) < n]
+    assert candidates == []  # the last item, after the last level
 
 
 def test_distinguishing_formula_depth(w3):
@@ -388,10 +398,10 @@ def test_rebuilt_formula_same_hash_and_cache_entry(sig, rng):
     copy = rebuild(phi)
     assert copy == phi and hash(copy) == hash(phi) == structural_hash(phi)
     assert pickle.loads(pickle.dumps(phi)) == phi
-    ev = Evaluator(random_futs(rng, sig, 3))
-    first = ev.sat(phi)
-    entries = len(ev._cache)
-    assert ev.sat(copy) is first and len(ev._cache) == entries
+    s = random_futs(rng, sig, 3)
+    first = _sat(s, phi)
+    entries = len(s.graph.sat)
+    assert _sat(s, copy) is first and len(s.graph.sat) == entries
 
 
 @settings(deadline=None, max_examples=60)
@@ -468,6 +478,5 @@ def test_long_left_deep_conjunction_sat_set(w3):
     phi = conj(parts)
     assert isinstance(phi.left, And) and phi.right == parts[-1]
     s = Futs(w3.sig, w3.states, w3.trans)  # a fresh system, so its cache starts empty
-    ev = Evaluator(s)
-    assert {s.states[v] for v in ev.sat(phi)} == sat_set(s, d(0, "a", (2,)))
-    assert len(ev._cache) == 3000 - 1 + 2 + 1  # the conjunctions, two diamonds, T
+    assert {s.states[v] for v in _sat(s, phi)} == sat_set(s, d(0, "a", (2,)))
+    assert len(s.graph.sat) == 3000 - 1 + 2 + 1  # the conjunctions, two diamonds, T

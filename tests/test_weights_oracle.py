@@ -20,7 +20,7 @@ import weights_oracle as O
 from futs import monoid as mo
 from futs.weightfn import Leaf, Node, format_term, node
 
-from conftest import CORPUS_SIGS, leaves
+from conftest import CORPUS_SIGS, add_all, leaves
 from test_monoid import monoid_strategy, weight_strategy
 
 # "p:1,q" makes the oracle's keys collide: a node over it alone and one over
@@ -92,7 +92,7 @@ def test_operations_match_the_isinstance_dispatch(mw):
         assert (got[1] is w1) == (want[1] is w1)
     for name in ("add", "nat_leq"):
         assert outcome(getattr(mo, name), m, w1, w2) == outcome(getattr(O, name), m, w1, w2)
-    assert outcome(mo.add_all, m, [w1, w2]) == outcome(O.add_all, m, [w1, w2])
+    assert outcome(add_all, m, [w1, w2]) == outcome(O.add_all, m, [w1, w2])
 
 
 @settings(deadline=None, max_examples=300)
