@@ -16,16 +16,17 @@ satisfaction is preserved on the reduced system, and
 level-wise generated formula family, which on positive cancellative
 monoids coincides with bisimilarity.
 
-Formulas of any depth are handled iteratively: every formula pass is a
-``fold`` over the formula with an explicit stack.
+Formulas of any depth are handled iteratively: every formula pass, a
+``fold`` or the witness shrinker's sweep, keeps an explicit stack.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import sys
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, MutableMapping, Optional, Union
 
 from .monoid import Value, Weight, cancellative, check_weight, is_zero, positive, power_dirac
 from .system import Futs, Signature
@@ -149,12 +150,13 @@ def conj(parts) -> Formula:
     return functools.reduce(And, parts) if parts else TOP
 
 
-def _sat(s: Futs, phi: Formula) -> frozenset[int]:
+def _sat(s: Futs, phi: Formula, cache: Optional[MutableMapping] = None) -> frozenset[int]:
     """The model checker on state ids: the nodes ``0..n-1`` of ``Futs.graph``
     satisfying ``phi``.  The cache is the system's own (``Graph.sat``), so
     every ``sat_set`` and ``satisfies`` call and the oracle on one system
-    evaluate a subformula once."""
-    cache = s.graph.sat
+    evaluate a subformula once; it holds what they evaluate, never a shrink
+    trial, which passes a ``cache`` of its own layered over it."""
+    cache = s.graph.sat if cache is None else cache
     hit = cache.get(phi)
     if hit is not None:
         return hit
@@ -382,38 +384,34 @@ def _conjuncts(phi: Formula) -> list[Formula]:
     return out
 
 
-def _simplifications(phi: Formula):
-    """Smaller variants of ``phi``: in pre-order, each diamond with a body
-    other than ``T`` gets body ``T``, then its body less one conjunct."""
-    stack = [(phi, None)]  # (subformula, path up to the root as (node, side, path))
-    while stack:
-        f, path = stack.pop()
-        if isinstance(f, And):
-            stack += ((f.right, (f, 1, path)), (f.left, (f, 0, path)))
-        elif isinstance(f, Diamond) and not isinstance(f.body, Top):
-            parts = _conjuncts(f.body)
-            drops = range(len(parts)) if len(parts) > 1 else ()
-            for body in itertools.chain([TOP], (conj(parts[:i] + parts[i + 1:]) for i in drops)):
-                g, up = Diamond(f.component, f.label, f.bounds, body), path
-                while up is not None:
-                    node, side, up = up
-                    g = (Diamond(node.component, node.label, node.bounds, g)
-                         if isinstance(node, Diamond)
-                         else And(g, node.right) if side == 0 else And(node.left, g))
-                yield g
-            stack.append((f.body, (f, 0, path)))
-
-
-def _shrink_witness(s: Futs, phi: Formula, x: int, y: int) -> Formula:
-    """Greedily simplify subformulas while the whole formula still
-    separates the two state nodes; keeps reported witnesses readable."""
+def _shrink_witness(s: Futs, phi: Diamond, x: int, y: int) -> Formula:
+    """Greedily simplify the diamond ``phi`` while it still separates the two
+    state nodes; keeps reported witnesses readable.  One pre-order sweep: at
+    each diamond, drop each conjunct of its body in turn, keeping a drop when
+    the whole rebuilt formula still separates, then sweep the kept conjuncts.
+    Every accepted drop enlarges a body's set, so it weakens the formula in
+    the natural order, and a drop refused once would be refused again: the
+    sweep ends where restarting after each step would.  Trials read
+    ``Graph.sat`` but write a memo of their own, dropped after the trial."""
+    frames: list = []  # [diamond, its body's kept conjuncts, the one being swept]
     while True:
-        for smaller in _simplifications(phi):
-            if (x in _sat(s, smaller)) != (y in _sat(s, smaller)):
-                phi = smaller
-                break
-        else:
-            return phi
+        parts, kept = _conjuncts(phi.body), []
+        for i, part in enumerate(parts):
+            g = Diamond(phi.component, phi.label, phi.bounds, conj(kept + parts[i + 1:]))
+            for f, done, j in reversed(frames):  # rebuild the path up to the root
+                g = Diamond(f.component, f.label, f.bounds, conj(done[:j] + [g] + done[j + 1:]))
+            trial = _sat(s, g, collections.ChainMap({}, s.graph.sat))
+            if (x in trial) == (y in trial):
+                kept.append(part)
+        frames.append([phi, kept, 0])
+        while frames[-1][2] == len(frames[-1][1]):
+            f, kept, _i = frames.pop()
+            phi = Diamond(f.component, f.label, f.bounds, conj(kept))
+            if not frames:
+                return phi
+            frames[-1][1][frames[-1][2]] = phi
+            frames[-1][2] += 1
+        phi = frames[-1][1][frames[-1][2]]
 
 
 def distinguishing_formula(s: Futs, x: str, y: str,

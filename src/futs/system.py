@@ -104,7 +104,8 @@ class Graph:
     top depth are the states that flattening adds.
     ``sat`` is the model checker's cache (``futs.logic._sat``): formula
     -> the frozenset of state nodes satisfying it, kept as long as the system,
-    and ``bisim`` the answer of ``futs.bisim.largest_bisimulation``.
+    for what model checking and the level loop evaluate, never a witness
+    shrink's trials; ``bisim`` is the answer of ``futs.bisim.largest_bisimulation``.
     """
 
     def __init__(self, s: Futs):

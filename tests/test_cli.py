@@ -12,6 +12,7 @@ from futs.logic import sat_set, witness_formula
 from futs.reduce import to_wts
 from futs.textio import MAX_NESTING, parse_formula, parse_system, write_system
 
+import logic_oracle
 from conftest import DATA, nat_chain_text, restrict
 
 FIG1 = str(DATA / "fig1.futs")
@@ -289,7 +290,9 @@ def test_equiv_logic_builds_one_grid(capsys, monkeypatch):
 def test_equiv_logic_chain_witness_is_short(capsys, tmp_path):
     """d1 and d20 of a nat-plus chain split at the 20th level, whose block
     bodies are small DAGs that print as megabytes of text; the witness is
-    the level's first separating diamond, shrunk."""
+    the level's first separating diamond, shrunk, and the one-sweep shrink
+    gives the witness of the oracle's shrinker, which restarts after each
+    accepted step."""
     names = [f"d{k}" for k in range(40)]
     text = ("futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\n"
             "states { " + ", ".join(names) + " }\n"
@@ -303,6 +306,8 @@ def test_equiv_logic_chain_witness_is_short(capsys, tmp_path):
     s = parse_system(text)
     held = sat_set(s, parse_formula(line.removeprefix("distinguishing formula: "), s.sig))
     assert ("d1" in held) != ("d20" in held)
+    want = logic_oracle.write_formula(logic_oracle.witness_formula(s, "d1", "d20"), s.sig)
+    assert line == f"distinguishing formula: {want}"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
 import pickle
 import random
+import sys
+import traceback
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -31,7 +33,7 @@ from futs.logic import (
 from futs.monoid import BOOL_OR, NAT_PLUS, RAT_PLUS, power_dirac, zero
 from futs.reduce import SIG_FUNCS, STAGE_FUNCS, homogenize, to_wts
 from futs.system import Component, Futs, Signature
-from futs.textio import parse_formula, parse_system
+from futs.textio import parse_formula, parse_system, write_formula
 
 import logic_oracle
 from bisim_oracle import single
@@ -261,6 +263,73 @@ def test_witness_formula_stops_where_the_pair_splits(monkeypatch):
     bounded_logical_equiv(parse_system(text))  # a fresh system, so a fresh cache
     assert 0 < witness_calls < len(seen)
     assert repr(phi) == repr(logic_oracle.witness_formula(parse_system(text), "c6", "c7"))
+
+
+def d_chain(n: int):
+    """The nat-plus chain d1 -> d2 -> ... -> d<n>, weight 3 per step: d1 and
+    d<n/2> split at level n/2, and their witness is n/2 + 1 diamonds deep."""
+    names = [f"d{k}" for k in range(1, n + 1)]
+    return parse_system("futs\nlabels A0 = { a }\nmonoids M0 = [ nat-plus ]\n"
+                        "states { " + ", ".join(names) + " }\n"
+                        + "".join(f"trans 0 {x} a -> {{ {y}: 3 }}\n"
+                                  for x, y in zip(names, names[1:])))
+
+
+def test_shrink_leaves_the_system_cache_as_it_found_it(monkeypatch):
+    """Shrink trials read ``Graph.sat`` but keep what they evaluate in a
+    memo dropped after each trial: the cache holds the level loop's 41
+    entries before the shrink and after it, where keeping every trial left
+    1,542 (and 11,482 on the 80-state chain)."""
+    s, entries, shrink = d_chain(40), [], futs.logic._shrink_witness
+    monkeypatch.setattr(futs.logic, "_shrink_witness",
+                        lambda s, *args: entries.append(len(s.graph.sat)) or shrink(s, *args))
+    phi = logical_witness(s, "d1", "d20")
+    assert write_formula(phi, s.sig) == "<3> " * 21 + "T"
+    assert entries == [len(s.graph.sat)] == [41]
+
+
+def test_shrink_sweeps_each_diamond_once(monkeypatch):
+    """The sweep splits each diamond's body once: 21 and 41 splits on the
+    40- and 80-state chains, one per diamond of the witness, where
+    restarting from the root after each accepted step made 1,350 and
+    10,700.  The whole search's evaluations (level loop and trials) grow
+    3.6x from n = 40 to 80, 503 to 1,803 ``_sat`` calls; restarting made
+    3,373 and 23,943, 7.1x, so the bound 4x fails for it."""
+    conjuncts, sat, counts = futs.logic._conjuncts, futs.logic._sat, {}
+    monkeypatch.setattr(futs.logic, "_conjuncts",
+                        lambda phi: counts.update(split=counts["split"] + 1) or conjuncts(phi))
+    monkeypatch.setattr(futs.logic, "_sat",
+                        lambda *args: counts.update(sat=counts["sat"] + 1) or sat(*args))
+    calls = {}
+    for n in (40, 80):
+        counts.update(split=0, sat=0)
+        logical_witness(d_chain(n), "d1", f"d{n // 2}")
+        assert counts["split"] == n // 2 + 1, n
+        calls[n] = counts["sat"]
+    assert calls[80] <= 4 * calls[40], calls
+
+
+def test_shrink_walks_a_deep_witness_without_recursion(monkeypatch):
+    """The 80-state chain's witness is 41 diamonds deep, and its unshrunk
+    bodies are conjunctions of earlier levels' diamonds; the sweep keeps its
+    place in an explicit stack, so a recursion limit a few frames above the
+    caller's depth suffices.  A RecursionError is caught and compared, since
+    a traceback through the unshrunk formula's DAG would print it expanded."""
+    s, found = d_chain(80), []
+    monkeypatch.setattr(futs.logic, "_shrink_witness",
+                        lambda s, phi, x, y: found.append((phi, x, y)) or phi)
+    logical_witness(s, "d1", "d40")
+    monkeypatch.undo()
+    [(phi, x, y)] = found
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 30)
+    try:
+        small = futs.logic._shrink_witness(s, phi, x, y)
+    except RecursionError:
+        small = None
+    finally:
+        sys.setrecursionlimit(limit)
+    assert small is not None and write_formula(small, s.sig) == "<3> " * 41 + "T"
 
 
 @settings(deadline=None, max_examples=40)
