@@ -23,9 +23,10 @@ Power           tuple of (label, payload) pairs, sorted, zeros elided
 
 Descriptors are frozen and carry their zero, text form and flags
 (``_zero``, ``_name``, ``_cancellative``) and their operations as methods
-(``_canon``, ``_check``, ``_add``, ``_leq``, ``_format``).  The functions
-below look the method up and raise TypeError for anything else than a
-descriptor; hot loops look it up once per monoid.
+(``_check``, ``_add``, ``_leq``, ``_format``); ``_check`` is the one
+definition of a canonical payload.  The functions below look the method
+up and raise TypeError for anything else than a descriptor; hot loops
+look it up once per monoid.
 """
 
 from __future__ import annotations
@@ -84,13 +85,10 @@ class Value:
 
 
 class _Scalar(Value):
-    """Numbers of type ``_payload`` with a nonnegative numerator (default checks: naturals)."""
+    """Numbers summed by ``_sum`` (default checks and sum: naturals under ``+``)."""
     __slots__ = ()
     _sum, _leq = operator.add, operator.le
     _cancellative = True
-
-    def _canon(self, w) -> bool:
-        return type(w) is self._payload and w.numerator >= 0
 
     def _check(self, w):
         if isinstance(w, bool) or not isinstance(w, int) or w < 0:
@@ -108,7 +106,7 @@ class _Scalar(Value):
 
 class BoolOr(_Scalar):
     __slots__ = ()
-    _zero, _payload, _name, _cancellative = False, bool, "bool-or", False
+    _zero, _name, _cancellative = False, "bool-or", False
 
     def _check(self, w):
         if type(w) is not bool:
@@ -129,12 +127,12 @@ class BoolOr(_Scalar):
 
 class NatPlus(_Scalar):
     __slots__ = ()
-    _zero, _payload, _name = 0, int, "nat-plus"
+    _zero, _name = 0, "nat-plus"
 
 
 class NatMax(_Scalar):
     __slots__ = ()
-    _zero, _payload, _sum, _name, _cancellative = 0, int, max, "nat-max", False
+    _zero, _sum, _name, _cancellative = 0, max, "nat-max", False
 
 
 class _Fraction:
@@ -177,13 +175,7 @@ class Product(Value):
         object.__setattr__(self, "_name", "prod(" + ", ".join(f._name for f in factors) + ")")
         object.__setattr__(self, "_cancellative", all(f._cancellative for f in factors))
 
-    def _canon(self, w) -> bool:
-        return (type(w) is tuple and len(w) == len(self.factors)
-                and all([f._canon(x) for f, x in zip(self.factors, w)]))
-
     def _check(self, w):
-        if self._canon(w):
-            return w
         if not isinstance(w, tuple) or len(w) != len(self.factors):
             raise WeightError(f"{len(self.factors)}-tuple expected, got {w!r}")
         return tuple([f._check(x) for f, x in zip(self.factors, w)])
@@ -214,23 +206,7 @@ class Power(Value):
         object.__setattr__(self, "_name", "pow({" + names + "}, " + base._name + ")")
         object.__setattr__(self, "_cancellative", base._cancellative)
 
-    def _canon(self, w) -> bool:
-        if type(w) is not tuple:
-            return False
-        prev, base = "", self.base
-        for pair in w:
-            if type(pair) is not tuple or len(pair) != 2:
-                return False
-            lab, val = pair
-            if not (type(lab) is str and prev < lab and lab in self.labels
-                    and base._canon(val) and val != base._zero):
-                return False
-            prev = lab
-        return True
-
     def _check(self, w):
-        if self._canon(w):
-            return w
         if not isinstance(w, tuple):
             raise WeightError(f"power map expected, got {w!r}")
         items = {}
@@ -294,9 +270,7 @@ def check_weight(m: Monoid, w: Weight) -> Weight:
     """Validate and canonicalise a payload against ``m``.
 
     Returns the canonical form (rationals as Fraction, power maps sorted
-    with zero entries dropped); raises WeightError on shape mismatch.  A
-    payload that is canonical already is returned as it is, after a check
-    of its exact types that builds nothing.
+    with zero entries dropped); raises WeightError on shape mismatch.
     """
     return _op(m, "_check")(w)
 

@@ -265,18 +265,21 @@ def _product_weight(toks: list[str], i: int, m: Monoid):
 
 
 def _power_weight(toks: list[str], i: int, m: Monoid):
-    j, items = _skip(toks, i, "{"), []
+    j, items, canonical, zero = _skip(toks, i, "{"), [], True, m.base._zero
     if toks[j] != "}":
         while True:
             label = _ident(toks, j, "label")
             if label not in m.labels:
                 raise _At(j, f"label {label!r} not in power label set")
             w, j = _parse_weight(toks, _skip(toks, j + 1, ":"), m.base)
+            canonical = canonical and w != zero and (not items or items[-1][0] < label)
             items.append((label, w))
             if toks[j] != ",":
                 break
             j += 1
     j = _skip(toks, j, "}")
+    if canonical:  # every reader returns canonical payloads, so ascending labels with no
+        return tuple(items), j  # zero weight are already the map check_weight would build
     try:
         return mo.check_weight(m, tuple(items)), j
     except mo.WeightError as e:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import futs.system
 from futs.bisim import (
     Partition,
     all_partitions,
@@ -15,7 +16,15 @@ from futs.weightfn import Leaf, node
 
 import bisim_oracle
 from bisim_oracle import ext_related
-from conftest import TWO_COMP, corpus_systems, random_futs, restrict, systems_equal, validate
+from conftest import (
+    TWO_COMP,
+    corpus_systems,
+    nat_chain_text,
+    random_futs,
+    restrict,
+    systems_equal,
+    validate,
+)
 
 NAT1 = (NAT_PLUS,)
 
@@ -114,6 +123,22 @@ def test_largest_equals_brute_force_on_corpus():
         oracle = brute_force_bisimilarity(s)
         assert largest_bisimulation(s) == oracle
         assert is_bisimulation(s, oracle)
+
+
+def test_refiner_work_grows_linearly_on_the_chain(monkeypatch):
+    """The refiner ladder: ``Graph.signature`` calls on the n-state nat-plus
+    chain at n = 100, 200, 400 grow at most 2.2x per doubling.  Today they
+    are 398, 798 and 1,598 (4n - 2); an O(m log n) refiner keeps the bound."""
+    signature, calls = futs.system.Graph.signature, {}
+    monkeypatch.setattr(futs.system.Graph, "signature",
+                        lambda g, *args: calls.update(n=calls["n"] + 1) or signature(g, *args))
+    counts = []
+    for n in (100, 200, 400):
+        s = parse_system(nat_chain_text(n))
+        calls["n"] = 0
+        largest_bisimulation(s)
+        counts.append(calls["n"])
+    assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
 
 
 def test_quotient_system_examples(fig1, w3):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import futs.logic
 from futs import cli
 from futs.cli import main
 from futs.bisim import Partition, largest_bisimulation
@@ -248,6 +249,18 @@ trans 0 y a -> { { A: 1 }: tt, { B: 1 }: tt, { A: 1/2, B: 1/2 }: tt }
 trans 0 A a -> { { A: 1 }: tt }
 trans 0 B b -> { { B: 1 }: tt }
 """
+
+
+def test_equiv_logic_incomplete_search_is_an_internal_error(capsys, monkeypatch):
+    """A witness search that finds nothing for a non-bisimilar pair fails the
+    completeness check: exit 3 and one stderr line.  With a depth the search's
+    None is the answer, and no check runs."""
+    monkeypatch.setattr(futs.logic, "witness_formula", lambda *args: None)
+    assert run(capsys, "equiv", W3, "x", "y", "--logic") == (
+        3, "", "internal error: RuntimeError: states 'x' and 'y' are not bisimilar but no "
+               "distinguishing formula was found; the bounded family is incomplete here\n")
+    assert run(capsys, "equiv", W3, "x", "y", "--logic", "--depth", "1") == (
+        0, "x and y are logically equivalent\n", "")
 
 
 def test_equiv_logic_stacked_verdict_is_the_futs_logics(capsys, tmp_path):

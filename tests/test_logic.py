@@ -381,6 +381,16 @@ def test_distinguishing_formula_examples(w3):
     assert distinguishing_formula(w3, "y", "z") is None
 
 
+def test_distinguishing_formula_completeness_check(w3, monkeypatch):
+    """Without a depth, a search that finds nothing for a non-bisimilar pair
+    is an error naming both states, not an answer that they are equivalent."""
+    monkeypatch.setattr(futs.logic, "witness_formula", lambda *args: None)
+    with pytest.raises(RuntimeError, match="states 'x' and 'y' are not bisimilar"):
+        distinguishing_formula(w3, "x", "y")
+    assert distinguishing_formula(w3, "x", "x'") is None
+    assert distinguishing_formula(w3, "x", "y", depth=1) is None
+
+
 def test_distinguishing_formula_really_distinguishes():
     rng = random.Random(44)
     for _ in range(20):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import futs.monoid
 import futs.textio
 import textio_oracle
 from futs.logic import TOP, And, Diamond, check_formula
@@ -23,6 +24,7 @@ from futs.weightfn import Leaf, node
 
 from conftest import (
     CORPUS_SIGS,
+    GOLDEN,
     NESTED3,
     TWO_COMP,
     ULTRAS_RAT,
@@ -285,6 +287,21 @@ def test_zero_denominator_rejected():
     with pytest.raises(ParseError) as err:
         parse_system(text)
     assert "zero denominator" in err.value.diagnostics[0].message
+
+
+def test_power_map_read_canonical_is_not_checked(monkeypatch):
+    """Every weight reader returns a canonical payload, so a power map whose
+    labels ascend and whose weights are non-zero is kept as read: the Fig. 1
+    WTS, with 16 power maps, reads without one ``check_weight`` call.  A map
+    out of order or with a zero entry is checked, into its canonical form."""
+    calls, check = [], futs.monoid.check_weight
+    monkeypatch.setattr(futs.monoid, "check_weight", lambda m, w: calls.append(w) or check(m, w))
+    parse_system((GOLDEN / "fig1_wts.futs").read_text())
+    assert calls == []
+    s = parse_system("futs\nlabels A0 = { a }\nmonoids M0 = [ pow({a, b}, nat-plus) ]\n"
+                     "states { x, y }\ntrans 0 x a -> { y: { b: 1, a: 0 } }\n")
+    assert calls == [(("b", 1), ("a", 0))]
+    assert write_system(s).endswith("trans 0 x a -> { y: { b: 1 } }\n")
 
 
 def test_write_deterministic(fig1):
