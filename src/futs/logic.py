@@ -28,7 +28,7 @@ import itertools
 import sys
 from typing import TYPE_CHECKING, MutableMapping, Optional, Union
 
-from .monoid import Value, Weight, cancellative, check_weight, is_zero, positive, power_dirac
+from .monoid import Value, Weight, cancellative, check_weight, is_zero, power_dirac
 from .system import Futs, Signature
 
 if TYPE_CHECKING:
@@ -357,8 +357,7 @@ def witness_formula(s: Futs, x: str, y: str,
                     depth: Optional[int] = None) -> Optional[Formula]:
     """A formula from the bounded family separating two states, if any.
 
-    Unlike distinguishing_formula this makes no completeness claim: the
-    result is verified by evaluation, but None only means the bounded
+    The result is verified by evaluation, but None only means the bounded
     family does not separate the states, which outside cancellative
     monoids can happen for non-bisimilar pairs.  Before each level refines,
     its candidates are scanned; the first that separates the pair is the
@@ -418,19 +417,25 @@ def distinguishing_formula(s: Futs, x: str, y: str,
                            depth: Optional[int] = None) -> Optional[Formula]:
     """A formula holding at exactly one of two states, or None if bisimilar.
 
-    Restricted to simple systems over a positive cancellative monoid, where
-    the bounded-equivalence family is guaranteed to separate non-bisimilar
-    states; the formula is ``witness_formula``'s.  With a ``depth``, None
-    means that many levels keep the pair together; without, a pair that all
-    levels keep together must be bisimilar (else RuntimeError).
-    """
+    Refused outside simple systems over a positive cancellative monoid; on
+    those ``logical_witness`` answers, checking a None against bisimilarity
+    unless a ``depth`` bounds the search."""
     if not s.sig.is_simple:
         raise ValueError("distinguishing_formula needs a simple system")
-    m = s.sig.components[0].monoids[0]
-    if not (positive(m) and cancellative(m)):
+    if not cancellative(s.sig.components[0].monoids[0]):
         raise ValueError("distinguishing_formula needs a positive cancellative monoid")
+    return logical_witness(s, x, y, depth)
+
+
+def logical_witness(s: Futs, x: str, y: str, depth: Optional[int] = None) -> Optional[Formula]:
+    """``futs equiv --logic``'s answer: a formula of ``s``'s own logic separating ``x`` and ``y``,
+    or None when ``bounded_logical_equiv(s, depth)`` keeps them together: the family splits the
+    pair at the first level one of whose candidates separates it, which ``witness_formula`` returns.
+    The family is complete on a simple system over a cancellative monoid (every one is positive),
+    so there a None found without a ``depth`` is checked: a non-bisimilar pair is a RuntimeError."""
     found = witness_formula(s, x, y, depth)
-    if found is not None or depth is not None:
+    if found is not None or depth is not None or not (
+            s.sig.is_simple and cancellative(s.sig.components[0].monoids[0])):
         return found
     from .bisim import largest_bisimulation
     if largest_bisimulation(s).same_block(x, y):
@@ -438,14 +443,3 @@ def distinguishing_formula(s: Futs, x: str, y: str,
     raise RuntimeError(
         f"states {x!r} and {y!r} are not bisimilar but no distinguishing formula "
         f"was found; the bounded family is incomplete here")
-
-
-def logical_witness(s: Futs, x: str, y: str, depth: Optional[int] = None) -> Optional[Formula]:
-    """``futs equiv --logic``'s answer: a formula of ``s``'s own logic separating ``x`` and ``y``,
-    or None when ``bounded_logical_equiv(s, depth)`` keeps them together.  One search answers:
-    the family splits the pair at the first level one of whose candidates separates it, which is
-    the candidate ``witness_formula`` returns; on a simple positive cancellative system it runs
-    as ``distinguishing_formula``, which without a depth checks a None against bisimilarity."""
-    m = s.sig.components[0].monoids[0]
-    complete = s.sig.is_simple and positive(m) and cancellative(m)
-    return (distinguishing_formula if complete else witness_formula)(s, x, y, depth)

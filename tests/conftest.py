@@ -109,6 +109,23 @@ def nat_chain_text(n: int, ring: int = 0) -> str:
             + "".join(f"trans 0 {x} a -> {{ {y}: 1 }}\n" for x, y in steps))
 
 
+def count_calls(monkeypatch, name: str, *owners) -> list:
+    """Wrap the function ``name`` of each owner (a module or class that binds
+    it) so that every call appends to one list, and return that list: a
+    ladder test reads its ``len`` at each size and ``clear``s it between."""
+    calls: list = []
+    for owner in owners:
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, fn=fn, **kwargs:
+                            calls.append(None) or fn(*args, **kwargs))
+    return calls
+
+
+def grows_linearly(counts) -> bool:
+    """A ladder's bound: each count is at most 2.2x the one at half the size."""
+    return all(b <= 2.2 * a for a, b in zip(counts, counts[1:]))
+
+
 def load(name: str) -> Futs:
     return parse_system((DATA / name).read_text())
 

@@ -10,6 +10,7 @@ from futs.bisim import (
     largest_bisimulation,
     quotient_system,
 )
+from futs.cli import main
 from futs.monoid import NAT_PLUS
 from futs.textio import parse_system
 from futs.weightfn import Leaf, node
@@ -19,6 +20,8 @@ from bisim_oracle import ext_related
 from conftest import (
     TWO_COMP,
     corpus_systems,
+    count_calls,
+    grows_linearly,
     nat_chain_text,
     random_futs,
     restrict,
@@ -125,20 +128,24 @@ def test_largest_equals_brute_force_on_corpus():
         assert is_bisimulation(s, oracle)
 
 
-def test_refiner_work_grows_linearly_on_the_chain(monkeypatch):
+def test_refiner_work_grows_linearly_on_the_chain(monkeypatch, tmp_path):
     """The refiner ladder: ``Graph.signature`` calls on the n-state nat-plus
-    chain at n = 100, 200, 400 grow at most 2.2x per doubling.  Today they
+    chain at n = 100, 200, 400 grow at most 2.2x per doubling, for the
+    library call and for ``futs equiv`` of the chain's two ends.  Today both
     are 398, 798 and 1,598 (4n - 2); an O(m log n) refiner keeps the bound."""
-    signature, calls = futs.system.Graph.signature, {}
-    monkeypatch.setattr(futs.system.Graph, "signature",
-                        lambda g, *args: calls.update(n=calls["n"] + 1) or signature(g, *args))
-    counts = []
+    calls = count_calls(monkeypatch, "signature", futs.system.Graph)
+    counts, cli_counts = [], []
     for n in (100, 200, 400):
         s = parse_system(nat_chain_text(n))
-        calls["n"] = 0
+        calls.clear()
         largest_bisimulation(s)
-        counts.append(calls["n"])
-    assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
+        counts.append(len(calls))
+        path = tmp_path / f"chain{n}.futs"
+        path.write_text(nat_chain_text(n))
+        calls.clear()
+        assert main(["equiv", str(path), "c0", f"c{n - 1}"]) == 1
+        cli_counts.append(len(calls))
+    assert grows_linearly(counts) and grows_linearly(cli_counts), (counts, cli_counts)
 
 
 def test_quotient_system_examples(fig1, w3):

@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import futs.bisim
 import futs.logic
 from futs.bisim import Partition, largest_bisimulation
 from futs.logic import (
     TOP,
     And,
     Diamond,
+    Formula,
     FormulaError,
     _levels,
     _sat,
@@ -44,6 +46,8 @@ from conftest import (
     ULTRAS_RAT,
     WLTS_NAT,
     Hashed,
+    count_calls,
+    grows_linearly,
     load_from_other_process,
     nat_chain_text,
     random_formula,
@@ -295,17 +299,15 @@ def test_shrink_sweeps_each_diamond_once(monkeypatch):
     10,700.  The whole search's evaluations (level loop and trials) grow
     3.6x from n = 40 to 80, 503 to 1,803 ``_sat`` calls; restarting made
     3,373 and 23,943, 7.1x, so the bound 4x fails for it."""
-    conjuncts, sat, counts = futs.logic._conjuncts, futs.logic._sat, {}
-    monkeypatch.setattr(futs.logic, "_conjuncts",
-                        lambda phi: counts.update(split=counts["split"] + 1) or conjuncts(phi))
-    monkeypatch.setattr(futs.logic, "_sat",
-                        lambda *args: counts.update(sat=counts["sat"] + 1) or sat(*args))
+    splits = count_calls(monkeypatch, "_conjuncts", futs.logic)
+    sats = count_calls(monkeypatch, "_sat", futs.logic)
     calls = {}
     for n in (40, 80):
-        counts.update(split=0, sat=0)
+        splits.clear()
+        sats.clear()
         logical_witness(d_chain(n), "d1", f"d{n // 2}")
-        assert counts["split"] == n // 2 + 1, n
-        calls[n] = counts["sat"]
+        assert len(splits) == n // 2 + 1, n
+        calls[n] = len(sats)
     assert calls[80] <= 4 * calls[40], calls
 
 
@@ -381,14 +383,27 @@ def test_distinguishing_formula_examples(w3):
     assert distinguishing_formula(w3, "y", "z") is None
 
 
-def test_distinguishing_formula_completeness_check(w3, monkeypatch):
+def test_distinguishing_formula_completeness_check(w3, absence_pair, monkeypatch):
     """Without a depth, a search that finds nothing for a non-bisimilar pair
-    is an error naming both states, not an answer that they are equivalent."""
-    monkeypatch.setattr(futs.logic, "witness_formula", lambda *args: None)
-    with pytest.raises(RuntimeError, match="states 'x' and 'y' are not bisimilar"):
-        distinguishing_formula(w3, "x", "y")
-    assert distinguishing_formula(w3, "x", "x'") is None
-    assert distinguishing_formula(w3, "x", "y", depth=1) is None
+    is an error naming both states, not an answer that they are equivalent.
+    ``logical_witness`` makes the search and the check itself, without
+    ``distinguishing_formula``, and only where the family is complete: on
+    bool-or, which is not cancellative, its None is not checked."""
+    with monkeypatch.context() as patch:
+        patch.setattr(futs.logic, "witness_formula", lambda *args: None)
+        for fn in (distinguishing_formula, logical_witness):
+            with pytest.raises(RuntimeError, match="states 'x' and 'y' are not bisimilar"):
+                fn(w3, "x", "y")
+            assert fn(w3, "x", "x'") is None
+            assert fn(w3, "x", "y", depth=1) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(futs.logic, "distinguishing_formula",
+                      lambda *args: pytest.fail("distinguishing_formula called"))
+        assert logical_witness(w3, "x", "x'") is None
+        assert logical_witness(w3, "x", "y") == Diamond(0, "a", (1,), TOP)
+    monkeypatch.setattr(futs.bisim, "largest_bisimulation",
+                        lambda s: pytest.fail("largest_bisimulation called"))
+    assert logical_witness(absence_pair, "p0", "q0") is None
 
 
 def test_distinguishing_formula_really_distinguishes():
@@ -406,10 +421,10 @@ def test_distinguishing_formula_really_distinguishes():
 
 
 def test_distinguishing_formula_refusals(fig1, absence_pair):
-    with pytest.raises(ValueError):
-        distinguishing_formula(fig1, "s0", "s2")  # not simple
-    with pytest.raises(ValueError):
-        distinguishing_formula(absence_pair, "p0", "q0")  # bool-or not cancellative
+    with pytest.raises(ValueError, match="needs a simple system"):
+        distinguishing_formula(fig1, "s0", "s2")
+    with pytest.raises(ValueError, match="needs a positive cancellative monoid"):
+        distinguishing_formula(absence_pair, "p0", "q0")  # bool-or
 
 
 def test_witness_formula(fig1):
@@ -549,6 +564,48 @@ def test_deep_formula_sat_set(depth, chain, ring):
         phi = Diamond(0, "a", (1,), phi)
     expected = [f"c{k}" for k in range(chain - depth)] + [f"r{k}" for k in range(ring)]
     assert sat_set(s, phi) == frozenset(expected)
+
+
+def diamond_chain(depth: int) -> Formula:
+    """``<1> <1> ... <1> T``, ``depth`` diamonds deep, over label a of component 0."""
+    phi = TOP
+    for _ in range(depth):
+        phi = Diamond(0, "a", (1,), phi)
+    return phi
+
+
+def test_check_work_grows_linearly_with_depth(monkeypatch):
+    """The check ladder: ``_diamond`` calls of ``sat_set`` for a chain of d
+    diamonds on the 120-state nat-plus chain at d = 25, 50, 100 grow at most
+    2.2x per doubling.  Today each diamond is evaluated once (d calls), and
+    the system's cache holds d + 1 sets, the diamonds' and T's."""
+    calls = count_calls(monkeypatch, "_diamond", futs.logic)
+    counts = []
+    for depth in (25, 50, 100):
+        s, phi = parse_system(nat_chain_text(120)), diamond_chain(depth)
+        calls.clear()
+        assert sat_set(s, phi) == {f"c{k}" for k in range(120 - depth)}
+        counts.append(len(calls))
+        assert len(s.graph.sat) == depth + 1
+    assert grows_linearly(counts), counts
+
+
+def test_translate_work_grows_linearly_with_depth(monkeypatch):
+    """The translate ladder: ``Diamond`` constructions of ``translate_to_wts``
+    for a chain of d diamonds over the nat-plus chain's signature at d = 50,
+    100, 200 grow at most 2.2x per doubling.  Today they are 11d: each of the
+    five stages checks and rewrites every diamond, and the result is checked."""
+    sig = parse_system(nat_chain_text(120)).sig
+    calls = count_calls(monkeypatch, "__init__", Diamond)
+    counts = []
+    for depth in (50, 100, 200):
+        phi = diamond_chain(depth)
+        calls.clear()
+        psi, _wts = translate_to_wts(sig, phi)
+        modal_depth = fold(psi, 0, lambda f, left, right: max(left, right), lambda f, body: body + 1)
+        assert modal_depth == depth
+        counts.append(len(calls))
+    assert grows_linearly(counts), counts
 
 
 def test_long_left_deep_conjunction_sat_set(w3):

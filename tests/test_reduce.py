@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import futs.reduce
+import futs.textio
+import futs.weightfn
 from futs.bisim import Partition, all_partitions, is_bisimulation, largest_bisimulation
 from futs.monoid import BOOL_OR, NAT_PLUS, RAT_PLUS, Power, Product
 from futs.reduce import (
@@ -23,7 +26,8 @@ from futs.reduce import (
     unlabel,
     verify_reduction,
 )
-from futs.system import Component, Futs, Signature
+from futs.system import Component, Futs, Graph, Signature
+from futs.textio import parse_system
 from futs.weightfn import Leaf, node
 
 from bisim_oracle import single
@@ -35,6 +39,8 @@ from conftest import (
     ULTRAS_RAT,
     WLTS_NAT,
     corpus_systems,
+    count_calls,
+    grows_linearly,
     intermediates,
     random_futs,
     term_depth,
@@ -219,6 +225,45 @@ def test_to_wts_two_component_end_to_end():
     assert validate(r.target) == []
     big = largest_bisimulation(r.target)
     assert restrict_bisim(r, big) == largest_bisimulation(s)
+
+
+def stacked_chain(n: int) -> Futs:
+    """The n-state chain d0 -> d1 -> ... over ``[ bool-or, nat-plus ]``, each
+    step the set holding one distribution of weight 1 + i mod 3."""
+    names = [f"d{i}" for i in range(n)]
+    return parse_system("futs\nlabels A0 = { a }\nmonoids M0 = [ bool-or, nat-plus ]\n"
+                        "states { " + ", ".join(names) + " }\n"
+                        + "".join(f"trans 0 d{i} a -> {{ {{ d{i + 1}: {1 + i % 3} }}: tt }}\n"
+                                  for i in range(n - 1)))
+
+
+def test_reduce_work_grows_linearly_on_the_chain(monkeypatch):
+    """The reduce ladder: ``format_term`` calls of ``to_wts`` on the stacked
+    chain at n = 50, 100, 200 grow at most 2.2x per doubling.  Today they are
+    196, 396 and 796 (4n - 4), counted wherever a module binds the name."""
+    calls = count_calls(monkeypatch, "format_term", futs.weightfn, futs.reduce, futs.textio)
+    counts = []
+    for n in (50, 100, 200):
+        s = stacked_chain(n)
+        calls.clear()
+        assert to_wts(s).target.sig.is_simple
+        counts.append(len(calls))
+    assert grows_linearly(counts), counts
+
+
+def test_verify_work_grows_linearly_on_the_chain(monkeypatch):
+    """The verify ladder: ``Graph.signature`` calls of a sampled
+    ``verify_reduction`` (8 samples, seed 0) of the stacked chain's ``to_wts``
+    at n = 50, 100, 200 grow at most 2.2x per doubling.  Today they are 504,
+    1,012 and 1,840."""
+    calls = count_calls(monkeypatch, "signature", Graph)
+    counts = []
+    for n in (50, 100, 200):
+        r = to_wts(stacked_chain(n))
+        calls.clear()
+        assert verify_reduction(r, exhaustive=False, samples=8, seed=0).ok
+        counts.append(len(calls))
+    assert grows_linearly(counts), counts
 
 
 def test_extend_bisim_examples(fig1, w3):
